@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import (
+    CONNECTIVITIES,
     DEFAULT_CONNECTIVITY,
     MIN_LESION_VOLUME_MM3,
     cs_lesion_maps,
@@ -37,15 +38,20 @@ from .cluster import (
 )
 from .evaluation import (
     EvaluationConfig,
+    _cluster_summary,
+    _confusion_dict,
+    _kappa_dict,
+    _write_froc_csv,
+    cohort_dirs,
     evaluate_points,
-    load_fold_manifest,
-    load_patient_eval,
+    load_cohort,
     read_points_csv,
     run_full_evaluation,
 )
-from .grades import GRADE_ORDER, MISSED, parse_grade
-from .matching import DetectionRecord, match_detections
+from .grades import MISSED, parse_grade
+from .matching import OVERLAP_DENOMS, DetectionRecord, match_detections
 from .metrics import (
+    RESAMPLE_UNITS,
     bootstrap_kappa,
     confusion_matrix,
     dice_coefficient,
@@ -188,19 +194,6 @@ def cmd_phantom(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def _cluster_dicts(m):
-    return [
-        {
-            "grade": c.grade_name,
-            "n_voxels": c.n_voxels,
-            "volume_mm3": c.volume_mm3,
-            "score": c.score,
-            "bbox": list(c.bbox),
-        }
-        for c in m.clusters
-    ]
-
-
 def cmd_cluster(args, file_cfg) -> int:
     labels = _read_volume(args.labels)
     probs = _read_probs(args.probs) if args.probs else None
@@ -209,7 +202,7 @@ def cmd_cluster(args, file_cfg) -> int:
         m = filter_by_volume(build(labels, probs, args.connectivity), args.min_volume)
     except ValueError as e:
         raise DataError(str(e)) from e
-    payload = {"mode": args.mode, "n_clusters": len(m), "clusters": _cluster_dicts(m)}
+    payload = {"mode": args.mode, "n_clusters": len(m), "clusters": _cluster_summary(m)}
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w") as f:
@@ -264,15 +257,7 @@ def _eval_config(args, file_cfg, **extra) -> EvaluationConfig:
 
 
 def _cohort_overrides(args) -> dict:
-    d = {}
-    if getattr(args, "cohort", None):
-        root = Path(args.cohort)
-        d.update(
-            gt_dir=str(root / "gt"),
-            pred_dir=str(root / "pred"),
-            zones_dir=str(root / "zones"),
-            fold_manifest=str(root / "cohort.json"),
-        )
+    d = cohort_dirs(args.cohort) if args.cohort else {}
     for name, key in (
         ("gt_dir", "gt_dir"), ("pred_dir", "pred_dir"),
         ("zones_dir", "zones_dir"), ("manifest", "fold_manifest"),
@@ -283,16 +268,6 @@ def _cohort_overrides(args) -> dict:
     return d
 
 
-def _load_cohort(cfg: EvaluationConfig):
-    try:
-        pairs = load_fold_manifest(cfg.fold_manifest)
-        return [load_patient_eval(cfg, pid, fold) for pid, fold in pairs]
-    except FileNotFoundError as e:
-        raise DataError(str(e)) from e
-    except (ValueError, VolumeFormatError) as e:
-        raise DataError(str(e)) from e
-
-
 def cmd_froc(args, file_cfg) -> int:
     from .metrics import froc_by_grade, froc_curve, sensitivity_at_fp
     from .evaluation import stage_cohort
@@ -300,9 +275,8 @@ def cmd_froc(args, file_cfg) -> int:
     cfg = _eval_config(args, file_cfg, **_cohort_overrides(args))
     if cfg.fold_manifest is None or cfg.gt_dir is None or cfg.pred_dir is None:
         raise ConfigError("froc needs --cohort or --gt-dir/--pred-dir/--manifest")
-    patients = _load_cohort(cfg)
     try:
-        stages = stage_cohort(patients, cfg)
+        stages = stage_cohort(load_cohort(cfg), cfg)
         if args.grade is None:
             pairs = [(s.cs_pred, s.cs_gt) for s in stages]
             curve = froc_curve(pairs, cfg.overlap_frac, cfg.overlap_denom,
@@ -314,15 +288,11 @@ def cmd_froc(args, file_cfg) -> int:
             curve = froc_by_grade(pairs, grade, cfg.overlap_frac, cfg.overlap_denom,
                                   cfg.strict_duplicates)
             stratum = grade.display
-    except ValueError as e:
+    except (FileNotFoundError, ValueError) as e:
         raise DataError(str(e)) from e
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["threshold", "mean_fp_per_patient", "sensitivity"])
-            for p in curve.points:
-                w.writerow([p.threshold, p.mean_fp_per_patient, p.sensitivity])
+        _write_froc_csv(Path(args.out), curve)
     _emit({
         "stratum": stratum,
         "n_patients": curve.n_patients,
@@ -379,16 +349,7 @@ def cmd_kappa(args, file_cfg) -> int:
         records, n_iter=args.bootstrap, seed=seed,
         include_fn_as_gs6=args.include_fn, resample=args.resample,
     )
-    _emit({
-        "grades": [g.display for g in GRADE_ORDER],
-        "counts": [list(r) for r in cm.counts],
-        "include_fn_as_gs6": cm.include_fn_as_gs6,
-        "kappa": result.kappa,
-        "degenerate": result.degenerate,
-        "bootstrap_mean": result.bootstrap_mean,
-        "bootstrap_std": result.bootstrap_std,
-        "n_iterations": result.n_iterations,
-    })
+    _emit(_confusion_dict(cm, result))
     if result.degenerate and args.strict:
         print("warning: kappa is degenerate (expected disagreement is zero)",
               file=sys.stderr)
@@ -454,14 +415,7 @@ def cmd_px2(args, file_cfg) -> int:
         records, kappa = evaluate_points(points, stacks, cfg)
     except ValueError as e:
         raise DataError(str(e)) from e
-    payload = {
-        "n_points": len(records),
-        "kappa": kappa.kappa,
-        "degenerate": kappa.degenerate,
-        "bootstrap_mean": kappa.bootstrap_mean,
-        "bootstrap_std": kappa.bootstrap_std,
-        "n_iterations": kappa.n_iterations,
-    }
+    payload = {"n_points": len(records), **_kappa_dict(kappa)}
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -612,7 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None,
                    help="override phantom/bootstrap seeds")
-    p.add_argument("--threads", type=int, default=1, help="parallel patient map")
+    p.add_argument("--threads", type=int, default=None,
+                   help="parallel patient map (default: config file, else 1)")
     p.add_argument("--strict", action="store_true",
                    help="escalate degenerate-statistics warnings to exit code 4")
     sub = p.add_subparsers(dest="command", required=True)
@@ -635,7 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probs", default=None, help="probability base path (channels _c0.._c5)")
     sp.add_argument("--mode", choices=("gs", "cs"), default="gs")
     sp.add_argument("--connectivity", type=int, default=DEFAULT_CONNECTIVITY,
-                    choices=(6, 18, 26))
+                    choices=CONNECTIVITIES)
     sp.add_argument("--min-volume", type=float, default=MIN_LESION_VOLUME_MM3)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_cluster)
@@ -646,9 +601,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pred-probs", default=None)
     sp.add_argument("--mode", choices=("gs", "cs"), default="cs")
     sp.add_argument("--overlap", type=float, default=0.10)
-    sp.add_argument("--denom", choices=("pred", "gt", "union"), default="pred")
+    sp.add_argument("--denom", choices=OVERLAP_DENOMS, default="pred")
     sp.add_argument("--connectivity", type=int, default=DEFAULT_CONNECTIVITY,
-                    choices=(6, 18, 26))
+                    choices=CONNECTIVITIES)
     sp.add_argument("--min-volume", type=float, default=MIN_LESION_VOLUME_MM3)
     sp.add_argument("--strict-duplicates", action="store_true")
     sp.set_defaults(func=cmd_match)
@@ -669,7 +624,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-fn", action="store_true",
                     help="book missed lesions as GS6 predictions")
     sp.add_argument("--bootstrap", type=int, default=1000)
-    sp.add_argument("--resample", choices=("lesion", "patient"), default="lesion")
+    sp.add_argument("--resample", choices=RESAMPLE_UNITS, default="lesion")
     sp.set_defaults(func=cmd_kappa)
 
     sp = sub.add_parser("dice", help="Dice coefficient of two binary volumes")
@@ -699,7 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--zone", choices=("none", "pz", "tz"), default=None)
     sp.add_argument("--min-volume", type=float, default=None)
     sp.add_argument("--overlap", type=float, default=None)
-    sp.add_argument("--connectivity", type=int, default=None, choices=(6, 18, 26))
+    sp.add_argument("--connectivity", type=int, default=None, choices=CONNECTIVITIES)
     sp.add_argument("--bootstrap", type=int, default=None)
     sp.add_argument("--no-intermediates", action="store_true")
     sp.set_defaults(func=cmd_evaluate)

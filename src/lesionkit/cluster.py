@@ -20,6 +20,7 @@ MIN_LESION_VOLUME_MM3 = 45.0
 DEFAULT_CONNECTIVITY = 26
 
 _CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
+CONNECTIVITIES = tuple(_CONNECTIVITY_RANK)
 
 
 @dataclass(frozen=True)
@@ -192,16 +193,16 @@ def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> Le
     return replace(m, clusters=kept)
 
 
+def _in_zone(c: LesionCluster, zone: Volume) -> bool:
+    """At least half of the cluster's voxels lie inside the zone mask."""
+    zs, ys, xs = c.index_arrays()
+    return 2 * int(np.count_nonzero(zone.values[zs, ys, xs])) >= c.n_voxels
+
+
 def filter_by_zone(m: LesionMap, zone: Volume) -> LesionMap:
-    """Keep clusters with at least half their voxels inside the zone mask.
+    """Keep clusters with at least half their voxels inside the zone mask, so
+    a lesion split evenly between two zones is kept by both.
 
     Selection is per whole cluster, never voxel carving, so it commutes with
     volume filtering."""
-    mask = np.asarray(zone.values) != 0
-    kept = []
-    for c in m.clusters:
-        zs, ys, xs = c.index_arrays()
-        inside = int(mask[zs, ys, xs].sum())
-        if 2 * inside >= c.n_voxels:
-            kept.append(c)
-    return replace(m, clusters=tuple(kept))
+    return replace(m, clusters=tuple(c for c in m.clusters if _in_zone(c, zone)))

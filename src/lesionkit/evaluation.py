@@ -24,9 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import (
+    CONNECTIVITIES,
     DEFAULT_CONNECTIVITY,
     MIN_LESION_VOLUME_MM3,
     LesionMap,
+    _in_zone,
     cs_lesion_maps,
     filter_by_volume,
     filter_by_zone,
@@ -35,13 +37,17 @@ from .cluster import (
 from .grades import GRADE_ORDER, Grade, MISSED, parse_grade
 from .matching import (
     DEFAULT_OVERLAP_FRAC,
+    OVERLAP_DENOMS,
     DetectionRecord,
+    _dice,
+    _grading_key,
+    _intersection_table,
     _overlap_value,
-    best_dice_assignment,
-    dice_overlap,
+    _qualifies,
     point_in_cluster_grade,
 )
 from .metrics import (
+    RESAMPLE_UNITS,
     AggregatePoint,
     ConfusionMatrix,
     FrocCurve,
@@ -62,6 +68,18 @@ ZONE_CHOICES = (None, "pz", "tz")
 
 #: safe file-name stems for the per-grade FROC CSVs
 GRADE_STEMS = {Grade.GS6: "gs6", Grade.GS34: "gs34", Grade.GS43: "gs43", Grade.GS8: "gs8"}
+
+
+def cohort_dirs(root) -> dict[str, str]:
+    """Directory fields of the standard cohort layout under one root: gt/,
+    pred/, zones/ and the cohort.json fold manifest."""
+    root = Path(root)
+    return {
+        "gt_dir": str(root / "gt"),
+        "pred_dir": str(root / "pred"),
+        "zones_dir": str(root / "zones"),
+        "fold_manifest": str(root / "cohort.json"),
+    }
 
 
 @dataclass(frozen=True)
@@ -89,8 +107,15 @@ class EvaluationConfig:
     write_intermediates: bool = True
 
     def __post_init__(self):
-        if self.zone not in ZONE_CHOICES:
-            raise ValueError(f"zone must be one of {ZONE_CHOICES}, got {self.zone!r}")
+        for name, allowed in (
+            ("zone", ZONE_CHOICES),
+            ("overlap_denom", OVERLAP_DENOMS),
+            ("connectivity", CONNECTIVITIES),
+            ("bootstrap_resample", RESAMPLE_UNITS),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.min_volume_mm3 < 0:
             raise ValueError("min_volume_mm3 must be nonnegative")
         if not (0.0 < self.overlap_frac <= 1.0):
@@ -108,14 +133,8 @@ class EvaluationConfig:
     def for_cohort_dir(cls, root, output_dir=None, **overrides) -> "EvaluationConfig":
         """Fill directory fields from the standard cohort layout
         (gt/, pred/, zones/, cohort.json under one root)."""
-        root = Path(root)
-        fields = dict(
-            gt_dir=str(root / "gt"),
-            pred_dir=str(root / "pred"),
-            zones_dir=str(root / "zones"),
-            fold_manifest=str(root / "cohort.json"),
-            output_dir=None if output_dir is None else str(output_dir),
-        )
+        fields = cohort_dirs(root)
+        fields["output_dir"] = None if output_dir is None else str(output_dir)
         fields.update(overrides)
         return cls(**fields)
 
@@ -197,14 +216,13 @@ class EvaluationReport:
 
 
 def _lesion_zone(lesion, zones: ZoneMask | None) -> str:
+    """PZ or TZ when at least half the lesion's voxels lie in that zone (the
+    rule of filter_by_zone), PZ checked first; otherwise unknown."""
     if zones is None:
         return "unknown"
-    zs, ys, xs = lesion.index_arrays()
-    in_pz = int((np.asarray(zones.pz.values)[zs, ys, xs] != 0).sum())
-    in_tz = int((np.asarray(zones.tz.values)[zs, ys, xs] != 0).sum())
-    if 2 * in_pz > lesion.n_voxels:
+    if _in_zone(lesion, zones.pz):
         return "PZ"
-    if 2 * in_tz > lesion.n_voxels:
+    if _in_zone(lesion, zones.tz):
         return "TZ"
     return "unknown"
 
@@ -214,45 +232,33 @@ def _patient_records(patient: PatientEval, gs_pred, gs_gt, cfg) -> tuple:
     some predicted cluster reaches the overlap rule against it, and takes
     the grade of the highest-Dice qualifying cluster (one cluster may grade
     several lesions)."""
+    denom = cfg.overlap_denom
+    by_lesion = _intersection_table(gs_pred.clusters, gs_gt.clusters).T.tolist()
     records = []
-    for lesion in gs_gt.clusters:
-        ls = lesion.voxel_set
-        cands = []
-        for c in gs_pred.clusters:
-            inter = len(c.voxel_set & ls)
-            if inter == 0:
-                continue
-            if _overlap_value(inter, c, lesion, cfg.overlap_denom) >= cfg.overlap_frac:
-                cands.append(c)
-        zone = _lesion_zone(lesion, patient.zones)
+    for lesion, inters in zip(gs_gt.clusters, by_lesion):
+        cands = [
+            (inter, c) for inter, c in zip(inters, gs_pred.clusters)
+            if _qualifies(inter, c, lesion, denom, cfg.overlap_frac)
+        ]
         if cands:
-            best = best_dice_assignment(lesion, cands)
-            inter = len(best.voxel_set & ls)
-            records.append(
-                DetectionRecord(
-                    patient_id=patient.patient_id,
-                    fold=patient.fold,
-                    zone=zone,
-                    gt_grade=lesion.grade,
-                    pred_grade=best.grade,
-                    score=best.score,
-                    dice=dice_overlap(best.voxel_set, ls),
-                    overlap_frac=_overlap_value(inter, best, lesion, cfg.overlap_denom),
-                )
-            )
+            inter, best = max(cands, key=lambda ic: _grading_key(*ic, lesion))
+            pred_grade, score = best.grade, best.score
+            dice = _dice(inter, best.n_voxels, lesion.n_voxels)
+            overlap = _overlap_value(inter, best, lesion, denom)
         else:
-            records.append(
-                DetectionRecord(
-                    patient_id=patient.patient_id,
-                    fold=patient.fold,
-                    zone=zone,
-                    gt_grade=lesion.grade,
-                    pred_grade=MISSED,
-                    score=0.0,
-                    dice=0.0,
-                    overlap_frac=0.0,
-                )
+            pred_grade, score, dice, overlap = MISSED, 0.0, 0.0, 0.0
+        records.append(
+            DetectionRecord(
+                patient_id=patient.patient_id,
+                fold=patient.fold,
+                zone=_lesion_zone(lesion, patient.zones),
+                gt_grade=lesion.grade,
+                pred_grade=pred_grade,
+                score=score,
+                dice=dice,
+                overlap_frac=overlap,
             )
+        )
     return tuple(records)
 
 
@@ -646,6 +652,12 @@ def load_patient_eval(cfg: EvaluationConfig, patient_id: str, fold: int) -> Pati
     return PatientEval(patient_id=patient_id, fold=fold, labels=labels, probs=probs, zones=zones)
 
 
+def load_cohort(cfg: EvaluationConfig) -> list[PatientEval]:
+    """Every patient of the fold manifest, in manifest order."""
+    pairs = load_fold_manifest(cfg.fold_manifest)
+    return [load_patient_eval(cfg, pid, fold) for pid, fold in pairs]
+
+
 def run_full_evaluation(cfg: EvaluationConfig):
     """Load the cohort from disk, evaluate, and write the bundle.
 
@@ -655,9 +667,7 @@ def run_full_evaluation(cfg: EvaluationConfig):
     for name in ("gt_dir", "pred_dir", "fold_manifest", "output_dir"):
         if getattr(cfg, name) is None:
             raise ValueError(f"evaluation config needs {name}")
-    pairs = load_fold_manifest(cfg.fold_manifest)
-    patients = [load_patient_eval(cfg, pid, fold) for pid, fold in pairs]
-    stages = stage_cohort(patients, cfg)
+    stages = stage_cohort(load_cohort(cfg), cfg)
     report = aggregate_stages(stages, cfg)
     write_report_bundle(report, cfg.output_dir, stages if cfg.write_intermediates else None)
     return report, stages

@@ -5,7 +5,7 @@ grade lookup for the external-dataset protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,15 @@ DEFAULT_OVERLAP_FRAC = 0.10
 OVERLAP_DENOMS = ("pred", "gt", "union")
 
 
+def _dice(inter: int, na: int, nb: int) -> float:
+    return 2.0 * inter / (na + nb)
+
+
 def dice_overlap(a: frozenset, b: frozenset) -> float:
     """2|A∩B| / (|A|+|B|) for voxel sets."""
     if not a and not b:
         return 1.0
-    return 2.0 * len(a & b) / (len(a) + len(b))
+    return _dice(len(a & b), len(a), len(b))
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,34 @@ class DetectionRecord:
             raise ValueError(f"pred_grade must be a grade or {MISSED!r}")
 
 
+def _intersection_table(pred, gt) -> np.ndarray:
+    """P x G voxel-intersection counts of predicted against ground-truth
+    clusters.  The ground-truth clusters must be disjoint, as in a LesionMap,
+    so each voxel maps to at most one of them."""
+    owner = {v: gi for gi, g in enumerate(gt) for v in g.voxels}
+    pairs = [pi * len(gt) + owner[v] for pi, p in enumerate(pred) for v in p.voxels if v in owner]
+    counts = np.bincount(np.asarray(pairs, dtype=np.intp), minlength=len(pred) * len(gt))
+    return counts.reshape(len(pred), len(gt))
+
+
 def _overlap_value(inter: int, pred: LesionCluster, gt: LesionCluster, denom: str) -> float:
+    # denom is one of OVERLAP_DENOMS, validated where it enters
     if denom == "pred":
         return inter / pred.n_voxels
     if denom == "gt":
         return inter / gt.n_voxels
-    if denom == "union":
-        return inter / (pred.n_voxels + gt.n_voxels - inter)
-    raise ValueError(f"overlap denominator must be one of {OVERLAP_DENOMS}, got {denom!r}")
+    return inter / (pred.n_voxels + gt.n_voxels - inter)
+
+
+def _qualifies(inter: int, pred: LesionCluster, gt: LesionCluster, denom: str, frac: float) -> bool:
+    """The detection rule: the overlap fraction reaches frac."""
+    return inter > 0 and _overlap_value(inter, pred, gt, denom) >= frac
+
+
+def _grading_key(inter: int, pred: LesionCluster, gt: LesionCluster):
+    """Best-Dice order: highest Dice, then larger intersection, then lower
+    grade code."""
+    return (_dice(inter, pred.n_voxels, gt.n_voxels), inter, -int(pred.grade))
 
 
 def match_detections(
@@ -126,24 +150,22 @@ def match_detections(
     """
     if not (0.0 < overlap_frac <= 1.0):
         raise ValueError(f"overlap_frac must lie in (0, 1], got {overlap_frac}")
+    if denom not in OVERLAP_DENOMS:
+        raise ValueError(f"overlap denominator must be one of {OVERLAP_DENOMS}, got {denom!r}")
     if pred.dims != gt.dims or pred.spacing_mm != gt.spacing_mm:
         raise ValueError("prediction and ground truth must share the voxel grid")
 
-    gt_sets = [c.voxel_set for c in gt.clusters]
     order = sorted(
         (c for c in pred.clusters if c.score >= score_threshold),
         key=lambda c: (-c.score, c.voxels[0][2], c.voxels[0][1], c.voxels[0][0]),
     )
+    table = _intersection_table(order, gt.clusters).tolist()
     claimed = [False] * len(gt.clusters)
     tp, fp, dup = [], [], []
-    for p in order:
-        ps = p.voxel_set
+    for p, row in zip(order, table):
         best = None  # (intersection, -gt_index) maximized
-        for gi, gs in enumerate(gt_sets):
-            inter = len(ps & gs)
-            if inter == 0:
-                continue
-            if _overlap_value(inter, p, gt.clusters[gi], denom) < overlap_frac:
+        for gi, inter in enumerate(row):
+            if not _qualifies(inter, p, gt.clusters[gi], denom, overlap_frac):
                 continue
             if best is None or inter > best[0]:
                 best = (inter, gi)
@@ -162,7 +184,7 @@ def match_detections(
                 gt=g,
                 intersection=inter,
                 overlap=_overlap_value(inter, p, g, denom),
-                dice=dice_overlap(ps, g.voxel_set),
+                dice=_dice(inter, p.n_voxels, g.n_voxels),
             )
         )
     fn = tuple(c for gi, c in enumerate(gt.clusters) if not claimed[gi])
@@ -175,16 +197,10 @@ def best_dice_assignment(gt: LesionCluster, candidates) -> LesionCluster:
     cands = list(candidates)
     if not cands:
         raise ValueError("no candidate predictions")
-    gs = gt.voxel_set
-    for c in cands:
-        if not (c.voxel_set & gs):
-            raise ValueError("candidates must intersect the ground-truth lesion")
-
-    def key(c: LesionCluster):
-        inter = len(c.voxel_set & gs)
-        return (dice_overlap(c.voxel_set, gs), inter, -int(c.grade))
-
-    return max(cands, key=key)
+    inters = _intersection_table(cands, [gt])[:, 0].tolist()
+    if 0 in inters:
+        raise ValueError("candidates must intersect the ground-truth lesion")
+    return max(zip(inters, cands), key=lambda ic: _grading_key(*ic, gt))[1]
 
 
 def point_in_cluster_grade(
@@ -199,7 +215,7 @@ def point_in_cluster_grade(
         raise ValueError(f"point {point} outside grid {gs_labels.dims}")
     hit = None
     for c in cs_map.clusters:
-        if (x, y, z) in c.voxel_set:
+        if (x, y, z) in c.voxels:
             hit = c
             break
     if hit is None:

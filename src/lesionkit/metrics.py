@@ -13,10 +13,13 @@ from scipy.stats import norm
 
 from .cluster import LesionMap
 from .grades import GRADE_ORDER, MISSED, Grade
-from .matching import DetectionRecord, MatchResult, match_detections
+from .matching import DetectionRecord, MatchResult, _dice, match_detections
 
 #: Threshold sentinel just above the maximum attainable score.
 ABOVE_MAX_SCORE = float(np.nextafter(1.0, 2.0))
+
+#: Bootstrap resampling units: single lesion records, or whole patients.
+RESAMPLE_UNITS = ("lesion", "patient")
 
 WILCOXON_EXACT_MAX_N = 20
 N_GRADES = len(GRADE_ORDER)
@@ -270,7 +273,7 @@ def bootstrap_kappa(
     recs = list(records)
     if not recs:
         raise ValueError("bootstrap needs at least one record")
-    if resample not in ("lesion", "patient"):
+    if resample not in RESAMPLE_UNITS:
         raise ValueError(f"resample must be 'lesion' or 'patient', got {resample!r}")
     point = quadratic_weighted_kappa(confusion_matrix(recs, include_fn_as_gs6))
     groups = None
@@ -315,10 +318,10 @@ def dice_coefficient(a, b) -> float:
         raise ValueError("volumes must share the voxel grid")
     am = np.asarray(a.values) != 0
     bm = np.asarray(b.values) != 0
-    denom = int(am.sum()) + int(bm.sum())
-    if denom == 0:
+    na, nb = int(am.sum()), int(bm.sum())
+    if na + nb == 0:
         return 1.0
-    return 2.0 * int((am & bm).sum()) / denom
+    return _dice(int((am & bm).sum()), na, nb)
 
 
 # ---------------------------------------------------------------------------

@@ -436,21 +436,24 @@ def ledger_cs_gt_count(ledger) -> int:
     return sum(1 for p in ledger.patients for e in p.lesions if _cs(e.grade))
 
 
+def _ledger_sweep(events, n_gt: int, n_patients: int):
+    """(threshold, mean_fp, sensitivity) at every event score plus 0 and a
+    threshold just above 1, by direct counting at each threshold."""
+    above_max = float(np.nextafter(1.0, 2.0))
+    points = []
+    for thr in sorted({s for _, s in events} | {0.0, above_max}):
+        tp = sum(1 for kind, s in events if kind == "tp" and s >= thr)
+        fp = sum(1 for kind, s in events if kind == "fp" and s >= thr)
+        points.append((thr, fp / n_patients, tp / n_gt))
+    return points
+
+
 def ledger_froc_cs(ledger: PhantomLedger):
     """Expected CS FROC points: list of (threshold, mean_fp, sensitivity)."""
-    from .metrics import ABOVE_MAX_SCORE
-
     n_gt = ledger_cs_gt_count(ledger)
     if n_gt == 0:
         raise ValueError("no CS ground-truth lesions in ledger")
-    events = _cs_events(ledger)
-    thresholds = sorted({s for _, s in events} | {0.0, ABOVE_MAX_SCORE})
-    points = []
-    for thr in thresholds:
-        tp = sum(1 for kind, s in events if kind == "tp" and s >= thr)
-        fp = sum(1 for kind, s in events if kind == "fp" and s >= thr)
-        points.append((thr, fp / ledger.n_patients, tp / n_gt))
-    return points
+    return _ledger_sweep(_cs_events(ledger), n_gt, ledger.n_patients)
 
 
 def ledger_grade_gt_count(ledger, grade: Grade) -> int:
@@ -460,8 +463,6 @@ def ledger_grade_gt_count(ledger, grade: Grade) -> int:
 def ledger_froc_grade(ledger: PhantomLedger, grade: Grade):
     """Expected per-grade FROC points; a detected lesion predicted as a
     different grade is a FN here and a FP in the predicted grade's curve."""
-    from .metrics import ABOVE_MAX_SCORE
-
     n_gt = ledger_grade_gt_count(ledger, grade)
     if n_gt == 0:
         raise ValueError(f"no {grade.display} ground-truth lesions in ledger")
@@ -474,13 +475,7 @@ def ledger_froc_grade(ledger: PhantomLedger, grade: Grade):
         for f in p.fps:
             if f.grade == grade:
                 events.append(("fp", f.score))
-    thresholds = sorted({s for _, s in events} | {0.0, ABOVE_MAX_SCORE})
-    points = []
-    for thr in thresholds:
-        tp = sum(1 for kind, s in events if kind == "tp" and s >= thr)
-        fp = sum(1 for kind, s in events if kind == "fp" and s >= thr)
-        points.append((thr, fp / ledger.n_patients, tp / n_gt))
-    return points
+    return _ledger_sweep(events, n_gt, ledger.n_patients)
 
 
 def ledger_confusion(ledger: PhantomLedger, include_fn_as_gs6: bool = False, fold=None):
@@ -496,10 +491,6 @@ def ledger_confusion(ledger: PhantomLedger, include_fn_as_gs6: bool = False, fol
             elif include_fn_as_gs6:
                 counts[gi][Grade.GS6.ordinal] += 1
     return tuple(tuple(r) for r in counts)
-
-
-def ledger_folds(ledger) -> tuple[int, ...]:
-    return tuple(sorted({p.fold for p in ledger.patients}))
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,10 @@ class Volume:
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValueError(f"values must be a non-empty 3D array, got shape {arr.shape}")
         sp = tuple(float(s) for s in self.spacing_mm)
-        if len(sp) != 3 or any(s <= 0 for s in sp):
-            raise ValueError(f"spacing must be three positive floats, got {self.spacing_mm}")
+        if len(sp) != 3 or not all(0.0 < s < float("inf") for s in sp):
+            raise ValueError(
+                f"spacing must be three positive finite floats, got {self.spacing_mm}"
+            )
         if self.kind == KIND_LABEL:
             if arr.max(initial=0) >= N_LABELS:
                 raise ValueError(f"label values must lie in 0..{N_LABELS - 1}")
@@ -172,16 +174,23 @@ def read_volume(path) -> Volume:
     header_path, _ = _paths(path)
     if not header_path.exists():
         raise FileNotFoundError(f"missing volume header {header_path}")
-    with open(header_path) as f:
-        header = json.load(f)
+    try:
+        with open(header_path) as f:
+            header = json.load(f)
+    except ValueError as e:  # not JSON, or not text
+        raise VolumeFormatError(f"{header_path}: header is not valid JSON: {e}") from e
     try:
         dims = tuple(int(d) for d in header["dims"])
         spacing = tuple(float(s) for s in header["spacing_mm"])
-        dtype_name = header["dtype"]
-        kind = header["kind"]
-        data_name = header["data"]
+        dtype_name = str(header["dtype"])
+        kind = str(header["kind"])
+        data_name = str(header["data"])
     except KeyError as e:
         raise VolumeFormatError(f"{header_path}: missing header field {e}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise VolumeFormatError(f"{header_path}: malformed header: {e}") from e
+    if len(dims) != 3 or min(dims) < 1:
+        raise VolumeFormatError(f"{header_path}: dims must be 3 positive integers, got {dims}")
     if dtype_name not in _DTYPE_FROM_NAME:
         raise VolumeFormatError(f"{header_path}: unknown dtype {dtype_name!r}")
     dtype = _DTYPE_FROM_NAME[dtype_name]

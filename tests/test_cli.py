@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from lesionkit import evaluation
 from lesionkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, main
-from lesionkit.volume import KIND_INTENSITY, Volume, read_volume, write_volume
+from lesionkit.volume import KIND_INTENSITY, KIND_LABEL, Volume, read_volume, write_volume
 
 
 def run(capsys, *argv):
@@ -63,6 +64,49 @@ class TestExitCodes:
     def test_missing_detections_is_data_error(self, tmp_path, capsys):
         code, _ = run(capsys, "kappa", "--detections", str(tmp_path / "nope.csv"))
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("command", ["dice", "cluster", "match", "preprocess"])
+    @pytest.mark.parametrize("header", [
+        "{nope",
+        {"spacing_mm": ["x", 1, 1]},
+        {"dims": [-1, -1, 24]},
+        {"dims": [4, 6]},
+        {"spacing_mm": [1.0, 1.0]},
+        {"spacing_mm": [float("nan"), 1.0, 1.0]},
+        {"spacing_mm": [1.0, float("inf"), 1.0]},
+    ], ids=["not_json", "spacing_text", "dims_negative", "dims_count", "spacing_count",
+            "spacing_nan", "spacing_inf"])
+    def test_malformed_volume_header_is_data_error(self, tmp_path, capsys, command, header):
+        kind = KIND_INTENSITY if command == "preprocess" else KIND_LABEL
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        for path in (good, bad):
+            write_volume(Volume(np.ones((2, 3, 4)), (1.0, 1.0, 3.0), kind), path)
+        header_path = tmp_path / "bad.vol.json"
+        if isinstance(header, str):
+            header_path.write_text(header)
+        else:
+            header_path.write_text(json.dumps({**json.loads(header_path.read_text()), **header}))
+        argv = {
+            "dice": ["dice", "--a", str(bad), "--b", str(good)],
+            "cluster": ["cluster", "--labels", str(bad)],
+            "match": ["match", "--pred", str(good), "--gt", str(bad)],
+            "preprocess": ["preprocess", "--in", str(bad), "--out", str(tmp_path / "out")],
+        }[command]
+        code, _ = run(capsys, *argv)
+        assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("section", [
+        {"overlap_denom": "bogus"},
+        {"connectivity": 7},
+        {"bootstrap_resample": "fold"},
+    ])
+    def test_bad_evaluation_config_fails_before_loading(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"evaluation": section}))
+        # the cohort does not exist: reaching the loader would exit with a data error
+        code, _ = run(capsys, "--config", str(cfg), "evaluate",
+                      "--cohort", str(tmp_path / "missing"), "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
 
 
 class TestPhantomEvaluate:
@@ -146,6 +190,23 @@ class TestSmallCommands:
         assert payload["fp"] == 0 and payload["fn"] == 0
         assert payload["sensitivity"] == 1.0
         assert all(m["dice"] == 1.0 for m in payload["matches"])
+
+    @pytest.mark.parametrize("flag, expected", [([], 2), (["--threads", "1"], 1)])
+    def test_config_threads_apply_unless_flag_given(self, cohort, tmp_path, capsys,
+                                                    monkeypatch, flag, expected):
+        seen = []
+        original = evaluation.stage_cohort
+
+        def recording(patients, cfg):
+            seen.append(cfg.threads)
+            return original(patients, cfg)
+
+        monkeypatch.setattr(evaluation, "stage_cohort", recording)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"evaluation": {"threads": 2}}))
+        code, _ = run(capsys, "--config", str(cfg), *flag, "froc", "--cohort", str(cohort))
+        assert code == EXIT_OK
+        assert seen == [expected]
 
     def test_froc_csv(self, cohort, tmp_path, capsys):
         out = tmp_path / "froc.csv"

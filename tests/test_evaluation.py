@@ -33,7 +33,7 @@ from lesionkit.phantom import (
     phantom_patient_evals,
     write_cohort,
 )
-from lesionkit.volume import KIND_LABEL, KIND_PROBABILITY, ProbStack, Volume
+from lesionkit.volume import KIND_LABEL, KIND_PROBABILITY, ProbStack, Volume, ZoneMask
 
 
 PERFECT = PhantomConfig(
@@ -192,6 +192,27 @@ class TestReportShape:
         d1["config"].pop("threads", None)
         d2["config"].pop("threads", None)
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+class TestZoneRule:
+    def test_lesion_split_evenly_is_kept_by_both_zones_and_reads_pz(self):
+        # a 4-voxel GS6 lesion along x, two voxels in each zone
+        labels = np.zeros((1, 1, 6), dtype=np.uint8)
+        labels[0, 0, 1:5] = int(Grade.GS6)
+        pz, tz = np.zeros_like(labels), np.zeros_like(labels)
+        pz[0, 0, :3] = 1
+        tz[0, 0, 3:] = 1
+        probs = np.zeros((6,) + labels.shape, dtype=np.float32)
+        np.put_along_axis(probs, labels[None].astype(np.intp), 1.0, axis=0)
+        sp = (1.0, 1.0, 1.0)
+        patient = PatientEval(
+            "p", 0, Volume(labels, sp, KIND_LABEL), ProbStack(probs, sp),
+            ZoneMask(pz=Volume(pz, sp, KIND_LABEL), tz=Volume(tz, sp, KIND_LABEL)),
+        )
+        for zone in (None, "pz", "tz"):
+            (stage,) = stage_cohort([patient], EvaluationConfig(zone=zone, min_volume_mm3=0.0))
+            assert len(stage.gs_gt) == 1 and len(stage.gs_pred) == 1
+            assert [r.zone for r in stage.records] == ["PZ"]
 
 
 class TestDiskRoundTrip:

@@ -1,0 +1,128 @@
+"""Golden bundle: `lesionkit evaluate` on a fixed-seed phantom cohort must
+write byte-identical files.
+
+The cohort has misgraded detections (the DRIFT table), missed lesions and
+injected false positives, so every bundle file carries non-trivial content.
+A digest that moves means a reported number, its formatting or its order
+changed; refresh the digests only for a change that is meant to do that,
+and say so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lesionkit.cli import EXIT_OK, main
+
+DRIFT = (
+    (0.7, 0.3, 0.0, 0.0),
+    (0.15, 0.7, 0.15, 0.0),
+    (0.0, 0.15, 0.7, 0.15),
+    (0.0, 0.0, 0.3, 0.7),
+)
+
+PHANTOM = {
+    "n_patients": 8,
+    "dims": [48, 48, 12],
+    "lesions_per_grade": [1, 1, 1, 1],
+    "fp_per_patient": 2,
+    "miss_fraction": 0.3,
+    "misgrade": [list(r) for r in DRIFT],
+    "n_folds": 4,
+}
+
+GOLDEN = {
+    "all": {
+        "clusters.json":
+            "aca1a2b69462183920853cb171289f5be2126382559d3d7d28a7c6498de1484d",
+        "confusion_tp_only.json":
+            "66a11e3e1de0d0b69af74830cbb6134d2583d8371a84b7f7a71a59f96770a751",
+        "confusion_with_fn.json":
+            "aaf1211b1e49153d3089b1b031547e78acc4e64443419dc85bb0155fde6642b3",
+        "detections.csv":
+            "2d7f6889bfb781d6bf4089aecb7da5e7ff779e66efa0e7aae79b6757388bfc4c",
+        "froc_cs.csv":
+            "188ab1c1d3dc44b8d828ecb21d6a5a26e4708e36b475458a47b2c74839f8a0d7",
+        "froc_cs_aggregate.csv":
+            "3d235be7f532a4ade24c8e7a9a5b18a6f1939d71a1dfc7f0e523b52e085e3dce",
+        "froc_cs_fold0.csv":
+            "0df16a559a886325aab044c8cb10dcb899df6b36f0b4afac1eb5dbf99c7d0598",
+        "froc_cs_fold1.csv":
+            "c4deb7d27c0339685ad3f03e4af123a9a92b819a8e25f25d6bd5c6c94bf4e516",
+        "froc_cs_fold2.csv":
+            "087e64cc4d6c80d34428a8ec3f23f5aba50f475edabce7563d3d20b536d7d110",
+        "froc_cs_fold3.csv":
+            "6b758f315a808450bd766f6b545d5c4ccb97d09a1d62068933814a6cb1fbd8a7",
+        "froc_gs34.csv":
+            "9949b1f83941f7640c7bd567d87cf1526e15485d7dfe425d4553d50651c71c56",
+        "froc_gs43.csv":
+            "c65ad8b1aa517b150fb5787d32add651d6481112d06b5cff8aa7cd8cf6d6bde1",
+        "froc_gs6.csv":
+            "9dd4c6eb9ce02359c41f42404f23eb8b69161c43db173d2b0c6618d073051c02",
+        "froc_gs8.csv":
+            "b55e5d0157dc964dc3bf95ee7077c8842951143777af8daa5f843dbeb627bae8",
+        "report.json":
+            "139828e5ed58bef9bb16184700525a6f1d6ef38045cf08f2f1cfd5abf34fd540",
+    },
+    "pz": {
+        "clusters.json":
+            "e4988138089e735e6633d2e9d505b04f21363867a0076695850a710af1d073ee",
+        "confusion_tp_only.json":
+            "c1dda2d200c4bf94abc2eda9a4d28dde8ee811fec3a8269de82b648d4f604fdb",
+        "confusion_with_fn.json":
+            "da4a539233f8f204e7b1dd27e35d8f67190d7601ebad6735c766ec5671fdd806",
+        "detections.csv":
+            "0717a27bd17d79ac93fecd3d9d6ed5734f6e78eab588e1e4dfbdb76e0b749154",
+        "froc_cs.csv":
+            "e4e3c3a841823c2a44682163286b3150c4fe6f5bdc7b90133d7353c66b573122",
+        "froc_cs_aggregate.csv":
+            "7a325561c8aa9515725f2bd3394695596f5808db1939cfedb44f7d1dea93d2b2",
+        "froc_cs_fold0.csv":
+            "8618c09c1b5f4ee8c2392a017195676c06ecebf4d362627ce22864182729cad2",
+        "froc_cs_fold1.csv":
+            "20bbf0718bcb40d2283eecefaad0c1fc15f6cfa941fcb67c4cb33aa8d9cc054d",
+        "froc_cs_fold2.csv":
+            "5e7e19d0d379289093dae6a9d57b56445c00b018bee3fb646ffc09cb6ddd3c59",
+        "froc_cs_fold3.csv":
+            "dcb71ef41cb8ae57c4d2ac262fb9322deaec6857b1e422f904e1cdbc3d056b98",
+        "froc_gs34.csv":
+            "3b8ce8583bb50a2d927f8f1ee8101ebcf22891c90438d8be718d1ac0ecea7780",
+        "froc_gs43.csv":
+            "50f1fa06f660977dc2f1f79abe117e1a4adad96dc1ee991544fb382e539702ca",
+        "froc_gs6.csv":
+            "1d679b61a95eba052dc6a897fe3ca6f5651af9a2629a05dc7915d306209c6e7f",
+        "froc_gs8.csv":
+            "f09cdbad2161d5cb6af2fba52e5e0484f368c871dfc7390dbf8b532ffe9c2c3f",
+        "report.json":
+            "e46b625f4f2139be5c182397ba5142d3800be81f92851a5e52b3a60841b8d215",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def cohort(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"phantom": PHANTOM}))
+    code = main(["--config", str(cfg), "--seed", "11", "phantom", "--out", str(root / "coh")])
+    assert code == EXIT_OK
+    return root / "coh"
+
+
+def _digests(out_dir) -> dict:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.iterdir())
+    }
+
+
+@pytest.mark.parametrize("zone", ["all", "pz"])
+def test_bundle_digests(cohort, tmp_path, capsys, zone):
+    out = tmp_path / "bundle"
+    argv = ["evaluate", "--cohort", str(cohort), "--out", str(out), "--bootstrap", "200"]
+    if zone != "all":
+        argv += ["--zone", zone]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert _digests(out) == GOLDEN[zone]
