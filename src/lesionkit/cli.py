@@ -46,6 +46,7 @@ from .evaluation import (
     evaluate_points,
     load_cohort,
     read_points_csv,
+    read_prob_stack,
     run_full_evaluation,
 )
 from .grades import MISSED, parse_grade
@@ -68,14 +69,7 @@ from .netmath import (
     weighted_dice_loss,
 )
 from .phantom import PhantomConfig, PlacementError, write_cohort
-from .volume import (
-    ProbStack,
-    Volume,
-    VolumeFormatError,
-    preprocess,
-    read_volume,
-    write_volume,
-)
+from .volume import preprocess, read_volume, write_json, write_volume
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,20 +126,11 @@ def _build_dataclass(cls, section: dict, overrides: dict):
         raise ConfigError(str(e)) from e
 
 
-def _read_volume(path) -> Volume:
+def _read(reader, path):
+    """reader(path), with a missing or malformed input raised as a DataError."""
     try:
-        return read_volume(path)
-    except FileNotFoundError as e:
-        raise DataError(f"volume not found: {path}") from e
-    except VolumeFormatError as e:
-        raise DataError(str(e)) from e
-
-
-def _read_probs(base) -> ProbStack:
-    chans = [_read_volume(f"{base}_c{c}") for c in range(6)]
-    try:
-        return ProbStack.from_channels(chans)
-    except ValueError as e:
+        return reader(path)
+    except (FileNotFoundError, ValueError) as e:  # ValueError covers VolumeFormatError
         raise DataError(str(e)) from e
 
 
@@ -154,7 +139,7 @@ def _read_probs(base) -> ProbStack:
 
 
 def cmd_preprocess(args, file_cfg) -> int:
-    v = _read_volume(args.input)
+    v = _read(read_volume, args.input)
     try:
         out = preprocess(
             v,
@@ -195,8 +180,8 @@ def cmd_phantom(args, file_cfg) -> int:
 
 
 def cmd_cluster(args, file_cfg) -> int:
-    labels = _read_volume(args.labels)
-    probs = _read_probs(args.probs) if args.probs else None
+    labels = _read(read_volume, args.labels)
+    probs = _read(read_prob_stack, args.probs) if args.probs else None
     build = cs_lesion_maps if args.mode == "cs" else gs_lesion_maps
     try:
         m = filter_by_volume(build(labels, probs, args.connectivity), args.min_volume)
@@ -204,18 +189,15 @@ def cmd_cluster(args, file_cfg) -> int:
         raise DataError(str(e)) from e
     payload = {"mode": args.mode, "n_clusters": len(m), "clusters": _cluster_summary(m)}
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(args.out, payload)
     _emit(payload)
     return EXIT_OK
 
 
 def cmd_match(args, file_cfg) -> int:
-    gt_labels = _read_volume(args.gt)
-    pred_labels = _read_volume(args.pred)
-    probs = _read_probs(args.pred_probs) if args.pred_probs else None
+    gt_labels = _read(read_volume, args.gt)
+    pred_labels = _read(read_volume, args.pred)
+    probs = _read(read_prob_stack, args.pred_probs) if args.pred_probs else None
     build = cs_lesion_maps if args.mode == "cs" else gs_lesion_maps
     try:
         gt = filter_by_volume(build(gt_labels, None, args.connectivity), args.min_volume)
@@ -358,8 +340,8 @@ def cmd_kappa(args, file_cfg) -> int:
 
 
 def cmd_dice(args, file_cfg) -> int:
-    a = _read_volume(args.a)
-    b = _read_volume(args.b)
+    a = _read(read_volume, args.a)
+    b = _read(read_volume, args.b)
     try:
         d = dice_coefficient(a, b)
     except ValueError as e:
@@ -410,7 +392,7 @@ def cmd_px2(args, file_cfg) -> int:
         raise DataError(str(e)) from e
     stacks = {}
     for pid in sorted({p.patient_id for p in points}):
-        stacks[pid] = _read_probs(Path(cfg.pred_dir) / f"{pid}_prob")
+        stacks[pid] = _read(read_prob_stack, Path(cfg.pred_dir) / f"{pid}_prob")
     try:
         records, kappa = evaluate_points(points, stacks, cfg)
     except ValueError as e:
@@ -418,10 +400,7 @@ def cmd_px2(args, file_cfg) -> int:
     payload = {"n_points": len(records), **_kappa_dict(kappa)}
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "px2_report.json", "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(out / "px2_report.json", payload)
         with open(out / "px2_records.csv", "w", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["patient_id", "x_vox", "y_vox", "z_vox", "zone",
@@ -454,9 +433,7 @@ def cmd_evaluate(args, file_cfg) -> int:
     cfg = _eval_config(args, file_cfg, **extra)
     try:
         report, _ = run_full_evaluation(cfg)
-    except FileNotFoundError as e:
-        raise DataError(str(e)) from e
-    except (ValueError, VolumeFormatError) as e:
+    except (FileNotFoundError, ValueError) as e:
         raise DataError(str(e)) from e
     _emit({
         "out": str(args.out),

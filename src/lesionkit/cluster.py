@@ -11,7 +11,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grades import CS_BINARY, CS_GRADES, GRADE_ORDER, Grade
-from .volume import ProbStack, Volume
+from .volume import ProbStack, Volume, mask_voxels, voxel_indices
 
 MAP_GS = "gs"
 MAP_CS = "cs"
@@ -25,10 +25,10 @@ CONNECTIVITIES = tuple(_CONNECTIVITY_RANK)
 
 @dataclass(frozen=True)
 class LesionCluster:
-    """One connected lesion: sorted voxel tuple, grade, physical volume,
-    and its probability score (mean of the scoring channel)."""
+    """One connected lesion: voxel tuple, grade, physical volume, and its
+    probability score (mean of the scoring channel)."""
 
-    voxels: tuple[tuple[int, int, int], ...]  # (x, y, z), scan-order sorted
+    voxels: tuple[tuple[int, int, int], ...]  # (x, y, z), in scan order
     grade: object  # Grade member, or CS_BINARY for merged CS clusters
     volume_mm3: float
     score: float
@@ -57,8 +57,7 @@ class LesionCluster:
 
     def index_arrays(self):
         """(zs, ys, xs) integer arrays for numpy fancy indexing."""
-        xs, ys, zs = np.asarray(self.voxels, dtype=np.intp).T
-        return zs, ys, xs
+        return voxel_indices(self.voxels)
 
     @property
     def grade_name(self) -> str:
@@ -79,10 +78,10 @@ class LesionMap:
             raise ValueError(f"map_kind must be {MAP_GS!r} or {MAP_CS!r}")
         seen = set()
         for c in self.clusters:
-            for v in c.voxels:
-                if v in seen:
-                    raise ValueError(f"clusters overlap at voxel {v}")
-                seen.add(v)
+            common = seen.intersection(c.voxels)
+            if common:
+                raise ValueError(f"clusters overlap at voxel {min(common)}")
+            seen.update(c.voxels)
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
@@ -97,61 +96,55 @@ def _structure(connectivity: int) -> np.ndarray:
     return ndimage.generate_binary_structure(3, _CONNECTIVITY_RANK[connectivity])
 
 
+def _components(mask: np.ndarray, connectivity: int):
+    """(box, component mask within the box) per connected component of the
+    mask, in the order ndimage.label numbers them."""
+    labeled, _ = ndimage.label(mask, structure=_structure(connectivity))
+    for idx, box in enumerate(ndimage.find_objects(labeled), start=1):
+        yield box, labeled[box] == idx
+
+
 def connected_components(v: Volume, connectivity: int = DEFAULT_CONNECTIVITY):
     """Partition the foreground of a binary volume into maximal connected
     sets of (x, y, z) voxels under a 6/18/26 neighborhood."""
     mask = np.asarray(v.values) != 0
-    return _components_of_mask(mask, connectivity)
+    return [set(mask_voxels(comp, box)) for box, comp in _components(mask, connectivity)]
 
 
-def _components_of_mask(mask: np.ndarray, connectivity: int):
-    labeled, n = ndimage.label(mask, structure=_structure(connectivity))
-    out = []
-    for idx in range(1, n + 1):
-        zs, ys, xs = np.nonzero(labeled == idx)
-        out.append({(int(x), int(y), int(z)) for x, y, z in zip(xs, ys, zs)})
-    return out
-
-
-def _sorted_voxels(voxels) -> tuple:
-    # scan order (z slowest, x fastest) keeps serialization stable
-    return tuple(sorted(voxels, key=lambda v: (v[2], v[1], v[0])))
-
-
-def _mean_over(values: np.ndarray, cluster_voxels) -> float:
-    xs, ys, zs = np.asarray(list(cluster_voxels), dtype=np.intp).T
-    return float(values[zs, ys, xs].mean(dtype=np.float64))
+def _scoring_channel(probs: ProbStack, grade) -> np.ndarray:
+    """The grade's own channel, or the float64 sum of the CS channels for a
+    CS-binary cluster."""
+    if grade == CS_BINARY:
+        return probs.data[[int(g) for g in CS_GRADES]].sum(axis=0, dtype=np.float64)
+    return probs.data[int(grade)]
 
 
 def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> LesionMap:
-    voxel_vol = labels.voxel_volume_mm3
+    if probs is not None and (probs.dims, probs.spacing_mm) != (labels.dims, labels.spacing_mm):
+        raise ValueError(
+            f"probability grid {probs.dims} at {probs.spacing_mm} mm does not match "
+            f"the label grid {labels.dims} at {labels.spacing_mm} mm"
+        )
     lab = np.asarray(labels.values)
-    groups = []
     if map_kind == MAP_GS:
-        for grade in GRADE_ORDER:
-            groups.append((grade, lab == int(grade)))
+        groups = [(grade, lab == int(grade)) for grade in GRADE_ORDER]
     else:
-        cs_mask = np.isin(lab, [int(g) for g in CS_GRADES])
-        groups.append((CS_BINARY, cs_mask))
+        groups = [(CS_BINARY, np.isin(lab, [int(g) for g in CS_GRADES]))]
     clusters = []
     for grade, mask in groups:
-        if map_kind == MAP_CS:
-            chans = [int(g) for g in CS_GRADES]
-            channel = None if probs is None else probs.data[chans].sum(axis=0, dtype=np.float64)
-        else:
-            channel = None if probs is None else probs.data[int(grade)]
-        for comp in _components_of_mask(mask, connectivity):
-            vox = _sorted_voxels(comp)
-            score = 1.0 if channel is None else _mean_over(channel, vox)
+        channel = None if probs is None else _scoring_channel(probs, grade)
+        for box, comp in _components(mask, connectivity):
+            vox = mask_voxels(comp, box)
+            score = 1.0 if channel is None else float(channel[box][comp].mean(dtype=np.float64))
             clusters.append(
                 LesionCluster(
                     voxels=vox,
                     grade=grade,
-                    volume_mm3=len(vox) * voxel_vol,
+                    volume_mm3=len(vox) * labels.voxel_volume_mm3,
                     score=min(score, 1.0),
                 )
             )
-    clusters.sort(key=lambda c: (c.voxels[0][2], c.voxels[0][1], c.voxels[0][0]))
+    clusters.sort(key=lambda c: c.voxels[0][::-1])
     return LesionMap(tuple(clusters), labels.dims, labels.spacing_mm, map_kind)
 
 
@@ -176,12 +169,7 @@ def cs_lesion_maps(
 def lesion_probability_score(c: LesionCluster, probs: ProbStack) -> float:
     """Mean over the cluster's voxels of its scoring channel (the grade's
     channel, or the summed CS channels for a CS-binary cluster)."""
-    if c.grade == CS_BINARY:
-        chans = [int(g) for g in CS_GRADES]
-        channel = probs.data[chans].sum(axis=0, dtype=np.float64)
-    else:
-        channel = probs.data[int(c.grade)]
-    return _mean_over(channel, c.voxels)
+    return float(_scoring_channel(probs, c.grade)[c.index_arrays()].mean(dtype=np.float64))
 
 
 def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> LesionMap:
@@ -195,8 +183,7 @@ def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> Le
 
 def _in_zone(c: LesionCluster, zone: Volume) -> bool:
     """At least half of the cluster's voxels lie inside the zone mask."""
-    zs, ys, xs = c.index_arrays()
-    return 2 * int(np.count_nonzero(zone.values[zs, ys, xs])) >= c.n_voxels
+    return 2 * int(np.count_nonzero(zone.values[c.index_arrays()])) >= c.n_voxels
 
 
 def filter_by_zone(m: LesionMap, zone: Volume) -> LesionMap:

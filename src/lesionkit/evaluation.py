@@ -34,7 +34,7 @@ from .cluster import (
     filter_by_zone,
     gs_lesion_maps,
 )
-from .grades import GRADE_ORDER, Grade, MISSED, parse_grade
+from .grades import GRADE_ORDER, Grade, MISSED, N_LABELS, parse_grade
 from .matching import (
     DEFAULT_OVERLAP_FRAC,
     OVERLAP_DENOMS,
@@ -62,7 +62,7 @@ from .metrics import (
     sensitivity_at_fp,
 )
 from .netmath import label_from_probs
-from .volume import KIND_LABEL, ProbStack, Volume, ZoneMask, read_volume
+from .volume import KIND_LABEL, ProbStack, Volume, ZoneMask, read_volume, write_json
 
 ZONE_CHOICES = (None, "pz", "tz")
 
@@ -538,13 +538,6 @@ def report_to_dict(report: EvaluationReport) -> dict:
     }
 
 
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _write_froc_csv(path: Path, curve: FrocCurve) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
@@ -572,7 +565,7 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
     matrices, and per-patient cluster summaries when stages are given."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report_to_dict(report))
+    write_json(out / "report.json", report_to_dict(report))
 
     with open(out / "detections.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
@@ -599,11 +592,11 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
             for p in report.cs_aggregate:
                 w.writerow([p.fp_rate, p.sens_mean, p.sens_lo, p.sens_hi])
 
-    _write_json(
+    write_json(
         out / "confusion_tp_only.json",
         _confusion_dict(report.confusion_tp_only, report.kappa_tp_only),
     )
-    _write_json(
+    write_json(
         out / "confusion_with_fn.json",
         _confusion_dict(report.confusion_with_fn, report.kappa_with_fn),
     )
@@ -618,7 +611,7 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
             }
             for s in stages
         }
-        _write_json(out / "clusters.json", clusters)
+        write_json(out / "clusters.json", clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +630,16 @@ def load_fold_manifest(path) -> list[tuple[str, int]]:
     return pairs
 
 
+def read_prob_stack(base) -> ProbStack:
+    """The channel volumes <base>_c0 .. <base>_c5 as one probability stack."""
+    return ProbStack.from_channels([read_volume(f"{base}_c{c}") for c in range(N_LABELS)])
+
+
 def load_patient_eval(cfg: EvaluationConfig, patient_id: str, fold: int) -> PatientEval:
     gt_dir = Path(cfg.gt_dir)
     pred_dir = Path(cfg.pred_dir)
     labels = read_volume(gt_dir / f"{patient_id}_labels")
-    chans = [read_volume(pred_dir / f"{patient_id}_prob_c{c}") for c in range(6)]
-    probs = ProbStack.from_channels(chans)
+    probs = read_prob_stack(pred_dir / f"{patient_id}_prob")
     zones = None
     if cfg.zones_dir is not None:
         pz_path = Path(cfg.zones_dir) / f"{patient_id}_pz.vol.json"

@@ -157,7 +157,7 @@ def match_detections(
 
     order = sorted(
         (c for c in pred.clusters if c.score >= score_threshold),
-        key=lambda c: (-c.score, c.voxels[0][2], c.voxels[0][1], c.voxels[0][0]),
+        key=lambda c: (-c.score, c.voxels[0][::-1]),
     )
     table = _intersection_table(order, gt.clusters).tolist()
     claimed = [False] * len(gt.clusters)
@@ -220,8 +220,7 @@ def point_in_cluster_grade(
             break
     if hit is None:
         return Grade.GS6
-    zs, ys, xs = hit.index_arrays()
-    labels = np.asarray(gs_labels.values)[zs, ys, xs]
+    labels = np.asarray(gs_labels.values)[hit.index_arrays()]
     counts = {}
     for g in Grade:
         n = int((labels == int(g)).sum())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grades import N_LABELS
-from .volume import KIND_LABEL, ProbStack, Volume
+from .volume import KIND_LABEL, ProbStack, Volume, bilinear_coeffs, resize_bilinear
 
 CE_CLAMP = 1e-7
 
@@ -215,28 +215,10 @@ def _pool_area_adjoint(g: np.ndarray, H: int, W: int) -> np.ndarray:
     ).reshape(H, W)
 
 
-def _bilinear_coeffs(n_src: int, n_dst: int):
-    # Pixel-center aligned: source coord u = (j + 0.5) * n_src/n_dst - 0.5.
-    u = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
-    u = np.clip(u, 0.0, n_src - 1.0)
-    i0 = np.floor(u).astype(np.intp)
-    i1 = np.minimum(i0 + 1, n_src - 1)
-    f = u - i0
-    return i0, i1, f
-
-
-def _resize_bilinear(a: np.ndarray, h: int, w: int) -> np.ndarray:
-    y0, y1, fy = _bilinear_coeffs(a.shape[0], h)
-    x0, x1, fx = _bilinear_coeffs(a.shape[1], w)
-    top = a[np.ix_(y0, x0)] * (1 - fx) + a[np.ix_(y0, x1)] * fx
-    bot = a[np.ix_(y1, x0)] * (1 - fx) + a[np.ix_(y1, x1)] * fx
-    return top * (1 - fy)[:, None] + bot * fy[:, None]
-
-
 def _resize_bilinear_adjoint(g: np.ndarray, H: int, W: int) -> np.ndarray:
     h, w = g.shape
-    y0, y1, fy = _bilinear_coeffs(H, h)
-    x0, x1, fx = _bilinear_coeffs(W, w)
+    y0, y1, fy = bilinear_coeffs(H, h, H / h)
+    x0, x1, fx = bilinear_coeffs(W, w, W / w)
     out = np.zeros((H, W), dtype=np.float64)
     wy = np.stack([1 - fy, fy])  # (2, h)
     wx = np.stack([1 - fx, fx])  # (2, w)
@@ -263,7 +245,7 @@ def resample_attention(a: AttentionMap, shape: tuple[int, int]) -> np.ndarray:
         return np.asarray(a.plane)
     if H % h == 0 and W % w == 0:
         return _pool_area(a.plane, h, w)
-    return _resize_bilinear(a.plane, h, w)
+    return resize_bilinear(a.plane, (h, w), (H / h, W / w))
 
 
 def _resample_attention_adjoint(g: np.ndarray, a: AttentionMap) -> np.ndarray:

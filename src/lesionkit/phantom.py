@@ -20,15 +20,24 @@ generate in parallel.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .cluster import MIN_LESION_VOLUME_MM3
 from .grades import CS_GRADES, GRADE_ORDER, Grade, parse_grade
-from .volume import KIND_LABEL, ProbStack, Volume, ZoneMask, write_volume
+from .volume import (
+    KIND_LABEL,
+    ProbStack,
+    Volume,
+    ZoneMask,
+    mask_voxels,
+    voxel_indices,
+    write_json,
+    write_volume,
+)
 
 ZONE_PZ = "PZ"
 ZONE_TZ = "TZ"
@@ -178,42 +187,49 @@ def _ellipsoid_mask(dims, center, semi_axes) -> np.ndarray:
     return ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2 <= 1.0
 
 
-def _prostate_and_zones(dims):
-    nx, ny, nz = dims
+def _anatomy(cfg: PhantomConfig):
+    """(prostate mask, {zone: mask}, {zone: (x, y, z) voxels in scan order},
+    ZoneMask): the gland and its zones are the same for every patient of a
+    cohort, so they are built once."""
+    nx, ny, nz = cfg.dims
     center = ((nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0)
-    fx, fy, fz = PROSTATE_AXIS_FRACTIONS
-    axes = (fx * nx, fy * ny, fz * nz)
-    return center, axes
+    axes = tuple(f * n for f, n in zip(PROSTATE_AXIS_FRACTIONS, cfg.dims))
+    prostate = _ellipsoid_mask(cfg.dims, center, axes)
+    tz = _ellipsoid_mask(cfg.dims, center, tuple(a * cfg.tz_scale for a in axes)) & prostate
+    masks = {ZONE_PZ: prostate & ~tz, ZONE_TZ: tz}
+    zones = ZoneMask(
+        pz=Volume(masks[ZONE_PZ].astype(np.uint8), cfg.spacing_mm, KIND_LABEL),
+        tz=Volume(tz.astype(np.uint8), cfg.spacing_mm, KIND_LABEL),
+    )
+    return prostate, masks, {name: mask_voxels(m) for name, m in masks.items()}, zones
 
 
-def _blob_voxels(dims, center, semi_axes):
-    """Voxels of an axis-aligned ellipsoid, as sorted (x, y, z) tuples."""
+def _blob_mask(dims, center, semi_axes):
+    """(box, mask within the box) of an axis-aligned ellipsoid around a grid
+    voxel, clipped to the grid; box is a (z, y, x) slice tuple."""
     nx, ny, nz = dims
     cx, cy, cz = center
     ax, ay, az = semi_axes
     x0, x1 = max(0, int(np.floor(cx - ax))), min(nx - 1, int(np.ceil(cx + ax)))
     y0, y1 = max(0, int(np.floor(cy - ay))), min(ny - 1, int(np.ceil(cy + ay)))
     z0, z1 = max(0, int(np.floor(cz - az))), min(nz - 1, int(np.ceil(cz + az)))
-    if x0 > x1 or y0 > y1 or z0 > z1:
-        return ()
-    z, y, x = np.ogrid[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1]
+    z = np.arange(z0, z1 + 1)[:, None, None]
+    y = np.arange(y0, y1 + 1)[:, None]
+    x = np.arange(x0, x1 + 1)
     inside = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2 <= 1.0
-    zi, yi, xi = np.nonzero(inside)
-    vox = [(int(xv + x0), int(yv + y0), int(zv + z0)) for zv, yv, xv in zip(zi, yi, xi)]
-    return tuple(sorted(vox, key=lambda v: (v[2], v[1], v[0])))
+    return np.s_[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1], inside
 
 
-def _mark_forbidden(forbidden: np.ndarray, voxels, margin: int = 2) -> None:
-    nz, ny, nx = forbidden.shape
-    for (x, y, z) in voxels:
-        forbidden[
-            max(0, z - margin) : min(nz, z + margin + 1),
-            max(0, y - margin) : min(ny, y + margin + 1),
-            max(0, x - margin) : min(nx, x + margin + 1),
-        ] = True
+def _mark_forbidden(forbidden: np.ndarray, box, blob, margin: int = 2) -> None:
+    """Set every voxel within Chebyshev distance margin of the blob mask cut
+    from box."""
+    grown = tuple(slice(max(0, b.start - margin), b.stop + margin) for b in box)
+    near = np.zeros(forbidden[grown].shape, dtype=bool)
+    near[tuple(slice(b.start - g.start, b.stop - g.start) for b, g in zip(box, grown))] = blob
+    forbidden[grown] |= ndimage.maximum_filter(near, size=2 * margin + 1, mode="constant")
 
 
-def _place_blob(cfg: PhantomConfig, rng, zone_voxel_arrays, forbidden, zone_masks):
+def _place_blob(cfg: PhantomConfig, rng, zone_voxels, forbidden, zone_masks):
     """One blob wholly inside a single zone, clear of the forbidden region.
 
     Returns (zone name, voxels); raises PlacementError after bounded retries.
@@ -222,26 +238,22 @@ def _place_blob(cfg: PhantomConfig, rng, zone_voxel_arrays, forbidden, zone_mask
     lo, hi = cfg.lesion_radius_mm
     for _ in range(cfg.max_place_retries):
         zone = ZONE_PZ if rng.random() < cfg.pz_fraction else ZONE_TZ
-        zvox = zone_voxel_arrays[zone]
-        if len(zvox[0]) == 0:
+        zvox = zone_voxels[zone]
+        if not zvox:
             continue
-        k = int(rng.integers(0, len(zvox[0])))
-        center = (int(zvox[2][k]), int(zvox[1][k]), int(zvox[0][k]))  # (x, y, z)
+        center = zvox[int(rng.integers(0, len(zvox)))]
         semi = (
             float(rng.uniform(lo, hi)) / sx,
             float(rng.uniform(lo, hi)) / sy,
             float(rng.uniform(lo, hi)) / sz,
         )
-        vox = _blob_voxels(cfg.dims, center, semi)
-        if len(vox) < cfg.min_lesion_voxels:
+        box, blob = _blob_mask(cfg.dims, center, semi)
+        if np.count_nonzero(blob) < cfg.min_lesion_voxels:
             continue
-        zmask = zone_masks[zone]
-        if not all(zmask[z, y, x] for (x, y, z) in vox):
+        if not zone_masks[zone][box][blob].all() or forbidden[box][blob].any():
             continue
-        if any(forbidden[z, y, x] for (x, y, z) in vox):
-            continue
-        _mark_forbidden(forbidden, vox)
-        return zone, vox
+        _mark_forbidden(forbidden, box, blob)
+        return zone, mask_voxels(blob, box)
     raise PlacementError(
         f"could not place a lesion blob after {cfg.max_place_retries} retries; "
         "reduce lesion count or radius"
@@ -253,19 +265,10 @@ def _realized_score(rng, lo: float, hi: float) -> float:
     return float(np.float32(rng.uniform(lo, hi)))
 
 
-def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int):
-    nx, ny, nz = cfg.dims
-    center, axes = _prostate_and_zones(cfg.dims)
-    prostate = _ellipsoid_mask(cfg.dims, center, axes)
-    tz = _ellipsoid_mask(cfg.dims, center, tuple(a * cfg.tz_scale for a in axes))
-    tz &= prostate
-    pz = prostate & ~tz
-    zone_masks = {ZONE_PZ: pz, ZONE_TZ: tz}
-    zone_voxel_arrays = {name: np.nonzero(m) for name, m in zone_masks.items()}
-
-    forbidden = np.zeros((nz, ny, nx), dtype=bool)
-    lab = np.zeros((nz, ny, nx), dtype=np.uint8)
-    lab[prostate] = 1
+def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int, anatomy):
+    prostate, zone_masks, zone_voxels, zones = anatomy
+    forbidden = np.zeros(prostate.shape, dtype=bool)
+    lab = prostate.astype(np.uint8)
 
     slo, shi = cfg.score_range
     order = [int(g) - 2 for g in GRADE_ORDER]
@@ -273,9 +276,8 @@ def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int):
     for gi in order:
         grade = GRADE_ORDER[gi]
         for _ in range(cfg.lesions_per_grade[gi]):
-            zone, vox = _place_blob(cfg, rng, zone_voxel_arrays, forbidden, zone_masks)
-            for (x, y, z) in vox:
-                lab[z, y, x] = int(grade)
+            zone, vox = _place_blob(cfg, rng, zone_voxels, forbidden, zone_masks)
+            lab[voxel_indices(vox)] = int(grade)
             detected = bool(rng.random() >= cfg.miss_fraction)
             if detected:
                 row = np.asarray(cfg.misgrade[gi], dtype=np.float64)
@@ -298,7 +300,7 @@ def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int):
 
     fps = []
     for _ in range(cfg.fp_per_patient):
-        zone, vox = _place_blob(cfg, rng, zone_voxel_arrays, forbidden, zone_masks)
+        zone, vox = _place_blob(cfg, rng, zone_voxels, forbidden, zone_masks)
         grade = CS_GRADES[int(rng.integers(0, len(CS_GRADES)))]
         fps.append(
             FpEntry(
@@ -310,10 +312,6 @@ def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int):
         )
 
     labels = Volume(lab, cfg.spacing_mm, KIND_LABEL)
-    zones = ZoneMask(
-        pz=Volume(pz.astype(np.uint8), cfg.spacing_mm, KIND_LABEL),
-        tz=Volume(tz.astype(np.uint8), cfg.spacing_mm, KIND_LABEL),
-    )
     patient = PhantomPatient(patient_id=patient_id, labels=labels, zones=zones)
     script = PatientScript(
         patient_id=patient_id, fold=fold, lesions=tuple(lesions), fps=tuple(fps)
@@ -328,12 +326,13 @@ def generate_cohort(cfg: PhantomConfig):
     cfg.seed; per-patient substreams keep patients independent.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_patients)
+    anatomy = _anatomy(cfg)
     patients = []
     scripts = []
     for i in range(cfg.n_patients):
         rng = np.random.Generator(np.random.Philox(streams[i]))
         pid = f"p{i:03d}"
-        patient, script = _generate_patient(cfg, rng, pid, fold=i % cfg.n_folds)
+        patient, script = _generate_patient(cfg, rng, pid, i % cfg.n_folds, anatomy)
         patients.append(patient)
         scripts.append(script)
     ledger = PhantomLedger(tuple(scripts), cfg.dims, cfg.spacing_mm)
@@ -365,10 +364,9 @@ def degrade_prediction(patients, ledger: PhantomLedger):
         ] + [(f.grade, f.voxels, f.score) for f in script.fps]
         for grade, voxels, score in events:
             s = np.float32(score)
-            rest = np.float32(1.0) - s  # exact for s in [0.5, 1]
-            for (x, y, z) in voxels:
-                data[int(grade), z, y, x] = s
-                data[1, z, y, x] = rest
+            idx = voxel_indices(voxels)
+            data[int(grade)][idx] = s
+            data[1][idx] = np.float32(1.0) - s  # exact for s in [0.5, 1]
         stacks.append(ProbStack(data, patient.labels.spacing_mm))
     return stacks
 
@@ -569,16 +567,12 @@ def write_cohort(cfg: PhantomConfig, out_dir) -> PhantomLedger:
         write_volume(patient.zones.tz, out / "zones" / f"{pid}_tz")
         for c in range(6):
             write_volume(stack.channel(c), out / "pred" / f"{pid}_prob_c{c}")
-    with open(out / "ledger.json", "w") as f:
-        json.dump(ledger_to_dict(ledger), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out / "ledger.json", ledger_to_dict(ledger))
     manifest = {
         "n_folds": cfg.n_folds,
         "patients": [
             {"patient_id": p.patient_id, "fold": p.fold} for p in ledger.patients
         ],
     }
-    with open(out / "cohort.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out / "cohort.json", manifest)
     return ledger

@@ -3,14 +3,17 @@ and in-plane resample/crop/normalize preprocessing.
 
 Storage convention: arrays are indexed ``values[z, y, x]`` (C order), so the
 raw memory layout is x-fastest / z-slowest.  ``dims`` is reported as
-``(nx, ny, nz)``.  Files come in pairs: a ``<name>.vol.json`` header and a
-``<name>.vol.raw`` little-endian payload in the same x-fastest order.
+``(nx, ny, nz)``, and single voxels as ``(x, y, z)`` tuples; ``mask_voxels``
+and ``voxel_indices`` are the only conversions between the two.  Files come
+in pairs: a ``<name>.vol.json`` header and a ``<name>.vol.raw`` little-endian
+payload in the same x-fastest order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -153,8 +156,35 @@ class ZoneMask:
             raise ValueError("pz and tz masks overlap")
 
 
+def mask_voxels(mask: np.ndarray, box=None) -> tuple:
+    """(x, y, z) tuples of the nonzero voxels of a [z, y, x] mask, in scan
+    order (z slowest, x fastest).  box is the (z, y, x) slice tuple the mask
+    was cut from, as ndimage.find_objects returns it; None for a whole grid."""
+    zs, ys, xs = np.nonzero(mask)
+    if box is not None:
+        zs, ys, xs = zs + box[0].start, ys + box[1].start, xs + box[2].start
+    return tuple(zip(xs.tolist(), ys.tolist(), zs.tolist()))
+
+
+def voxel_indices(voxels):
+    """(zs, ys, xs) index arrays of (x, y, z) voxel tuples, for
+    ``values[zs, ys, xs]`` fancy indexing."""
+    flat = np.fromiter(chain.from_iterable(voxels), dtype=np.intp, count=3 * len(voxels))
+    xs, ys, zs = flat.reshape(-1, 3).T
+    return zs, ys, xs
+
+
 # ---------------------------------------------------------------------------
 # File I/O
+
+
+def write_json(path, payload) -> None:
+    """Write payload as sorted, 2-space-indented JSON plus a trailing newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _paths(path) -> tuple[Path, Path]:
@@ -218,18 +248,14 @@ def read_volume(path) -> Volume:
 def write_volume(v: Volume, path) -> None:
     """Write ``<base>.vol.json`` + ``<base>.vol.raw``; round-trips bit-exactly."""
     header_path, data_path = _paths(path)
-    header_path.parent.mkdir(parents=True, exist_ok=True)
-    nx, ny, nz = v.dims
     header = {
-        "dims": [nx, ny, nz],
+        "dims": list(v.dims),
         "spacing_mm": list(v.spacing_mm),
         "dtype": _DTYPE_NAMES[v.values.dtype],
         "kind": v.kind,
         "data": data_path.name,
     }
-    with open(header_path, "w") as f:
-        json.dump(header, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(header_path, header)
     data_path.write_bytes(np.ascontiguousarray(v.values).tobytes())
 
 
@@ -237,36 +263,44 @@ def write_volume(v: Volume, path) -> None:
 # Resampling and preprocessing
 
 
-def _axis_coords(n_src: int, n_dst: int, scale: float) -> np.ndarray:
+def _axis_coords(n_dst: int, scale: float) -> np.ndarray:
     # Pixel-center aligned source coordinates for each target index:
     # target center (j + 0.5) * dst_spacing maps to source index u.
     j = np.arange(n_dst, dtype=np.float64)
     return (j + 0.5) * scale - 0.5
 
 
-def _resample_plane(plane: np.ndarray, src_sp, dst_sp, out_shape, method: str) -> np.ndarray:
-    ny, nx = plane.shape
-    oy, ox = out_shape
-    u = _axis_coords(nx, ox, dst_sp[0] / src_sp[0])
-    v = _axis_coords(ny, oy, dst_sp[1] / src_sp[1])
-    if method == "nearest":
-        xi = np.clip(np.rint(u).astype(np.intp), 0, nx - 1)
-        yi = np.clip(np.rint(v).astype(np.intp), 0, ny - 1)
-        return plane[np.ix_(yi, xi)]
-    if method != "bilinear":
-        raise ValueError(f"unknown resample method {method!r}")
-    uc = np.clip(u, 0.0, nx - 1.0)
-    vc = np.clip(v, 0.0, ny - 1.0)
-    x0 = np.floor(uc).astype(np.intp)
-    y0 = np.floor(vc).astype(np.intp)
-    x1 = np.minimum(x0 + 1, nx - 1)
-    y1 = np.minimum(y0 + 1, ny - 1)
-    fx = uc - x0
-    fy = vc - y0
-    p = plane.astype(np.float64)
+def bilinear_coeffs(n_src: int, n_dst: int, scale: float):
+    """Per target index along one axis: the two source indices and the
+    weight of the second, with coordinates clipped to the source extent."""
+    u = np.clip(_axis_coords(n_dst, scale), 0.0, n_src - 1.0)
+    i0 = np.floor(u).astype(np.intp)
+    return i0, np.minimum(i0 + 1, n_src - 1), u - i0
+
+
+def resize_bilinear(plane: np.ndarray, out_shape, scale) -> np.ndarray:
+    """Pixel-center bilinear resample of a (h, w) plane to out_shape; scale
+    is the (y, x) target pixel size in source pixels.  Float64 result."""
+    (y0, y1, fy), (x0, x1, fx) = (
+        bilinear_coeffs(n, o, s) for n, o, s in zip(plane.shape, out_shape, scale)
+    )
+    p = np.asarray(plane, dtype=np.float64)
     top = p[np.ix_(y0, x0)] * (1 - fx) + p[np.ix_(y0, x1)] * fx
     bot = p[np.ix_(y1, x0)] * (1 - fx) + p[np.ix_(y1, x1)] * fx
     return top * (1 - fy)[:, None] + bot * fy[:, None]
+
+
+def _resample_plane(plane: np.ndarray, src_sp, dst_sp, out_shape, method: str) -> np.ndarray:
+    ny, nx = plane.shape
+    oy, ox = out_shape
+    sx, sy = dst_sp[0] / src_sp[0], dst_sp[1] / src_sp[1]
+    if method == "bilinear":
+        return resize_bilinear(plane, out_shape, (sy, sx))
+    if method != "nearest":
+        raise ValueError(f"unknown resample method {method!r}")
+    xi = np.clip(np.rint(_axis_coords(ox, sx)).astype(np.intp), 0, nx - 1)
+    yi = np.clip(np.rint(_axis_coords(oy, sy)).astype(np.intp), 0, ny - 1)
+    return plane[np.ix_(yi, xi)]
 
 
 def resample_inplane(v: Volume, target_spacing, method: str | None = None) -> Volume:

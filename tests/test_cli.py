@@ -8,7 +8,14 @@ import pytest
 
 from lesionkit import evaluation
 from lesionkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, main
-from lesionkit.volume import KIND_INTENSITY, KIND_LABEL, Volume, read_volume, write_volume
+from lesionkit.volume import (
+    KIND_INTENSITY,
+    KIND_LABEL,
+    KIND_PROBABILITY,
+    Volume,
+    read_volume,
+    write_volume,
+)
 
 
 def run(capsys, *argv):
@@ -91,6 +98,29 @@ class TestExitCodes:
             "cluster": ["cluster", "--labels", str(bad)],
             "match": ["match", "--pred", str(good), "--gt", str(bad)],
             "preprocess": ["preprocess", "--in", str(bad), "--out", str(tmp_path / "out")],
+        }[command]
+        code, _ = run(capsys, *argv)
+        assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("command", ["cluster", "match"])
+    @pytest.mark.parametrize("shape, spacing", [
+        ((2, 2, 2), (1.0, 1.0, 3.0)),
+        ((3, 4, 5), (1.0, 1.0, 3.0)),
+        ((2, 3, 4), (1.0, 1.0, 2.0)),
+    ], ids=["smaller", "larger", "spacing"])
+    def test_probability_grid_mismatch_is_data_error(self, tmp_path, capsys, command,
+                                                     shape, spacing):
+        lab = np.zeros((2, 3, 4))
+        lab[:, 1:, 1:] = 4  # one GS4+3 lesion reaching the far corner of the grid
+        labels = tmp_path / "labels"
+        write_volume(Volume(lab, (1.0, 1.0, 3.0), KIND_LABEL), labels)
+        for c in range(6):
+            write_volume(Volume(np.full(shape, float(c == 0)), spacing, KIND_PROBABILITY),
+                         tmp_path / f"probs_c{c}")
+        argv = {
+            "cluster": ["cluster", "--labels", str(labels), "--probs", str(tmp_path / "probs")],
+            "match": ["match", "--pred", str(labels), "--gt", str(labels),
+                      "--pred-probs", str(tmp_path / "probs")],
         }[command]
         code, _ = run(capsys, *argv)
         assert code == EXIT_DATA

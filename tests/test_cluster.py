@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from lesionkit.cluster import (
     LesionCluster,
@@ -18,7 +19,7 @@ from lesionkit.cluster import (
     gs_lesion_maps,
     lesion_probability_score,
 )
-from lesionkit.grades import CS_BINARY, Grade
+from lesionkit.grades import CS_BINARY, CS_GRADES, GRADE_ORDER, Grade
 from lesionkit.volume import KIND_LABEL, KIND_PROBABILITY, ProbStack, Volume
 
 
@@ -215,6 +216,62 @@ class TestLesionMaps:
         m = gs_lesion_maps(label_volume(lab), None, 26)
         vox = m.clusters[0].voxels
         assert list(vox) == sorted(vox, key=lambda v: (v[2], v[1], v[0]))
+
+
+def reference_map(labels, probs, conn, cs):
+    """Slow reference for gs_lesion_maps / cs_lesion_maps: a full-grid
+    comparison per component, a voxel set sorted into scan order, and the
+    score as the mean over a gather from a voxel list."""
+    lab = labels.values
+    rank = {6: 1, 18: 2, 26: 3}[conn]
+    structure = ndimage.generate_binary_structure(3, rank)
+    cs_chans = [int(g) for g in CS_GRADES]
+    if cs:
+        groups = [(CS_BINARY, np.isin(lab, cs_chans))]
+    else:
+        groups = [(g, lab == int(g)) for g in GRADE_ORDER]
+    out = []
+    for grade, mask in groups:
+        if probs is None:
+            channel = None
+        elif cs:
+            channel = probs.data[cs_chans].sum(axis=0, dtype=np.float64)
+        else:
+            channel = probs.data[int(grade)]
+        labeled, n = ndimage.label(mask, structure=structure)
+        for idx in range(1, n + 1):
+            zs, ys, xs = np.nonzero(labeled == idx)
+            comp = {(int(x), int(y), int(z)) for x, y, z in zip(xs, ys, zs)}
+            vox = tuple(sorted(comp, key=lambda v: (v[2], v[1], v[0])))
+            if channel is None:
+                score = 1.0
+            else:
+                vx, vy, vz = np.asarray(list(vox), dtype=np.intp).T
+                score = float(channel[vz, vy, vx].mean(dtype=np.float64))
+            out.append((vox, grade, len(vox) * labels.voxel_volume_mm3, min(score, 1.0)))
+    out.sort(key=lambda c: (c[0][0][2], c[0][0][1], c[0][0][0]))
+    return out
+
+
+class TestReferenceMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), conn=st.sampled_from([6, 18, 26]),
+           cs=st.booleans(), scored=st.booleans())
+    def test_maps_equal_slow_reference(self, seed, conn, cs, scored):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, (4, 6, 6), endpoint=True))
+        labels = label_volume(rng.choice(6, size=shape, p=[0.2, 0.2, 0.15, 0.15, 0.15, 0.15]))
+        probs = None
+        if scored:
+            raw = rng.uniform(0.0, 1.0, size=(6, *shape))
+            raw[:3, rng.random(shape) < 0.3] = 0.0  # all mass on CS channels: sums reach 1
+            probs = ProbStack((raw / raw.sum(axis=0)).astype(np.float32), labels.spacing_mm)
+        build = cs_lesion_maps if cs else gs_lesion_maps
+        got = [(c.voxels, c.grade, c.volume_mm3, c.score)
+               for c in build(labels, probs, conn).clusters]
+        want = reference_map(labels, probs, conn, cs)
+        assert [g[:3] for g in got] == [w[:3] for w in want]
+        assert np.array([g[3] for g in got]).tobytes() == np.array([w[3] for w in want]).tobytes()
 
 
 class TestFilters:

@@ -126,3 +126,33 @@ def test_bundle_digests(cohort, tmp_path, capsys, zone):
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert _digests(out) == GOLDEN[zone]
+
+
+#: Every file `lesionkit phantom` writes for the cohort above: the two JSON
+#: files by name, and each volume directory as one digest over the sorted
+#: "<name> <sha256>" lines of its files.
+GOLDEN_COHORT = {
+    "cohort.json": "d2a20d3ecdf0dd23c9514026f2d0b8085292b5c1ec0ddfc6e45d76799f520be3",
+    "gt/": "7f8d96bd5c8fd53f8517feb5eb565b52c03ae82fe8e95775318ff562b18d08b9",
+    "ledger.json": "8205a19abfc08696c5d6ffac456f723b58c2a6d468d336c242b4218c5bbfabb5",
+    "pred/": "bf59688fdaff49e9f3f7f34403c42f18dd5c725865a28a81086e4f433691274b",
+    "zones/": "ce526551fa89b1282166c410c16483403bc901910d47582bb703874006ab741c",
+}
+
+
+def _cohort_digests(root) -> dict:
+    out = {}
+    for p in sorted(root.iterdir()):
+        if p.is_dir():
+            lines = "".join(f"{n} {d}\n" for n, d in _digests(p).items())
+            out[p.name + "/"] = hashlib.sha256(lines.encode()).hexdigest()
+        else:
+            out[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+    return out
+
+
+def test_cohort_digests(cohort):
+    assert sorted(len(list((cohort / d).iterdir())) for d in ("gt", "pred", "zones")) == [
+        16, 32, 96,
+    ]
+    assert _cohort_digests(cohort) == GOLDEN_COHORT
