@@ -98,10 +98,19 @@ def _structure(connectivity: int) -> np.ndarray:
 
 def _components(mask: np.ndarray, connectivity: int):
     """(box, component mask within the box) per connected component of the
-    mask, in the order ndimage.label numbers them."""
-    labeled, _ = ndimage.label(mask, structure=_structure(connectivity))
+    mask, in the order ndimage.label numbers them.  Only the mask's bounding
+    box is labelled; each box is in grid coordinates."""
+    structure = _structure(connectivity)
+    crop = []
+    for axis in range(mask.ndim):
+        hits = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis)))
+        if hits.size == 0:
+            return
+        crop.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    labeled, _ = ndimage.label(mask[tuple(crop)], structure=structure)
     for idx, box in enumerate(ndimage.find_objects(labeled), start=1):
-        yield box, labeled[box] == idx
+        grid_box = tuple(slice(b.start + c.start, b.stop + c.start) for b, c in zip(box, crop))
+        yield grid_box, labeled[box] == idx
 
 
 def connected_components(v: Volume, connectivity: int = DEFAULT_CONNECTIVITY):
@@ -111,12 +120,13 @@ def connected_components(v: Volume, connectivity: int = DEFAULT_CONNECTIVITY):
     return [set(mask_voxels(comp, box)) for box, comp in _components(mask, connectivity)]
 
 
-def _scoring_channel(probs: ProbStack, grade) -> np.ndarray:
-    """The grade's own channel, or the float64 sum of the CS channels for a
-    CS-binary cluster."""
+def _scoring_channel(probs: ProbStack, grade, index) -> np.ndarray:
+    """The scoring channel at index (a box or index arrays): the grade's own
+    channel, or the per-voxel float64 sum of the CS channels for a CS-binary
+    cluster."""
     if grade == CS_BINARY:
-        return probs.data[[int(g) for g in CS_GRADES]].sum(axis=0, dtype=np.float64)
-    return probs.data[int(grade)]
+        return np.sum([probs.data[int(g)][index] for g in CS_GRADES], axis=0, dtype=np.float64)
+    return probs.data[int(grade)][index]
 
 
 def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> LesionMap:
@@ -132,10 +142,11 @@ def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> Lesio
         groups = [(CS_BINARY, np.isin(lab, [int(g) for g in CS_GRADES]))]
     clusters = []
     for grade, mask in groups:
-        channel = None if probs is None else _scoring_channel(probs, grade)
         for box, comp in _components(mask, connectivity):
             vox = mask_voxels(comp, box)
-            score = 1.0 if channel is None else float(channel[box][comp].mean(dtype=np.float64))
+            score = 1.0 if probs is None else float(
+                _scoring_channel(probs, grade, box)[comp].mean(dtype=np.float64)
+            )
             clusters.append(
                 LesionCluster(
                     voxels=vox,
@@ -169,7 +180,7 @@ def cs_lesion_maps(
 def lesion_probability_score(c: LesionCluster, probs: ProbStack) -> float:
     """Mean over the cluster's voxels of its scoring channel (the grade's
     channel, or the summed CS channels for a CS-binary cluster)."""
-    return float(_scoring_channel(probs, c.grade)[c.index_arrays()].mean(dtype=np.float64))
+    return float(_scoring_channel(probs, c.grade, c.index_arrays()).mean(dtype=np.float64))
 
 
 def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> LesionMap:

@@ -13,7 +13,7 @@ from scipy.stats import norm
 
 from .cluster import LesionMap
 from .grades import GRADE_ORDER, MISSED, Grade
-from .matching import DetectionRecord, MatchResult, _dice, match_detections
+from .matching import _dice, match_detections
 
 #: Threshold sentinel just above the maximum attainable score.
 ABOVE_MAX_SCORE = float(np.nextafter(1.0, 2.0))

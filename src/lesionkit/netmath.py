@@ -286,6 +286,14 @@ def attention_gate_backward(
 
 
 def label_from_probs(p: ProbStack) -> Volume:
-    """Per-voxel argmax over the 6 channels; ties go to the lowest index."""
-    labels = np.argmax(p.data, axis=0).astype(np.uint8)
+    """Per-voxel argmax over the 6 channels; ties go to the lowest index.
+
+    One running compare per channel over contiguous planes, instead of a
+    strided argmax across the channel axis: a channel takes a voxel only
+    when it is strictly above the best so far."""
+    best = p.data[0].copy()
+    labels = np.zeros(best.shape, dtype=np.uint8)
+    for c in range(1, p.data.shape[0]):
+        labels[p.data[c] > best] = c
+        np.maximum(best, p.data[c], out=best)
     return Volume(labels, p.spacing_mm, KIND_LABEL)

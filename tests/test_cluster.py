@@ -253,6 +253,25 @@ def reference_map(labels, probs, conn, cs):
     return out
 
 
+def sparse_labels(rng):
+    """A grid of up to 8x12x12 that is mostly background and prostate, with
+    up to four small lesion patches; a patch may be pushed against any one
+    of the six grid faces."""
+    shape = tuple(int(n) for n in rng.integers(1, (8, 12, 12), endpoint=True))
+    lab = rng.choice(2, size=shape).astype(np.uint8)
+    for _ in range(int(rng.integers(0, 4, endpoint=True))):
+        size = [int(rng.integers(1, min(3, n), endpoint=True)) for n in shape]
+        start = [int(rng.integers(0, n - k, endpoint=True)) for n, k in zip(shape, size)]
+        face = int(rng.integers(0, 7))  # 6: no face
+        if face < 6:
+            axis = face // 2
+            start[axis] = 0 if face % 2 == 0 else shape[axis] - size[axis]
+        box = tuple(slice(a, a + k) for a, k in zip(start, size))
+        lesion = rng.choice([2, 3, 4, 5], size=size)
+        lab[box] = np.where(rng.random(size) < 0.8, lesion, lab[box])
+    return lab
+
+
 class TestReferenceMaps:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), conn=st.sampled_from([6, 18, 26]),
@@ -260,7 +279,19 @@ class TestReferenceMaps:
     def test_maps_equal_slow_reference(self, seed, conn, cs, scored):
         rng = np.random.default_rng(seed)
         shape = tuple(int(n) for n in rng.integers(1, (4, 6, 6), endpoint=True))
-        labels = label_volume(rng.choice(6, size=shape, p=[0.2, 0.2, 0.15, 0.15, 0.15, 0.15]))
+        lab = rng.choice(6, size=shape, p=[0.2, 0.2, 0.15, 0.15, 0.15, 0.15])
+        self._check(rng, lab, conn, cs, scored)
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 10**6), conn=st.sampled_from([6, 18, 26]),
+           cs=st.booleans(), scored=st.booleans())
+    def test_sparse_maps_equal_slow_reference(self, seed, conn, cs, scored):
+        rng = np.random.default_rng(seed)
+        self._check(rng, sparse_labels(rng), conn, cs, scored)
+
+    def _check(self, rng, lab, conn, cs, scored):
+        shape = lab.shape
+        labels = label_volume(lab)
         probs = None
         if scored:
             raw = rng.uniform(0.0, 1.0, size=(6, *shape))
@@ -272,6 +303,28 @@ class TestReferenceMaps:
         want = reference_map(labels, probs, conn, cs)
         assert [g[:3] for g in got] == [w[:3] for w in want]
         assert np.array([g[3] for g in got]).tobytes() == np.array([w[3] for w in want]).tobytes()
+
+
+class TestLesionFree:
+    LAB = np.ones((3, 4, 5), dtype=np.uint8)  # prostate only
+
+    @pytest.mark.parametrize("build", [gs_lesion_maps, cs_lesion_maps])
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_empty_maps(self, build, scored):
+        labels = label_volume(self.LAB)
+        probs = onehot_stack(labels) if scored else None
+        assert build(labels, probs, 26).clusters == ()
+
+    @pytest.mark.parametrize("build", [gs_lesion_maps, cs_lesion_maps])
+    def test_invalid_connectivity_raises(self, build):
+        with pytest.raises(ValueError, match="connectivity"):
+            build(label_volume(self.LAB), None, 63)
+
+    @pytest.mark.parametrize("build", [gs_lesion_maps, cs_lesion_maps])
+    def test_probability_grid_mismatch_raises(self, build):
+        probs = onehot_stack(label_volume(np.ones((3, 4, 4), dtype=np.uint8)))
+        with pytest.raises(ValueError, match="probability grid"):
+            build(label_volume(self.LAB), probs, 26)
 
 
 class TestFilters:

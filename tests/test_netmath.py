@@ -415,3 +415,20 @@ class TestLabelFromProbs:
         l1 = label_from_probs(ProbStack(base.astype(np.float32), (1, 1, 3)))
         l2 = label_from_probs(ProbStack(warped.astype(np.float32), (1, 1, 3)))
         np.testing.assert_array_equal(l1.values, l2.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_equals_numpy_argmax_with_ties_and_signed_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, (3, 5, 5), endpoint=True))
+        # a random subset of channels per voxel shares the maximum exactly
+        top = rng.random((6, *shape)) < rng.uniform(0.1, 0.9)
+        np.put_along_axis(top, rng.integers(0, 6, size=(1, *shape)), True, axis=0)
+        rest = rng.random((6, *shape)) * (rng.random((6, *shape)) < 0.6)
+        ratio = np.where(top, 1.0, rest)
+        data = (ratio / ratio.sum(axis=0)).astype(np.float32)
+        zeros = data == 0.0
+        data[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        got = label_from_probs(ProbStack(data, (1.0, 1.0, 3.0))).values
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, np.argmax(data, axis=0))
