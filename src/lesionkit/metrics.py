@@ -24,6 +24,10 @@ RESAMPLE_UNITS = ("lesion", "patient")
 WILCOXON_EXACT_MAX_N = 20
 N_GRADES = len(GRADE_ORDER)
 
+#: Quadratic kappa weights (i - j)^2 over the grade ordinals, without the
+#: common 1/(K-1)^2 factor.
+_KAPPA_WEIGHTS = np.subtract.outer(np.arange(N_GRADES), np.arange(N_GRADES)) ** 2
+
 
 @dataclass(frozen=True)
 class FrocPoint:
@@ -251,9 +255,16 @@ def quadratic_weighted_kappa(cm: ConfusionMatrix) -> KappaResult:
         for i in range(N_GRADES)
         for j in range(N_GRADES)
     )
+    kappa, degenerate = _kappa_from_sums(n, obs, exp)
+    return KappaResult(kappa=kappa, degenerate=degenerate)
+
+
+def _kappa_from_sums(n: int, obs: int, exp: int) -> tuple[float, bool]:
+    """Kappa and the degenerate flag from the integer sums n, sum W*O and
+    sum W*row*col: one correctly-rounded division of Python ints."""
     if exp == 0:
-        return KappaResult(kappa=1.0 if obs == 0 else 0.0, degenerate=True)
-    return KappaResult(kappa=1.0 - (n * obs) / exp)
+        return (1.0 if obs == 0 else 0.0), True
+    return 1.0 - (n * obs) / exp, False
 
 
 def bootstrap_kappa(
@@ -267,37 +278,47 @@ def bootstrap_kappa(
     std of kappa over iterations.
 
     Lesion-level resampling draws records directly; patient-level draws
-    whole patients.  Each iteration uses an independent counter-based
-    substream of the master seed, so results do not depend on execution
-    order."""
+    whole patients, in sorted patient-id order.  Each iteration uses an
+    independent counter-based substream of the master seed, so results do
+    not depend on execution order.  Every unit's confusion counts are
+    tabulated once; an iteration's table is the count-weighted sum of the
+    drawn units' tables, so no record is revisited per draw."""
     recs = list(records)
     if not recs:
         raise ValueError("bootstrap needs at least one record")
     if resample not in RESAMPLE_UNITS:
         raise ValueError(f"resample must be 'lesion' or 'patient', got {resample!r}")
     point = quadratic_weighted_kappa(confusion_matrix(recs, include_fn_as_gs6))
-    groups = None
     if resample == "patient":
         by_patient = {}
         for r in recs:
             by_patient.setdefault(r.patient_id, []).append(r)
-        groups = [by_patient[k] for k in sorted(by_patient)]
-    values = np.empty(n_iter, dtype=np.float64)
+        units = [by_patient[k] for k in sorted(by_patient)]
+    else:
+        units = [[r] for r in recs]
+    cells = np.array(
+        [confusion_matrix(u, include_fn_as_gs6).as_array().ravel() for u in units],
+        dtype=np.int64,
+    )
+    tables = np.empty((n_iter, N_GRADES * N_GRADES), dtype=np.int64)
     streams = np.random.SeedSequence(seed).spawn(n_iter)
     for it in range(n_iter):
         rng = np.random.Generator(np.random.Philox(streams[it]))
-        if groups is None:
-            idx = rng.integers(0, len(recs), size=len(recs))
-            sample = [recs[i] for i in idx]
-        else:
-            idx = rng.integers(0, len(groups), size=len(groups))
-            sample = [r for i in idx for r in groups[i]]
-        cm = confusion_matrix(sample, include_fn_as_gs6)
-        if cm.total == 0:
-            # every drawn record was a MISSED lesion in the TP-only variant
-            values[it] = 0.0
-            continue
-        values[it] = quadratic_weighted_kappa(cm).kappa
+        idx = rng.integers(0, len(units), size=len(units))
+        tables[it] = np.bincount(idx, minlength=len(units)) @ cells
+    tables = tables.reshape(n_iter, N_GRADES, N_GRADES)
+    n = tables.sum(axis=(1, 2))
+    obs = (tables * _KAPPA_WEIGHTS).sum(axis=(1, 2))
+    exp = ((tables.sum(axis=2) @ _KAPPA_WEIGHTS) * tables.sum(axis=1)).sum(axis=1)
+    values = np.array(
+        [
+            # an empty table: every drawn record was a MISSED lesion in the
+            # TP-only variant
+            _kappa_from_sums(ni, oi, ei)[0] if ni else 0.0
+            for ni, oi, ei in zip(n.tolist(), obs.tolist(), exp.tolist())
+        ],
+        dtype=np.float64,
+    )
     return KappaResult(
         kappa=point.kappa,
         degenerate=point.degenerate,

@@ -113,10 +113,14 @@ class ProbStack:
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
         if arr.ndim != 4 or arr.shape[0] != N_LABELS:
             raise ValueError(f"expected ({N_LABELS}, nz, ny, nx) data, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
+        # NaN propagates through min and max, so this also rejects NaN and inf
+        lo, hi = arr.min(), arr.max()
+        if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError("probabilities must be finite and in [0, 1]")
+        # t - 1 and 1 - t round monotonically in t, so the extreme sums give
+        # the largest deviation exactly
         total = arr.sum(axis=0, dtype=np.float64)
-        if np.abs(total - 1.0).max() > 1e-5:
+        if total.max() - 1.0 > 1e-5 or 1.0 - total.min() > 1e-5:
             raise ValueError("per-voxel channel sums deviate from 1 by more than 1e-5")
         sp = tuple(float(s) for s in self.spacing_mm)
         arr.flags.writeable = False

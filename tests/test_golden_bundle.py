@@ -160,3 +160,32 @@ def test_cohort_digests(cohort):
         16, 32, 96,
     ]
     assert _cohort_digests(cohort) == GOLDEN_COHORT
+
+
+@pytest.fixture(scope="module")
+def detections(cohort, tmp_path_factory):
+    out = tmp_path_factory.mktemp("kappa") / "bundle"
+    argv = ["evaluate", "--cohort", str(cohort), "--out", str(out), "--bootstrap", "200"]
+    assert main(argv) == EXIT_OK
+    return out / "detections.csv"
+
+
+#: sha256 of `lesionkit kappa` stdout on the unrestricted bundle's
+#: detections, bootstrapping whole patients (the bundle itself only
+#: resamples lesions).
+GOLDEN_KAPPA_PATIENT = {
+    "tp-only": "2d700bb7d177d0d73e35a63453fb1d4c789bd1f26f817a49e7db9fb9704d2ecc",
+    "with-fn": "702a5f7d957286439e8e739aef7bea7b879fab8c32f143f61eab5654f9c6a3f6",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_KAPPA_PATIENT))
+def test_kappa_patient_resample_digests(detections, capsys, variant):
+    capsys.readouterr()
+    argv = ["kappa", "--detections", str(detections), "--bootstrap", "200",
+            "--resample", "patient"]
+    if variant == "with-fn":
+        argv.append("--include-fn")
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_KAPPA_PATIENT[variant]

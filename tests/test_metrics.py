@@ -8,7 +8,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -20,6 +20,7 @@ from lesionkit.metrics import (
     ConfusionMatrix,
     FrocCurve,
     FrocPoint,
+    KappaResult,
     aggregate_folds,
     bootstrap_kappa,
     confusion_matrix,
@@ -424,6 +425,140 @@ class TestBootstrapKappa:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             bootstrap_kappa([], n_iter=10, seed=0)
+
+
+
+# Reference: the per-iteration bootstrap as first written, with its own
+# copies of the confusion matrix and kappa so that a change to either in
+# the package shows up as a difference.
+
+
+def _ref_confusion_matrix(records, include_fn_as_gs6=False):
+    counts = [[0] * 4 for _ in range(4)]
+    for r in records:
+        gi = r.gt_grade.ordinal
+        if r.pred_grade == MISSED:
+            if include_fn_as_gs6:
+                counts[gi][Grade.GS6.ordinal] += 1
+            continue
+        counts[gi][r.pred_grade.ordinal] += 1
+    return ConfusionMatrix(tuple(tuple(r) for r in counts), include_fn_as_gs6)
+
+
+def _ref_quadratic_weighted_kappa(cm):
+    if cm.total <= 0:
+        raise ValueError("kappa needs a populated matrix")
+    o = cm.counts
+    n = cm.total
+    rows = cm.row_sums()
+    cols = cm.col_sums()
+    obs = sum(o[i][j] * (i - j) ** 2 for i in range(4) for j in range(4))
+    exp = sum(rows[i] * cols[j] * (i - j) ** 2 for i in range(4) for j in range(4))
+    if exp == 0:
+        return KappaResult(kappa=1.0 if obs == 0 else 0.0, degenerate=True)
+    return KappaResult(kappa=1.0 - (n * obs) / exp)
+
+
+def _ref_bootstrap_kappa(records, n_iter=1000, seed=0, include_fn_as_gs6=False,
+                         resample="lesion"):
+    recs = list(records)
+    if not recs:
+        raise ValueError("bootstrap needs at least one record")
+    if resample not in ("lesion", "patient"):
+        raise ValueError(f"resample must be 'lesion' or 'patient', got {resample!r}")
+    point = _ref_quadratic_weighted_kappa(_ref_confusion_matrix(recs, include_fn_as_gs6))
+    groups = None
+    if resample == "patient":
+        by_patient = {}
+        for r in recs:
+            by_patient.setdefault(r.patient_id, []).append(r)
+        groups = [by_patient[k] for k in sorted(by_patient)]
+    values = np.empty(n_iter, dtype=np.float64)
+    streams = np.random.SeedSequence(seed).spawn(n_iter)
+    for it in range(n_iter):
+        rng = np.random.Generator(np.random.Philox(streams[it]))
+        if groups is None:
+            idx = rng.integers(0, len(recs), size=len(recs))
+            sample = [recs[i] for i in idx]
+        else:
+            idx = rng.integers(0, len(groups), size=len(groups))
+            sample = [r for i in idx for r in groups[i]]
+        cm = _ref_confusion_matrix(sample, include_fn_as_gs6)
+        if cm.total == 0:
+            values[it] = 0.0
+            continue
+        values[it] = _ref_quadratic_weighted_kappa(cm).kappa
+    return KappaResult(
+        kappa=point.kappa,
+        degenerate=point.degenerate,
+        bootstrap_mean=float(values.mean()),
+        bootstrap_std=float(values.std()),
+        n_iterations=n_iter,
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """A KappaResult as a tuple with its floats as hex strings (bitwise
+    comparison), or the error it raised."""
+    try:
+        res = fn(*args, **kwargs)
+    except ValueError as e:
+        return ("error", str(e))
+    floats = (res.kappa, res.bootstrap_mean, res.bootstrap_std)
+    return (*(float(v).hex() for v in floats), res.degenerate, res.n_iterations)
+
+
+#: Patient ids whose first-appearance order is not their sorted order.
+_PIDS = ("p2", "p10", "a", "p1")
+_PRED_GRADES = (*Grade, MISSED, MISSED)
+
+_records = st.lists(
+    st.tuples(st.sampled_from(_PIDS), st.sampled_from(tuple(Grade)),
+              st.sampled_from(_PRED_GRADES)),
+    min_size=1, max_size=24,
+).map(lambda rows: [rec(g, p, pid=pid) for pid, g, p in rows])
+
+
+def _recs(*rows):
+    return [rec(g, p, pid=pid) for pid, g, p in rows]
+
+
+class TestBootstrapMatchesReference:
+    """The table-based bootstrap against the per-iteration reference: every
+    field equal, the floats bitwise."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        records=_records,
+        n_iter=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        include_fn=st.booleans(),
+        resample=st.sampled_from(("lesion", "patient")),
+    )
+    @example(records=_recs(("p1", Grade.GS34, Grade.GS43)), n_iter=1, seed=0,
+             include_fn=False, resample="lesion")
+    @example(records=_recs(("p1", Grade.GS8, MISSED)), n_iter=5, seed=1,
+             include_fn=True, resample="patient")
+    # TP-only: most draws of these records hold only missed lesions
+    @example(records=_recs(("p2", Grade.GS6, MISSED), ("p10", Grade.GS8, MISSED),
+                           ("a", Grade.GS43, MISSED), ("p1", Grade.GS34, Grade.GS8)),
+             n_iter=40, seed=3, include_fn=False, resample="patient")
+    # exp == 0 in every draw that holds a detected lesion: they all sit in
+    # one diagonal cell
+    @example(records=_recs(("p2", Grade.GS43, Grade.GS43), ("a", Grade.GS43, Grade.GS43),
+                           ("p1", Grade.GS6, MISSED)),
+             n_iter=30, seed=5, include_fn=False, resample="lesion")
+    # uneven patients given out of sorted order
+    @example(records=_recs(("p2", Grade.GS6, Grade.GS6), ("p10", Grade.GS8, Grade.GS6),
+                           ("p10", Grade.GS8, MISSED), ("p10", Grade.GS34, Grade.GS43),
+                           ("a", Grade.GS43, Grade.GS43), ("p2", Grade.GS6, MISSED),
+                           ("p1", Grade.GS8, Grade.GS8)),
+             n_iter=40, seed=7, include_fn=True, resample="patient")
+    def test_equals_reference(self, records, n_iter, seed, include_fn, resample):
+        kwargs = dict(n_iter=n_iter, seed=seed, include_fn_as_gs6=include_fn,
+                      resample=resample)
+        assert _outcome(bootstrap_kappa, records, **kwargs) == \
+            _outcome(_ref_bootstrap_kappa, records, **kwargs)
 
 
 class TestDice:

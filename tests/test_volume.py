@@ -61,6 +61,23 @@ class TestVolumeModel:
         assert v.value_at(x=3, y=2, z=1) == arr[1, 2, 3]
 
 
+_RANGE_MSG = r"probabilities must be finite and in \[0, 1\]"
+_SUM_MSG = "per-voxel channel sums deviate from 1 by more than 1e-5"
+
+
+def _sum_edge(side):
+    """The float32 values x with x + 0.5 just inside and just outside
+    1 + side * 1e-5 (side is +1 or -1), as the float64 channel sum sees it."""
+    def dev(v):
+        return side * (float(v) + 0.5 - 1.0)
+
+    outward = np.float32(side * 2.0)
+    x = np.float32(0.5)
+    while dev(np.nextafter(x, outward)) <= 1e-5:
+        x = np.nextafter(x, outward)
+    return x, np.nextafter(x, outward)
+
+
 class TestProbStack:
     def test_channel_sum_checked(self):
         data = np.zeros((6, 1, 2, 2), dtype=np.float32)
@@ -81,6 +98,36 @@ class TestProbStack:
         b = Volume(np.zeros((1, 2, 3), dtype=np.float32), (1, 1, 3), KIND_PROBABILITY)
         with pytest.raises(ValueError):
             ProbStack.from_channels([a, b, b, b, b, b])
+
+
+    @pytest.mark.parametrize("edits,message", [
+        pytest.param(((3, np.nan),), _RANGE_MSG, id="nan"),
+        pytest.param(((3, np.inf),), _RANGE_MSG, id="inf"),
+        pytest.param(((3, -np.inf),), _RANGE_MSG, id="minus_inf"),
+        pytest.param(((5, -0.0),), None, id="minus_zero"),
+        pytest.param(((0, 0.0), (2, np.nextafter(np.float32(1), np.float32(2)))),
+                     _RANGE_MSG, id="just_above_one"),
+        pytest.param(((5, -np.finfo(np.float32).smallest_subnormal),), _RANGE_MSG,
+                     id="just_below_zero"),
+        *(
+            pytest.param(((0, x), (2, 0.5)), message, id=f"sum_{name}")
+            for side, tag in ((1, "high"), (-1, "low"))
+            for x, name, message in zip(_sum_edge(side), (f"{tag}_in", f"{tag}_out"),
+                                        (None, _SUM_MSG))
+        ),
+    ])
+    def test_validation_edges(self, edits, message):
+        # one voxel edited in an otherwise valid stack
+        data = np.zeros((6, 1, 2, 2), dtype=np.float32)
+        data[0] = 0.25
+        data[2] = 0.75
+        for c, v in edits:
+            data[c, 0, 1, 1] = v
+        if message is None:
+            ProbStack(data, (1, 1, 3))
+        else:
+            with pytest.raises(ValueError, match=message):
+                ProbStack(data, (1, 1, 3))
 
 
 class TestZoneMask:
