@@ -322,6 +322,8 @@ def _read_detections_csv(path):
 
 
 def cmd_kappa(args, file_cfg) -> int:
+    if args.bootstrap < 1:
+        raise ConfigError("--bootstrap must be positive")
     records = _read_detections_csv(args.detections)
     cm = confusion_matrix(records, include_fn_as_gs6=args.include_fn)
     if cm.total == 0:
@@ -428,8 +430,6 @@ def cmd_evaluate(args, file_cfg) -> int:
         extra["connectivity"] = args.connectivity
     if args.bootstrap is not None:
         extra["bootstrap_iterations"] = args.bootstrap
-    if args.no_intermediates:
-        extra["write_intermediates"] = False
     cfg = _eval_config(args, file_cfg, **extra)
     try:
         report, _ = run_full_evaluation(cfg)
@@ -515,6 +515,8 @@ def _fd_gate_err(rng) -> float:
 
 
 def cmd_losscheck(args, file_cfg) -> int:
+    if args.instances < 1:
+        raise ConfigError("--instances must be positive")
     seed = args.seed if args.seed is not None else 0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     loss_err = float(max(_fd_loss_err(rng) for _ in range(args.instances)))
@@ -633,7 +635,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--overlap", type=float, default=None)
     sp.add_argument("--connectivity", type=int, default=None, choices=CONNECTIVITIES)
     sp.add_argument("--bootstrap", type=int, default=None)
-    sp.add_argument("--no-intermediates", action="store_true")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("losscheck", help="finite-difference check of analytic gradients")
@@ -647,6 +648,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be nonnegative")
         file_cfg = _load_config_file(args.config)
         return args.func(args, file_cfg)
     except ConfigError as e:

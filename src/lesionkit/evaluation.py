@@ -62,7 +62,7 @@ from .metrics import (
     sensitivity_at_fp,
 )
 from .netmath import label_from_probs
-from .volume import KIND_LABEL, ProbStack, Volume, ZoneMask, read_volume, write_json
+from .volume import KIND_LABEL, ProbStack, Volume, ZoneMask, read_volume, require_ints, write_json
 
 ZONE_CHOICES = (None, "pz", "tz")
 
@@ -104,9 +104,9 @@ class EvaluationConfig:
     fp_targets: tuple[float, ...] = (1.0, 1.5)
     fp_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 1.5, 2.0)
     threads: int = 1
-    write_intermediates: bool = True
 
     def __post_init__(self):
+        require_ints(self, "connectivity", "bootstrap_iterations", "bootstrap_seed", "threads")
         for name, allowed in (
             ("zone", ZONE_CHOICES),
             ("overlap_denom", OVERLAP_DENOMS),
@@ -122,6 +122,8 @@ class EvaluationConfig:
             raise ValueError("overlap_frac must lie in (0, 1]")
         if self.bootstrap_iterations < 1:
             raise ValueError("bootstrap_iterations must be positive")
+        if self.bootstrap_seed < 0:
+            raise ValueError("bootstrap_seed must be nonnegative")
         if self.threads < 1:
             raise ValueError("threads must be positive")
         if not self.fp_targets or any(t < 0 for t in self.fp_targets):
@@ -666,7 +668,7 @@ def run_full_evaluation(cfg: EvaluationConfig):
             raise ValueError(f"evaluation config needs {name}")
     stages = stage_cohort(load_cohort(cfg), cfg)
     report = aggregate_stages(stages, cfg)
-    write_report_bundle(report, cfg.output_dir, stages if cfg.write_intermediates else None)
+    write_report_bundle(report, cfg.output_dir, stages)
     return report, stages
 
 

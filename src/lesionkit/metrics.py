@@ -288,6 +288,8 @@ def bootstrap_kappa(
         raise ValueError("bootstrap needs at least one record")
     if resample not in RESAMPLE_UNITS:
         raise ValueError(f"resample must be 'lesion' or 'patient', got {resample!r}")
+    if n_iter < 1:
+        raise ValueError("bootstrap needs at least one iteration")
     point = quadratic_weighted_kappa(confusion_matrix(recs, include_fn_as_gs6))
     if resample == "patient":
         by_patient = {}

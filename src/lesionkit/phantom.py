@@ -34,6 +34,7 @@ from .volume import (
     Volume,
     ZoneMask,
     mask_voxels,
+    require_ints,
     voxel_indices,
     write_json,
     write_volume,
@@ -80,8 +81,14 @@ class PhantomConfig:
     n_folds: int = 5
 
     def __post_init__(self):
+        require_ints(self, "seed", "n_patients", "dims", "lesions_per_grade", "fp_per_patient",
+                     "min_lesion_voxels", "max_place_retries", "n_folds")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.n_patients < 1:
             raise ValueError("need at least one patient")
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ValueError(f"dims must be 3 positive integers, got {self.dims!r}")
         if not (0.0 <= self.miss_fraction <= 1.0):
             raise ValueError("miss_fraction must lie in [0, 1]")
         if not (0.0 <= self.pz_fraction <= 1.0):

@@ -40,6 +40,16 @@ class VolumeFormatError(ValueError):
     """Header/payload inconsistency or invalid voxel data on disk."""
 
 
+def require_ints(cfg, *names) -> None:
+    """Raise ValueError unless each named field of a config holds an int, or
+    a tuple or list of ints; bools and floats are rejected."""
+    for name in names:
+        value = getattr(cfg, name)
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if not all(type(v) is int for v in items):
+            raise ValueError(f"{name} must hold integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Volume:
     """Immutable dense 3D grid.

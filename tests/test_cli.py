@@ -58,11 +58,40 @@ class TestExitCodes:
         code, _ = run(capsys, "--config", str(bad), "phantom", "--out", str(tmp_path / "x"))
         assert code == EXIT_CONFIG
 
-    def test_invalid_config_value(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"phantom": {"miss_fraction": 2.0}}))
-        code, _ = run(capsys, "--config", str(bad), "phantom", "--out", str(tmp_path / "x"))
+    @pytest.mark.parametrize("section", [
+        {"miss_fraction": 2.0},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"dims": [16, 16, 4.5]},
+        {"dims": [16, 16]},
+        {"lesions_per_grade": [1, 1, 1.0, 1]},
+        {"fp_per_patient": 1.5},
+        {"min_lesion_voxels": 15.5},
+        {"max_place_retries": 2.5},
+        {"n_folds": 2.5},
+    ], ids=lambda section: "-".join(f"{k}={v}" for k, v in section.items()))
+    def test_invalid_config_value(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        base = {"n_patients": 3, "n_folds": 3, "dims": [48, 48, 12]}
+        cfg.write_text(json.dumps({"phantom": {**base, **section}}))
+        code, _ = run(capsys, "--config", str(cfg), "phantom", "--out", str(tmp_path / "x"))
         assert code == EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "kappa --bootstrap 0 --detections MISSING",
+        "kappa --bootstrap -3 --detections MISSING",
+        "--seed -2 kappa --detections MISSING",
+        "--seed -2 phantom --out MISSING",
+        "--seed -2 evaluate --cohort MISSING --out MISSING",
+        "losscheck --instances 0",
+    ])
+    def test_bad_flag_value_fails_before_reading(self, tmp_path, capsys, argv):
+        # MISSING names no file: reading it would exit with a data error
+        missing = str(tmp_path / "missing")
+        code, _ = run(capsys, *(missing if a == "MISSING" else a for a in argv.split()))
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "missing").exists()
 
     def test_missing_volume_is_data_error(self, tmp_path, capsys):
         code, _ = run(capsys, "dice", "--a", str(tmp_path / "nope"), "--b", str(tmp_path / "nope"))
@@ -129,6 +158,12 @@ class TestExitCodes:
         {"overlap_denom": "bogus"},
         {"connectivity": 7},
         {"bootstrap_resample": "fold"},
+        {"bootstrap_iterations": 2.5},
+        {"bootstrap_iterations": True},
+        {"bootstrap_seed": 1.5},
+        {"bootstrap_seed": -1},
+        {"threads": True},
+        {"connectivity": 26.0},
     ])
     def test_bad_evaluation_config_fails_before_loading(self, tmp_path, capsys, section):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Golden bundle: `lesionkit evaluate` on a fixed-seed phantom cohort must
-write byte-identical files.
+write byte-identical files, and the numbers in its report.json must match
+the cohort's ledger.json exactly.
 
 The cohort has misgraded detections (the DRIFT table), missed lesions and
 injected false positives, so every bundle file carries non-trivial content.
@@ -14,6 +15,17 @@ import json
 import pytest
 
 from lesionkit.cli import EXIT_OK, main
+from lesionkit.grades import GRADE_ORDER
+from lesionkit.metrics import ConfusionMatrix, quadratic_weighted_kappa
+from lesionkit.phantom import (
+    ZONE_PZ,
+    ledger_confusion,
+    ledger_from_dict,
+    ledger_froc_cs,
+    ledger_froc_grade,
+    ledger_grade_gt_count,
+    ledger_zone_subset,
+)
 
 DRIFT = (
     (0.7, 0.3, 0.0, 0.0),
@@ -130,6 +142,36 @@ def test_bundle_digests(cohort, tmp_path, capsys, zone, threads):
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert _digests(out) == GOLDEN[zone]
+
+
+@pytest.mark.parametrize("zone", ["all", "pz"])
+def test_report_matches_ledger(cohort, tmp_path, capsys, zone):
+    """The on-disk CLI path, read back from report.json, against the ledger
+    the generator wrote: every FROC point and confusion count exactly, and
+    kappa to 1e-12."""
+    out = tmp_path / "bundle"
+    argv = ["evaluate", "--cohort", str(cohort), "--out", str(out), "--bootstrap", "20"]
+    ledger = ledger_from_dict(json.loads((cohort / "ledger.json").read_text()))
+    if zone == "pz":
+        argv += ["--zone", "pz"]
+        ledger = ledger_zone_subset(ledger, ZONE_PZ)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+
+    def points(curve):
+        return None if curve is None else [tuple(p) for p in curve["points"]]
+
+    assert points(report["froc"]["cs"]) == ledger_froc_cs(ledger)
+    for g in GRADE_ORDER:
+        want = ledger_froc_grade(ledger, g) if ledger_grade_gt_count(ledger, g) else None
+        assert points(report["froc"]["by_grade"][g.display]) == want, g.display
+    for variant, with_fn in (("tp_only", False), ("with_fn", True)):
+        want = ledger_confusion(ledger, include_fn_as_gs6=with_fn)
+        got = report["confusion"][variant]
+        assert got["counts"] == [list(r) for r in want]
+        kappa = quadratic_weighted_kappa(ConfusionMatrix(want, with_fn)).kappa
+        assert abs(got["kappa"] - kappa) <= 1e-12
 
 
 #: Every file `lesionkit phantom` writes for the cohort above: the two JSON

@@ -426,6 +426,11 @@ class TestBootstrapKappa:
         with pytest.raises(ValueError):
             bootstrap_kappa([], n_iter=10, seed=0)
 
+    @pytest.mark.parametrize("n_iter", [0, -3])
+    def test_no_iterations_rejected(self, n_iter):
+        with pytest.raises(ValueError, match="iteration"):
+            bootstrap_kappa([rec(Grade.GS6, Grade.GS6)], n_iter=n_iter, seed=0)
+
 
 
 # Reference: the per-iteration bootstrap as first written, with its own
