@@ -12,9 +12,12 @@ command-line flags win over the file.  --seed overrides the phantom and
 bootstrap seeds.  --strict escalates degenerate-statistics warnings to
 exit code 4.
 
-Exit codes: 0 success; 2 configuration error; 3 data error (missing or
-malformed inputs, grid mismatches, empty strata); 4 degenerate statistics
-under --strict.
+Exit codes: 0 success; 2 configuration error; 3 data error; 4 degenerate
+statistics under --strict.  `main` alone maps failures to codes: a
+ConfigError (bad flags, config file or config values, all checked before
+any input is read) exits 2, and any OSError or ValueError raised while a
+command runs exits 3.  Code 3 thus covers missing, unreadable or malformed
+inputs, grid mismatches, empty strata and an unwritable --out.
 """
 
 from __future__ import annotations
@@ -45,12 +48,14 @@ from .evaluation import (
     cohort_dirs,
     evaluate_points,
     load_cohort,
+    read_csv,
+    read_detections_csv,
     read_points_csv,
     read_prob_stack,
     run_full_evaluation,
 )
-from .grades import MISSED, parse_grade
-from .matching import OVERLAP_DENOMS, DetectionRecord, match_detections
+from .grades import parse_grade
+from .matching import OVERLAP_DENOMS, match_detections
 from .metrics import (
     RESAMPLE_UNITS,
     bootstrap_kappa,
@@ -69,7 +74,7 @@ from .netmath import (
     weighted_dice_loss,
 )
 from .phantom import PhantomConfig, PlacementError, write_cohort
-from .volume import preprocess, read_volume, write_json, write_volume
+from .volume import preprocess, read_json, read_volume, write_json, write_volume
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,10 +86,6 @@ class ConfigError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -93,18 +94,23 @@ def _load_config_file(path):
     if path is None:
         return {}
     try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except FileNotFoundError as e:
-        raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+        cfg = read_json(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(cfg) - {"phantom", "evaluation"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in cfg.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
     return cfg
+
+
+def _frozen(value):
+    """A JSON value with every list turned into a tuple, recursively."""
+    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
 
 
 def _build_dataclass(cls, section: dict, overrides: dict):
@@ -112,26 +118,12 @@ def _build_dataclass(cls, section: dict, overrides: dict):
     unknown = set(section) - fields
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    merged = dict(section)
+    merged = {k: _frozen(v) for k, v in section.items()}
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("dims", "spacing_mm", "lesions_per_grade", "lesion_radius_mm",
-                "score_range", "misgrade", "fp_targets", "fp_grid"):
-        if key in merged and isinstance(merged[key], list):
-            merged[key] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in merged[key]
-            )
     try:
         return cls(**merged)
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
-
-
-def _read(reader, path):
-    """reader(path), with a missing or malformed input raised as a DataError."""
-    try:
-        return reader(path)
-    except (FileNotFoundError, ValueError) as e:  # ValueError covers VolumeFormatError
-        raise DataError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +131,13 @@ def _read(reader, path):
 
 
 def cmd_preprocess(args, file_cfg) -> int:
-    v = _read(read_volume, args.input)
-    try:
-        out = preprocess(
-            v,
-            target_spacing=tuple(args.spacing),
-            crop=tuple(args.crop),
-            per_slice_norm=args.per_slice,
-        )
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    v = read_volume(args.input)
+    out = preprocess(
+        v,
+        target_spacing=tuple(args.spacing),
+        crop=tuple(args.crop),
+        per_slice_norm=args.per_slice,
+    )
     write_volume(out, args.output)
     _emit({"input_dims": list(v.dims), "output_dims": list(out.dims),
            "output": str(args.output)})
@@ -180,13 +169,10 @@ def cmd_phantom(args, file_cfg) -> int:
 
 
 def cmd_cluster(args, file_cfg) -> int:
-    labels = _read(read_volume, args.labels)
-    probs = _read(read_prob_stack, args.probs) if args.probs else None
+    labels = read_volume(args.labels)
+    probs = read_prob_stack(args.probs) if args.probs else None
     build = cs_lesion_maps if args.mode == "cs" else gs_lesion_maps
-    try:
-        m = filter_by_volume(build(labels, probs, args.connectivity), args.min_volume)
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    m = filter_by_volume(build(labels, probs, args.connectivity), args.min_volume)
     payload = {"mode": args.mode, "n_clusters": len(m), "clusters": _cluster_summary(m)}
     if args.out:
         write_json(args.out, payload)
@@ -195,19 +181,16 @@ def cmd_cluster(args, file_cfg) -> int:
 
 
 def cmd_match(args, file_cfg) -> int:
-    gt_labels = _read(read_volume, args.gt)
-    pred_labels = _read(read_volume, args.pred)
-    probs = _read(read_prob_stack, args.pred_probs) if args.pred_probs else None
+    gt_labels = read_volume(args.gt)
+    pred_labels = read_volume(args.pred)
+    probs = read_prob_stack(args.pred_probs) if args.pred_probs else None
     build = cs_lesion_maps if args.mode == "cs" else gs_lesion_maps
-    try:
-        gt = filter_by_volume(build(gt_labels, None, args.connectivity), args.min_volume)
-        pred = filter_by_volume(build(pred_labels, probs, args.connectivity), args.min_volume)
-        result = match_detections(
-            pred, gt, overlap_frac=args.overlap, denom=args.denom,
-            strict_duplicates=args.strict_duplicates,
-        )
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    gt = filter_by_volume(build(gt_labels, None, args.connectivity), args.min_volume)
+    pred = filter_by_volume(build(pred_labels, probs, args.connectivity), args.min_volume)
+    result = match_detections(
+        pred, gt, overlap_frac=args.overlap, denom=args.denom,
+        strict_duplicates=args.strict_duplicates,
+    )
     _emit({
         "mode": args.mode,
         "n_gt": result.n_gt,
@@ -231,47 +214,40 @@ def cmd_match(args, file_cfg) -> int:
 
 
 def _eval_config(args, file_cfg, **extra) -> EvaluationConfig:
-    overrides = dict(extra)
-    overrides["threads"] = args.threads
-    if args.seed is not None:
-        overrides["bootstrap_seed"] = args.seed
+    overrides = {**extra, "threads": args.threads, "bootstrap_seed": args.seed}
     return _build_dataclass(EvaluationConfig, file_cfg.get("evaluation", {}), overrides)
 
 
-def _cohort_overrides(args) -> dict:
-    d = cohort_dirs(args.cohort) if args.cohort else {}
-    for name, key in (
-        ("gt_dir", "gt_dir"), ("pred_dir", "pred_dir"),
-        ("zones_dir", "zones_dir"), ("manifest", "fold_manifest"),
-    ):
-        v = getattr(args, name, None)
-        if v is not None:
-            d[key] = str(v)
-    return d
+def _cohort_config(args, file_cfg, **extra) -> EvaluationConfig:
+    """_eval_config of a command that reads a cohort directory layout."""
+    dirs = cohort_dirs(args.cohort) if args.cohort else {}
+    for key, path in (("gt_dir", args.gt_dir), ("pred_dir", args.pred_dir),
+                      ("zones_dir", args.zones_dir), ("fold_manifest", args.manifest)):
+        if path is not None:
+            dirs[key] = path
+    cfg = _eval_config(args, file_cfg, **dirs, **extra)
+    if cfg.fold_manifest is None or cfg.gt_dir is None or cfg.pred_dir is None:
+        raise ConfigError(f"{args.command} needs --cohort or --gt-dir/--pred-dir/--manifest")
+    return cfg
 
 
 def cmd_froc(args, file_cfg) -> int:
     from .metrics import froc_by_grade, froc_curve, sensitivity_at_fp
     from .evaluation import stage_cohort
 
-    cfg = _eval_config(args, file_cfg, **_cohort_overrides(args))
-    if cfg.fold_manifest is None or cfg.gt_dir is None or cfg.pred_dir is None:
-        raise ConfigError("froc needs --cohort or --gt-dir/--pred-dir/--manifest")
-    try:
-        stages = stage_cohort(load_cohort(cfg), cfg)
-        if args.grade is None:
-            pairs = [(s.cs_pred, s.cs_gt) for s in stages]
-            curve = froc_curve(pairs, cfg.overlap_frac, cfg.overlap_denom,
-                               cfg.strict_duplicates)
-            stratum = "CS"
-        else:
-            grade = parse_grade(args.grade)
-            pairs = [(s.gs_pred, s.gs_gt) for s in stages]
-            curve = froc_by_grade(pairs, grade, cfg.overlap_frac, cfg.overlap_denom,
-                                  cfg.strict_duplicates)
-            stratum = grade.display
-    except (FileNotFoundError, ValueError) as e:
-        raise DataError(str(e)) from e
+    cfg = _cohort_config(args, file_cfg)
+    stages = stage_cohort(load_cohort(cfg), cfg)
+    if args.grade is None:
+        pairs = [(s.cs_pred, s.cs_gt) for s in stages]
+        curve = froc_curve(pairs, cfg.overlap_frac, cfg.overlap_denom,
+                           cfg.strict_duplicates)
+        stratum = "CS"
+    else:
+        grade = parse_grade(args.grade)
+        pairs = [(s.gs_pred, s.gs_gt) for s in stages]
+        curve = froc_by_grade(pairs, grade, cfg.overlap_frac, cfg.overlap_denom,
+                              cfg.strict_duplicates)
+        stratum = grade.display
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         _write_froc_csv(Path(args.out), curve)
@@ -287,47 +263,14 @@ def cmd_froc(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def _read_detections_csv(path):
-    records = []
-    try:
-        f = open(path, newline="")
-    except FileNotFoundError as e:
-        raise DataError(f"detections CSV not found: {path}") from e
-    with f:
-        reader = csv.DictReader(f)
-        need = {"patient_id", "fold", "zone", "gt_grade", "pred_grade", "score",
-                "dice", "overlap_frac"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise DataError(f"detections CSV needs columns {sorted(need)}")
-        for row in reader:
-            try:
-                pred = MISSED if row["pred_grade"] == MISSED else parse_grade(row["pred_grade"])
-                records.append(
-                    DetectionRecord(
-                        patient_id=row["patient_id"],
-                        fold=int(row["fold"]),
-                        zone=row["zone"],
-                        gt_grade=parse_grade(row["gt_grade"]),
-                        pred_grade=pred,
-                        score=float(row["score"]),
-                        dice=float(row["dice"]),
-                        overlap_frac=float(row["overlap_frac"]),
-                    )
-                )
-            except ValueError as e:
-                raise DataError(f"bad detections row {row}: {e}") from e
-    if not records:
-        raise DataError(f"detections CSV {path} has no rows")
-    return records
-
-
 def cmd_kappa(args, file_cfg) -> int:
     if args.bootstrap < 1:
         raise ConfigError("--bootstrap must be positive")
-    records = _read_detections_csv(args.detections)
+    records = read_detections_csv(args.detections)
     cm = confusion_matrix(records, include_fn_as_gs6=args.include_fn)
     if cm.total == 0:
-        raise DataError("no gradable records (all lesions missed in TP-only mode)")
+        raise ValueError(f"{args.detections}: no gradable records "
+                         "(all lesions missed in TP-only mode)")
     seed = args.seed if args.seed is not None else 0
     result = bootstrap_kappa(
         records, n_iter=args.bootstrap, seed=seed,
@@ -342,37 +285,15 @@ def cmd_kappa(args, file_cfg) -> int:
 
 
 def cmd_dice(args, file_cfg) -> int:
-    a = _read(read_volume, args.a)
-    b = _read(read_volume, args.b)
-    try:
-        d = dice_coefficient(a, b)
-    except ValueError as e:
-        raise DataError(str(e)) from e
-    _emit({"dice": d})
+    _emit({"dice": dice_coefficient(read_volume(args.a), read_volume(args.b))})
     return EXIT_OK
 
 
 def cmd_wilcoxon(args, file_cfg) -> int:
-    try:
-        f = open(args.csv, newline="")
-    except FileNotFoundError as e:
-        raise DataError(f"CSV not found: {args.csv}") from e
-    with f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or args.x not in reader.fieldnames \
-                or args.y not in reader.fieldnames:
-            raise DataError(f"CSV must contain columns {args.x!r} and {args.y!r}")
-        xs, ys = [], []
-        for row in reader:
-            try:
-                xs.append(float(row[args.x]))
-                ys.append(float(row[args.y]))
-            except ValueError as e:
-                raise DataError(f"non-numeric value in row {row}: {e}") from e
-    try:
-        p = wilcoxon_one_sided(xs, ys)
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    xs, ys = zip(*read_csv(
+        args.csv, (args.x, args.y), lambda row: (float(row[args.x]), float(row[args.y]))
+    ))
+    p = wilcoxon_one_sided(xs, ys)
     n_nonzero = int(sum(1 for a, b in zip(xs, ys) if a != b))
     _emit({
         "n_pairs": len(xs),
@@ -386,19 +307,12 @@ def cmd_wilcoxon(args, file_cfg) -> int:
 
 def cmd_px2(args, file_cfg) -> int:
     cfg = _eval_config(args, file_cfg, pred_dir=str(args.pred_dir))
-    try:
-        points = read_points_csv(args.points)
-    except FileNotFoundError as e:
-        raise DataError(f"points CSV not found: {args.points}") from e
-    except ValueError as e:
-        raise DataError(str(e)) from e
-    stacks = {}
-    for pid in sorted({p.patient_id for p in points}):
-        stacks[pid] = _read(read_prob_stack, Path(cfg.pred_dir) / f"{pid}_prob")
-    try:
-        records, kappa = evaluate_points(points, stacks, cfg)
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    points = read_points_csv(args.points)
+    stacks = {
+        pid: read_prob_stack(Path(cfg.pred_dir) / f"{pid}_prob")
+        for pid in sorted({p.patient_id for p in points})
+    }
+    records, kappa = evaluate_points(points, stacks, cfg)
     payload = {"n_points": len(records), **_kappa_dict(kappa)}
     if args.out:
         out = Path(args.out)
@@ -418,23 +332,14 @@ def cmd_px2(args, file_cfg) -> int:
 
 
 def cmd_evaluate(args, file_cfg) -> int:
-    extra = _cohort_overrides(args)
-    extra["output_dir"] = str(args.out)
-    if args.zone is not None:
-        extra["zone"] = None if args.zone == "none" else args.zone
-    if args.min_volume is not None:
-        extra["min_volume_mm3"] = args.min_volume
-    if args.overlap is not None:
-        extra["overlap_frac"] = args.overlap
-    if args.connectivity is not None:
-        extra["connectivity"] = args.connectivity
-    if args.bootstrap is not None:
-        extra["bootstrap_iterations"] = args.bootstrap
-    cfg = _eval_config(args, file_cfg, **extra)
-    try:
-        report, _ = run_full_evaluation(cfg)
-    except (FileNotFoundError, ValueError) as e:
-        raise DataError(str(e)) from e
+    # a None override keeps the config value, so --zone none is set explicitly
+    zone = {} if args.zone is None else {"zone": None if args.zone == "none" else args.zone}
+    cfg = _cohort_config(
+        args, file_cfg, **zone, output_dir=args.out, min_volume_mm3=args.min_volume,
+        overlap_frac=args.overlap, connectivity=args.connectivity,
+        bootstrap_iterations=args.bootstrap,
+    )
+    report, _ = run_full_evaluation(cfg)
     _emit({
         "out": str(args.out),
         "n_patients": report.n_patients,
@@ -645,8 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
@@ -655,7 +559,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as e:
+    except (OSError, ValueError) as e:  # ValueError covers VolumeFormatError, bad JSON, bad UTF-8
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

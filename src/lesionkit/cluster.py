@@ -186,7 +186,7 @@ def lesion_probability_score(c: LesionCluster, probs: ProbStack) -> float:
 def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> LesionMap:
     """Drop clusters whose physical volume is below the threshold; a cluster
     at exactly the threshold is kept."""
-    if min_mm3 < 0:
+    if not (min_mm3 >= 0):  # NaN fails too
         raise ValueError("min_mm3 must be nonnegative")
     kept = tuple(c for c in m.clusters if c.volume_mm3 >= min_mm3)
     return replace(m, clusters=kept)

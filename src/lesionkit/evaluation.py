@@ -16,7 +16,7 @@ and JSON intermediates from which every reported number is recomputable).
 from __future__ import annotations
 
 import csv
-import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,12 +62,25 @@ from .metrics import (
     sensitivity_at_fp,
 )
 from .netmath import label_from_probs
-from .volume import KIND_LABEL, ProbStack, Volume, ZoneMask, read_volume, require_ints, write_json
+from .volume import (
+    KIND_LABEL,
+    ProbStack,
+    Volume,
+    ZoneMask,
+    read_json,
+    read_volume,
+    require_ints,
+    write_json,
+)
 
 ZONE_CHOICES = (None, "pz", "tz")
 
 #: safe file-name stems for the per-grade FROC CSVs
 GRADE_STEMS = {Grade.GS6: "gs6", Grade.GS34: "gs34", Grade.GS43: "gs43", Grade.GS8: "gs8"}
+
+#: columns of detections.csv, one row per ground-truth lesion
+DETECTION_COLUMNS = ("patient_id", "fold", "zone", "gt_grade", "pred_grade", "score", "dice",
+                     "overlap_frac")
 
 
 def cohort_dirs(root) -> dict[str, str]:
@@ -107,6 +120,12 @@ class EvaluationConfig:
 
     def __post_init__(self):
         require_ints(self, "connectivity", "bootstrap_iterations", "bootstrap_seed", "threads")
+        for name in ("gt_dir", "pred_dir", "zones_dir", "fold_manifest", "output_dir"):
+            if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
+                raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
+        if type(self.strict_duplicates) is not bool:
+            raise ValueError(f"strict_duplicates must be true or false, "
+                             f"got {self.strict_duplicates!r}")
         for name, allowed in (
             ("zone", ZONE_CHOICES),
             ("overlap_denom", OVERLAP_DENOMS),
@@ -116,7 +135,7 @@ class EvaluationConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        if self.min_volume_mm3 < 0:
+        if not (self.min_volume_mm3 >= 0):  # NaN fails too
             raise ValueError("min_volume_mm3 must be nonnegative")
         if not (0.0 < self.overlap_frac <= 1.0):
             raise ValueError("overlap_frac must lie in (0, 1]")
@@ -126,9 +145,9 @@ class EvaluationConfig:
             raise ValueError("bootstrap_seed must be nonnegative")
         if self.threads < 1:
             raise ValueError("threads must be positive")
-        if not self.fp_targets or any(t < 0 for t in self.fp_targets):
+        if not self.fp_targets or not all(t >= 0 for t in self.fp_targets):
             raise ValueError("fp_targets must be nonnegative")
-        if not self.fp_grid or any(t < 0 for t in self.fp_grid):
+        if not self.fp_grid or not all(t >= 0 for t in self.fp_grid):
             raise ValueError("fp_grid must be nonnegative")
 
     @classmethod
@@ -571,9 +590,7 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
 
     with open(out / "detections.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(
-            ["patient_id", "fold", "zone", "gt_grade", "pred_grade", "score", "dice", "overlap_frac"]
-        )
+        w.writerow(DETECTION_COLUMNS)
         for r in report.records:
             pred = r.pred_grade.display if isinstance(r.pred_grade, Grade) else MISSED
             w.writerow(
@@ -616,16 +633,56 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
         write_json(out / "clusters.json", clusters)
 
 
+def _detection_from_row(row) -> DetectionRecord:
+    pred = row["pred_grade"]
+    return DetectionRecord(
+        patient_id=row["patient_id"],
+        fold=int(row["fold"]),
+        zone=row["zone"],
+        gt_grade=parse_grade(row["gt_grade"]),
+        pred_grade=MISSED if pred == MISSED else parse_grade(pred),
+        score=float(row["score"]),
+        dice=float(row["dice"]),
+        overlap_frac=float(row["overlap_frac"]),
+    )
+
+
+def read_detections_csv(path) -> list[DetectionRecord]:
+    """The detection records of a bundle's detections.csv."""
+    return read_csv(path, DETECTION_COLUMNS, _detection_from_row)
+
+
 # ---------------------------------------------------------------------------
 # Disk conventions
 
 
+def read_csv(path, columns, parse) -> list:
+    """parse(row) for each data row of a CSV file with a header naming every
+    one of columns.  A missing column, a row with missing or extra fields,
+    malformed CSV, a ValueError from parse, or no data rows at all raises
+    ValueError naming the file and line."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        try:
+            if not set(columns).issubset(reader.fieldnames or ()):
+                raise ValueError(f"header needs columns {list(columns)}")
+            rows = []
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError("row has missing or extra fields")
+                rows.append(parse(row))
+        except (ValueError, csv.Error) as e:
+            raise ValueError(f"{path} line {reader.line_num}: {e}") from e
+    if not rows:
+        raise ValueError(f"{path} has no data rows")
+    return rows
+
+
 def load_fold_manifest(path) -> list[tuple[str, int]]:
-    with open(path) as f:
-        manifest = json.load(f)
+    manifest = read_json(path)
     try:
         pairs = [(p["patient_id"], int(p["fold"])) for p in manifest["patients"]]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed fold manifest {path}: {e}") from e
     if not pairs:
         raise ValueError(f"fold manifest {path} lists no patients")
@@ -688,26 +745,17 @@ class PointAnnotation:
 
 def read_points_csv(path) -> list[PointAnnotation]:
     """CSV columns: patient_id,x_vox,y_vox,z_vox,zone,gs_label."""
-    points = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        need = {"patient_id", "x_vox", "y_vox", "z_vox", "zone", "gs_label"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ValueError(f"points CSV needs columns {sorted(need)}")
-        for row in reader:
-            points.append(
-                PointAnnotation(
-                    patient_id=row["patient_id"],
-                    x=int(row["x_vox"]),
-                    y=int(row["y_vox"]),
-                    z=int(row["z_vox"]),
-                    zone=row["zone"],
-                    gs_label=parse_grade(row["gs_label"]),
-                )
-            )
-    if not points:
-        raise ValueError(f"points CSV {path} is empty")
-    return points
+    return read_csv(
+        path, ("patient_id", "x_vox", "y_vox", "z_vox", "zone", "gs_label"),
+        lambda row: PointAnnotation(
+            patient_id=row["patient_id"],
+            x=int(row["x_vox"]),
+            y=int(row["y_vox"]),
+            z=int(row["z_vox"]),
+            zone=row["zone"],
+            gs_label=parse_grade(row["gs_label"]),
+        ),
+    )
 
 
 def evaluate_points(points, stacks_by_id: dict, cfg: EvaluationConfig | None = None):

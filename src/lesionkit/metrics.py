@@ -393,7 +393,10 @@ def wilcoxon_one_sided(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 1:
         raise ValueError("x and y must be equal-length 1D samples")
-    d = x - y
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x - y
+    if not np.all(np.isfinite(d)):
+        raise ValueError("samples and their paired differences must be finite")
     d = d[d != 0.0]
     n = len(d)
     if n == 0:

@@ -201,6 +201,16 @@ def write_json(path, payload) -> None:
         f.write("\n")
 
 
+def read_json(path):
+    """Parse a UTF-8 JSON file; content that is not text, not JSON or nested
+    too deeply to parse raises ValueError naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as e:
+            raise ValueError(f"{path}: not valid JSON: {e}") from e
+
+
 def _paths(path) -> tuple[Path, Path]:
     p = Path(path)
     name = p.name
@@ -219,10 +229,9 @@ def read_volume(path) -> Volume:
     if not header_path.exists():
         raise FileNotFoundError(f"missing volume header {header_path}")
     try:
-        with open(header_path) as f:
-            header = json.load(f)
-    except ValueError as e:  # not JSON, or not text
-        raise VolumeFormatError(f"{header_path}: header is not valid JSON: {e}") from e
+        header = read_json(header_path)
+    except ValueError as e:
+        raise VolumeFormatError(str(e)) from e
     try:
         dims = tuple(int(d) for d in header["dims"])
         spacing = tuple(float(s) for s in header["spacing_mm"])
@@ -325,6 +334,8 @@ def resample_inplane(v: Volume, target_spacing, method: str | None = None) -> Vo
     resample bilinearly, labels nearest-neighbour, unless overridden.
     """
     tx, ty, tz = (float(s) for s in target_spacing)
+    if not all(0.0 < s < float("inf") for s in (tx, ty, tz)):
+        raise ValueError(f"target spacing must be positive and finite, got {target_spacing}")
     sx, sy, sz = v.spacing_mm
     if abs(tz - sz) > 1e-9:
         raise ValueError(f"in-plane resampling only: target z spacing {tz} != source {sz}")

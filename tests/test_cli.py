@@ -174,6 +174,105 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
 
+DETECTIONS_HEADER = "patient_id,fold,zone,gt_grade,pred_grade,score,dice,overlap_frac\n"
+DETECTION_ROW = "p000,0,PZ,GS6,GS6,0.9,0.8,0.7\n"
+POINTS_HEADER = "patient_id,x_vox,y_vox,z_vox,zone,gs_label\n"
+NOT_UTF8 = b"\xff\xfe\xfa\n"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+DIR = None  # a file entry that is created as a directory
+INTENSITY_HEADER = json.dumps({"dims": [2, 2, 2], "spacing_mm": [1.0, 1.0, 3.0], "dtype": "f32",
+                               "kind": "intensity", "data": "i.vol.raw"})
+EVALUATE_MISSING = "evaluate --cohort {tmp}/missing --out {tmp}/o"
+
+# (id, files written under {tmp}, argv, exit code); {cohort} is the phantom
+# cohort of the module fixture.  No malformed input may end in a traceback.
+MALFORMED_INPUTS = [
+    ("kappa-short-row", {"d.csv": DETECTIONS_HEADER + "p000,0,PZ,GS6\n"},
+     "kappa --detections {tmp}/d.csv", EXIT_DATA),
+    ("kappa-extra-field", {"d.csv": DETECTIONS_HEADER + DETECTION_ROW[:-1] + ",x\n"},
+     "kappa --detections {tmp}/d.csv", EXIT_DATA),
+    ("kappa-not-utf8", {"d.csv": NOT_UTF8}, "kappa --detections {tmp}/d.csv", EXIT_DATA),
+    ("kappa-directory", {"d.csv": DIR}, "kappa --detections {tmp}/d.csv", EXIT_DATA),
+    ("kappa-field-over-csv-limit", {"d.csv": DETECTIONS_HEADER + "x" * 200_000 + "\n"},
+     "kappa --detections {tmp}/d.csv", EXIT_DATA),
+    ("px2-short-row", {"p.csv": POINTS_HEADER + "p000,1,2\n"},
+     "px2 --points {tmp}/p.csv --pred-dir {cohort}/pred", EXIT_DATA),
+    ("px2-directory", {"p.csv": DIR}, "px2 --points {tmp}/p.csv --pred-dir {cohort}/pred",
+     EXIT_DATA),
+    ("wilcoxon-short-row", {"w.csv": "a,b\n0.9,0.7\n0.8\n"},
+     "wilcoxon --csv {tmp}/w.csv --x a --y b", EXIT_DATA),
+    ("wilcoxon-not-utf8", {"w.csv": NOT_UTF8}, "wilcoxon --csv {tmp}/w.csv --x a --y b",
+     EXIT_DATA),
+    ("wilcoxon-directory", {"w.csv": DIR}, "wilcoxon --csv {tmp}/w.csv --x a --y b", EXIT_DATA),
+    ("wilcoxon-nan", {"w.csv": "a,b\n0.9,0.7\nnan,0.6\n0.7,0.5\n"},
+     "wilcoxon --csv {tmp}/w.csv --x a --y b", EXIT_DATA),
+    ("config-not-utf8", {"c.json": NOT_UTF8}, "--config {tmp}/c.json " + EVALUATE_MISSING,
+     EXIT_CONFIG),
+    ("config-directory", {"c.json": DIR}, "--config {tmp}/c.json " + EVALUATE_MISSING,
+     EXIT_CONFIG),
+    ("config-too-deep", {"c.json": DEEP_JSON}, "--config {tmp}/c.json " + EVALUATE_MISSING,
+     EXIT_CONFIG),
+    ("config-evaluation-not-object", {"c.json": '{"evaluation": 5}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    ("config-phantom-not-object", {"c.json": '{"phantom": 5}'},
+     "--config {tmp}/c.json phantom --out {tmp}/o", EXIT_CONFIG),
+    ("config-fp-target-nan", {"c.json": '{"evaluation": {"fp_targets": [1, NaN]}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    ("config-fp-grid-nan", {"c.json": '{"evaluation": {"fp_grid": [NaN]}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    ("config-min-volume-nan", {"c.json": '{"evaluation": {"min_volume_mm3": NaN}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    ("config-strict-duplicates-text", {"c.json": '{"evaluation": {"strict_duplicates": "no"}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    ("config-path-not-text", {"c.json": '{"evaluation": {"gt_dir": 5}}'},
+     "--config {tmp}/c.json froc --pred-dir {cohort}/pred --manifest {cohort}/cohort.json",
+     EXIT_CONFIG),
+    ("evaluate-without-cohort", {}, "evaluate --out {tmp}/o", EXIT_CONFIG),
+    ("evaluate-min-volume-nan", {}, EVALUATE_MISSING + " --min-volume nan", EXIT_CONFIG),
+    ("cluster-min-volume-nan", {}, "cluster --labels {cohort}/gt/p000_labels --min-volume nan",
+     EXIT_DATA),
+    ("match-min-volume-nan", {},
+     "match --pred {cohort}/gt/p000_labels --gt {cohort}/gt/p000_labels --min-volume nan",
+     EXIT_DATA),
+    ("manifest-directory", {"m.json": DIR},
+     "froc --gt-dir {cohort}/gt --pred-dir {cohort}/pred --manifest {tmp}/m.json", EXIT_DATA),
+    ("manifest-infinite-fold",
+     {"m.json": '{"patients": [{"patient_id": "p000", "fold": Infinity}]}'},
+     "froc --gt-dir {cohort}/gt --pred-dir {cohort}/pred --manifest {tmp}/m.json", EXIT_DATA),
+    ("volume-header-directory", {"v.vol.json": DIR}, "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
+    ("volume-header-too-deep", {"v.vol.json": DEEP_JSON}, "dice --a {tmp}/v --b {tmp}/v",
+     EXIT_DATA),
+    ("preprocess-zero-spacing", {"i.vol.json": INTENSITY_HEADER, "i.vol.raw": bytes(32)},
+     "preprocess --in {tmp}/i --out {tmp}/o --spacing 0 1 3 --crop 1 1", EXIT_DATA),
+    ("evaluate-out-under-file", {"f": "x"},
+     "evaluate --cohort {cohort} --out {tmp}/f/o --bootstrap 5", EXIT_DATA),
+    ("froc-out-under-file", {"f": "x"}, "froc --cohort {cohort} --out {tmp}/f/froc.csv",
+     EXIT_DATA),
+    ("cluster-out-under-file", {"f": "x"},
+     "cluster --labels {cohort}/gt/p000_labels --out {tmp}/f/c.json", EXIT_DATA),
+    ("px2-out-under-file", {"f": "x", "p.csv": POINTS_HEADER + "p000,0,0,0,PZ,GS6\n"},
+     "px2 --points {tmp}/p.csv --pred-dir {cohort}/pred --out {tmp}/f/o", EXIT_DATA),
+    ("phantom-out-under-file", {"f": "x"}, "phantom --patients 1 --out {tmp}/f/o", EXIT_DATA),
+]
+
+
+@pytest.mark.parametrize("files, argv, expected", [case[1:] for case in MALFORMED_INPUTS],
+                         ids=[case[0] for case in MALFORMED_INPUTS])
+def test_malformed_input_exit_code(cohort, tmp_path, capsys, files, argv, expected):
+    for name, content in files.items():
+        path = tmp_path / name
+        if content is DIR:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    code = main(argv.format(tmp=tmp_path, cohort=cohort).split())
+    err = capsys.readouterr().err
+    assert code == expected
+    assert err.startswith("config error:" if expected == EXIT_CONFIG else "data error:")
+
+
 class TestPhantomEvaluate:
     def test_evaluate_bundle_and_summary(self, cohort, tmp_path, capsys):
         code, payload = run(
