@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -51,7 +52,6 @@ from .evaluation import (
     read_csv,
     read_detections_csv,
     read_points_csv,
-    read_prob_stack,
     run_full_evaluation,
 )
 from .grades import parse_grade
@@ -74,7 +74,7 @@ from .netmath import (
     weighted_dice_loss,
 )
 from .phantom import PhantomConfig, PlacementError, write_cohort
-from .volume import preprocess, read_json, read_volume, write_json, write_volume
+from .volume import preprocess, read_json, read_prob_stack, read_volume, write_json, write_volume
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -442,7 +442,10 @@ def cmd_losscheck(args, file_cfg) -> int:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main call shares it."""
     p = argparse.ArgumentParser(
         prog="lesionkit",
         description="Lesion detection and grading evaluation toolkit.",

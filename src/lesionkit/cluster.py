@@ -96,28 +96,42 @@ def _structure(connectivity: int) -> np.ndarray:
     return ndimage.generate_binary_structure(3, _CONNECTIVITY_RANK[connectivity])
 
 
-def _components(mask: np.ndarray, connectivity: int):
+def _bounds(projections):
+    """The slice box spanning the nonzero entries of one 1D projection per
+    axis, or None when a projection is all zero."""
+    box = []
+    for proj in projections:
+        hits = np.flatnonzero(proj)
+        if hits.size == 0:
+            return None
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
+
+
+def _shift(box, origin):
+    """A box within a crop, moved to the coordinates the crop was cut from."""
+    return tuple(slice(b.start + o.start, b.stop + o.start) for b, o in zip(box, origin))
+
+
+def _components(mask: np.ndarray, structure: np.ndarray):
     """(box, component mask within the box) per connected component of the
     mask, in the order ndimage.label numbers them.  Only the mask's bounding
-    box is labelled; each box is in grid coordinates."""
-    structure = _structure(connectivity)
-    crop = []
-    for axis in range(mask.ndim):
-        hits = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis)))
-        if hits.size == 0:
-            return
-        crop.append(slice(int(hits[0]), int(hits[-1]) + 1))
-    labeled, _ = ndimage.label(mask[tuple(crop)], structure=structure)
+    box is labelled; each box is in the mask's coordinates."""
+    axes = range(mask.ndim)
+    crop = _bounds(mask.any(axis=tuple(a for a in axes if a != axis)) for axis in axes)
+    if crop is None:
+        return
+    labeled, _ = ndimage.label(mask[crop], structure=structure)
     for idx, box in enumerate(ndimage.find_objects(labeled), start=1):
-        grid_box = tuple(slice(b.start + c.start, b.stop + c.start) for b, c in zip(box, crop))
-        yield grid_box, labeled[box] == idx
+        yield _shift(box, crop), labeled[box] == idx
 
 
 def connected_components(v: Volume, connectivity: int = DEFAULT_CONNECTIVITY):
     """Partition the foreground of a binary volume into maximal connected
     sets of (x, y, z) voxels under a 6/18/26 neighborhood."""
     mask = np.asarray(v.values) != 0
-    return [set(mask_voxels(comp, box)) for box, comp in _components(mask, connectivity)]
+    structure = _structure(connectivity)
+    return [set(mask_voxels(comp, box)) for box, comp in _components(mask, structure)]
 
 
 def _scoring_channel(probs: ProbStack, grade, index) -> np.ndarray:
@@ -135,14 +149,25 @@ def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> Lesio
             f"probability grid {probs.dims} at {probs.spacing_mm} mm does not match "
             f"the label grid {labels.dims} at {labels.spacing_mm} mm"
         )
+    structure = _structure(connectivity)
+    # the map's grade codes are the top of the label range, so one threshold
+    # finds all their voxels, and uint8 max projections give their box
+    lowest = min(int(g) for g in (GRADE_ORDER if map_kind == MAP_GS else CS_GRADES))
     lab = np.asarray(labels.values)
+    yx = lab.max(axis=0)
+    crop = _bounds((lab.max(axis=(1, 2)) >= lowest, yx.max(axis=1) >= lowest,
+                    yx.max(axis=0) >= lowest))
+    if crop is None:
+        return LesionMap((), labels.dims, labels.spacing_mm, map_kind)
+    sub = lab[crop]
     if map_kind == MAP_GS:
-        groups = [(grade, lab == int(grade)) for grade in GRADE_ORDER]
+        groups = [(grade, sub == int(grade)) for grade in GRADE_ORDER]
     else:
-        groups = [(CS_BINARY, np.isin(lab, [int(g) for g in CS_GRADES]))]
+        groups = [(CS_BINARY, sub >= lowest)]
     clusters = []
     for grade, mask in groups:
-        for box, comp in _components(mask, connectivity):
+        for sub_box, comp in _components(mask, structure):
+            box = _shift(sub_box, crop)
             vox = mask_voxels(comp, box)
             score = 1.0 if probs is None else float(
                 _scoring_channel(probs, grade, box)[comp].mean(dtype=np.float64)

@@ -34,7 +34,7 @@ from .cluster import (
     filter_by_zone,
     gs_lesion_maps,
 )
-from .grades import GRADE_ORDER, Grade, MISSED, N_LABELS, parse_grade
+from .grades import GRADE_ORDER, Grade, MISSED, parse_grade
 from .matching import (
     DEFAULT_OVERLAP_FRAC,
     OVERLAP_DENOMS,
@@ -68,6 +68,7 @@ from .volume import (
     Volume,
     ZoneMask,
     read_json,
+    read_prob_stack,
     read_volume,
     require_ints,
     write_json,
@@ -687,11 +688,6 @@ def load_fold_manifest(path) -> list[tuple[str, int]]:
     if not pairs:
         raise ValueError(f"fold manifest {path} lists no patients")
     return pairs
-
-
-def read_prob_stack(base) -> ProbStack:
-    """The channel volumes <base>_c0 .. <base>_c5 as one probability stack."""
-    return ProbStack.from_channels([read_volume(f"{base}_c{c}") for c in range(N_LABELS)])
 
 
 def load_patient_eval(cfg: EvaluationConfig, patient_id: str, fold: int) -> PatientEval:

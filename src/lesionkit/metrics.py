@@ -339,12 +339,11 @@ def dice_coefficient(a, b) -> float:
     masks count as perfect agreement (1)."""
     if a.dims != b.dims or a.spacing_mm != b.spacing_mm:
         raise ValueError("volumes must share the voxel grid")
-    am = np.asarray(a.values) != 0
-    bm = np.asarray(b.values) != 0
-    na, nb = int(am.sum()), int(bm.sum())
+    av, bv = np.asarray(a.values), np.asarray(b.values)
+    na, nb = int(np.count_nonzero(av)), int(np.count_nonzero(bv))
     if na + nb == 0:
         return 1.0
-    return _dice(int((am & bm).sum()), na, nb)
+    return _dice(int(np.count_nonzero(np.logical_and(av, bv))), na, nb)
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,8 @@ class PhantomConfig:
     n_folds: int = 5
 
     def __post_init__(self):
-        require_ints(self, "seed", "n_patients", "dims", "lesions_per_grade", "fp_per_patient",
-                     "min_lesion_voxels", "max_place_retries", "n_folds")
+        require_ints(self, "seed", "n_patients", "fp_per_patient", "min_lesion_voxels",
+                     "max_place_retries", "n_folds", sequences=("dims", "lesions_per_grade"))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.n_patients < 1:
@@ -115,7 +115,12 @@ class PhantomConfig:
             raise ValueError("n_folds must lie in 1..n_patients")
         if self.min_lesion_voxels < 1:
             raise ValueError("min_lesion_voxels must be positive")
-        sx, sy, sz = self.spacing_mm
+        sp = self.spacing_mm
+        if not (isinstance(sp, (tuple, list)) and len(sp) == 3 and all(
+            type(s) in (int, float) and 0.0 < s < float("inf") for s in sp
+        )):
+            raise ValueError(f"spacing_mm must be three positive finite numbers, got {sp!r}")
+        sx, sy, sz = sp
         if self.min_lesion_voxels * sx * sy * sz < MIN_LESION_VOLUME_MM3:
             raise ValueError(
                 "min_lesion_voxels times the voxel volume must reach the "

@@ -40,14 +40,27 @@ class VolumeFormatError(ValueError):
     """Header/payload inconsistency or invalid voxel data on disk."""
 
 
-def require_ints(cfg, *names) -> None:
-    """Raise ValueError unless each named field of a config holds an int, or
-    a tuple or list of ints; bools and floats are rejected."""
+def require_ints(cfg, *names, sequences=()) -> None:
+    """Raise ValueError unless each named field of a config holds one int
+    and each field named in sequences a tuple or list of ints; bools and
+    floats are rejected."""
     for name in names:
         value = getattr(cfg, name)
-        items = value if isinstance(value, (tuple, list)) else (value,)
-        if not all(type(v) is int for v in items):
-            raise ValueError(f"{name} must hold integers, got {value!r}")
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name in sequences:
+        value = getattr(cfg, name)
+        if not (isinstance(value, (tuple, list)) and all(type(v) is int for v in value)):
+            raise ValueError(f"{name} must be a list of integers, got {value!r}")
+
+
+def _check_spacing(spacing) -> tuple[float, float, float]:
+    """spacing as three floats; ValueError unless it holds three positive
+    finite numbers."""
+    sp = tuple(float(s) for s in spacing)
+    if len(sp) != 3 or not all(0.0 < s < float("inf") for s in sp):
+        raise ValueError(f"spacing must be three positive finite floats, got {spacing}")
+    return sp
 
 
 @dataclass(frozen=True)
@@ -69,11 +82,7 @@ class Volume:
         arr = np.ascontiguousarray(self.values, dtype=_DTYPES[self.kind])
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValueError(f"values must be a non-empty 3D array, got shape {arr.shape}")
-        sp = tuple(float(s) for s in self.spacing_mm)
-        if len(sp) != 3 or not all(0.0 < s < float("inf") for s in sp):
-            raise ValueError(
-                f"spacing must be three positive finite floats, got {self.spacing_mm}"
-            )
+        sp = _check_spacing(self.spacing_mm)
         if self.kind == KIND_LABEL:
             if arr.max(initial=0) >= N_LABELS:
                 raise ValueError(f"label values must lie in 0..{N_LABELS - 1}")
@@ -132,7 +141,7 @@ class ProbStack:
         total = arr.sum(axis=0, dtype=np.float64)
         if total.max() - 1.0 > 1e-5 or 1.0 - total.min() > 1e-5:
             raise ValueError("per-voxel channel sums deviate from 1 by more than 1e-5")
-        sp = tuple(float(s) for s in self.spacing_mm)
+        sp = _check_spacing(self.spacing_mm)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing_mm", sp)
@@ -144,16 +153,6 @@ class ProbStack:
 
     def channel(self, c: int) -> Volume:
         return Volume(self.data[c], self.spacing_mm, KIND_PROBABILITY)
-
-    @classmethod
-    def from_channels(cls, channels: list[Volume]) -> "ProbStack":
-        if len(channels) != N_LABELS:
-            raise ValueError(f"expected {N_LABELS} channels, got {len(channels)}")
-        first = channels[0]
-        for ch in channels[1:]:
-            if not ch.same_grid(first):
-                raise ValueError("probability channels must share dims and spacing")
-        return cls(np.stack([ch.values for ch in channels]), first.spacing_mm)
 
 
 @dataclass(frozen=True)
@@ -223,8 +222,16 @@ def _paths(path) -> tuple[Path, Path]:
     return p.parent / f"{base}.vol.json", p.parent / f"{base}.vol.raw"
 
 
-def read_volume(path) -> Volume:
-    """Read a header/payload volume pair; bit-exact inverse of write_volume."""
+def _payload_error(data_path: Path, expected: int) -> VolumeFormatError:
+    return VolumeFormatError(
+        f"{data_path}: payload has {data_path.stat().st_size} bytes, header implies {expected}"
+    )
+
+
+def _read_header(path):
+    """Parse and check a volume header: (header path, payload path, dims,
+    spacing, kind).  The payload must exist and have the length the header
+    implies, which is checked before any buffer is allocated for it."""
     header_path, _ = _paths(path)
     if not header_path.exists():
         raise FileNotFoundError(f"missing volume header {header_path}")
@@ -246,26 +253,66 @@ def read_volume(path) -> Volume:
         raise VolumeFormatError(f"{header_path}: dims must be 3 positive integers, got {dims}")
     if dtype_name not in _DTYPE_FROM_NAME:
         raise VolumeFormatError(f"{header_path}: unknown dtype {dtype_name!r}")
-    dtype = _DTYPE_FROM_NAME[dtype_name]
     if kind not in _KINDS:
         raise VolumeFormatError(f"{header_path}: unknown kind {kind!r}")
-    if dtype != _DTYPES[kind]:
+    if _DTYPE_FROM_NAME[dtype_name] != _DTYPES[kind]:
         raise VolumeFormatError(f"{header_path}: dtype {dtype_name} does not match kind {kind}")
     data_path = header_path.parent / data_name
     if not data_path.exists():
         raise FileNotFoundError(f"missing volume payload {data_path}")
-    raw = data_path.read_bytes()
-    nx, ny, nz = dims
-    expected = nx * ny * nz * dtype.itemsize
-    if len(raw) != expected:
-        raise VolumeFormatError(
-            f"{data_path}: payload has {len(raw)} bytes, header implies {expected}"
-        )
-    arr = np.frombuffer(raw, dtype=dtype).reshape(nz, ny, nx)
+    expected = dims[0] * dims[1] * dims[2] * _DTYPES[kind].itemsize
+    if data_path.stat().st_size != expected:
+        raise _payload_error(data_path, expected)
+    return header_path, data_path, dims, spacing, kind
+
+
+def _read_payload(data_path: Path, out: np.ndarray) -> None:
+    """Fill the contiguous array out with the payload's bytes; a payload
+    that is no longer exactly out's size when read raises VolumeFormatError."""
+    with open(data_path, "rb") as f:
+        n = f.readinto(memoryview(out).cast("B"))
+        longer = f.read(1)
+    if n != out.nbytes or longer:
+        raise _payload_error(data_path, out.nbytes)
+
+
+def read_volume(path) -> Volume:
+    """Read a header/payload volume pair; bit-exact inverse of write_volume."""
+    _, data_path, (nx, ny, nz), spacing, kind = _read_header(path)
+    arr = np.empty((nz, ny, nx), dtype=_DTYPES[kind])
+    _read_payload(data_path, arr)
     try:
         return Volume(arr, spacing, kind)
     except ValueError as e:
         raise VolumeFormatError(f"{data_path}: {e}") from e
+
+
+def read_prob_stack(base) -> ProbStack:
+    """The channel volumes <base>_c0 .. <base>_c5 as one probability stack.
+
+    Each header is checked as read_volume checks it, must be of kind
+    probability and must match channel 0's dims and spacing.  The payloads
+    are read straight into one (6, nz, ny, nx) buffer, which ProbStack then
+    validates once."""
+    data = None
+    for c in range(N_LABELS):
+        header_path, data_path, dims, spacing, kind = _read_header(f"{base}_c{c}")
+        if kind != KIND_PROBABILITY:
+            raise VolumeFormatError(f"{header_path}: kind {kind!r}, expected {KIND_PROBABILITY!r}")
+        if data is None:
+            grid = (dims, spacing)
+            nx, ny, nz = dims
+            data = np.empty((N_LABELS, nz, ny, nx), dtype=_DTYPES[KIND_PROBABILITY])
+        elif (dims, spacing) != grid:
+            raise VolumeFormatError(
+                f"{header_path}: grid {dims} at {spacing} mm differs from channel 0's "
+                f"{grid[0]} at {grid[1]} mm"
+            )
+        _read_payload(data_path, data[c])
+    try:
+        return ProbStack(data, spacing)
+    except ValueError as e:
+        raise VolumeFormatError(f"{base}_c0..c{N_LABELS - 1}: {e}") from e
 
 
 def write_volume(v: Volume, path) -> None:

@@ -173,6 +173,34 @@ class TestExitCodes:
                       "--cohort", str(tmp_path / "missing"), "--out", str(tmp_path / "o"))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("section, command, field", [
+        pytest.param({"evaluation": {"threads": []}}, "evaluate", "threads", id="threads-list"),
+        pytest.param({"evaluation": {"connectivity": [26]}}, "evaluate", "connectivity",
+                     id="connectivity-list"),
+        pytest.param({"evaluation": {"bootstrap_seed": [1, 2]}}, "evaluate", "bootstrap_seed",
+                     id="bootstrap_seed-list"),
+        pytest.param({"phantom": {"seed": [3]}}, "phantom", "seed", id="seed-list"),
+        pytest.param({"phantom": {"dims": 48}}, "phantom", "dims", id="dims-scalar"),
+        pytest.param({"phantom": {"spacing_mm": [-1, -1, 3]}}, "phantom", "spacing_mm",
+                     id="spacing-negative"),
+        pytest.param({"phantom": {"spacing_mm": [1.0, float("inf"), 3.0]}}, "phantom",
+                     "spacing_mm", id="spacing-inf"),
+        pytest.param({"phantom": {"spacing_mm": [1.0, 1.0]}}, "phantom", "spacing_mm",
+                     id="spacing-count"),
+        pytest.param({"phantom": {"spacing_mm": [1.0, "1", 3.0]}}, "phantom", "spacing_mm",
+                     id="spacing-text"),
+    ])
+    def test_config_error_names_the_field(self, tmp_path, capsys, section, command, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        argv = {"evaluate": ["evaluate", "--cohort", str(tmp_path / "missing")],
+                "phantom": ["phantom", "--patients", "3"]}[command]
+        code = main(["--config", str(cfg), *argv, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and field in err
+        assert not (tmp_path / "o").exists()
+
 
 DETECTIONS_HEADER = "patient_id,fold,zone,gt_grade,pred_grade,score,dice,overlap_frac\n"
 DETECTION_ROW = "p000,0,PZ,GS6,GS6,0.9,0.8,0.7\n"
@@ -183,6 +211,31 @@ DIR = None  # a file entry that is created as a directory
 INTENSITY_HEADER = json.dumps({"dims": [2, 2, 2], "spacing_mm": [1.0, 1.0, 3.0], "dtype": "f32",
                                "kind": "intensity", "data": "i.vol.raw"})
 EVALUATE_MISSING = "evaluate --cohort {tmp}/missing --out {tmp}/o"
+STACK_ARGV = "cluster --labels {tmp}/l --probs {tmp}/p"
+
+
+def stack_files(payload=None, channel=3, **fields):
+    """A 2x1x1 label volume l and a probability stack p_c0..p_c5 on its grid
+    (all mass on channel 0), with one channel's payload or header fields
+    replaced as given."""
+    files = {"l.vol.json": json.dumps({"dims": [2, 1, 1], "spacing_mm": [1.0, 1.0, 3.0],
+                                       "dtype": "u8", "kind": "label", "data": "l.vol.raw"}),
+             "l.vol.raw": bytes(2)}
+    for c in range(6):
+        header = {"dims": [2, 1, 1], "spacing_mm": [1.0, 1.0, 3.0], "dtype": "f32",
+                  "kind": "probability", "data": f"p_c{c}.vol.raw"}
+        raw = np.full(2, float(c == 0), dtype="<f4").tobytes()
+        if c == channel:
+            header.update(fields)
+            raw = raw if payload is None else payload
+        files[f"p_c{c}.vol.json"] = json.dumps(header)
+        files[f"p_c{c}.vol.raw"] = raw
+    return files
+
+
+def f32(*values):
+    return np.array(values, dtype="<f4").tobytes()
+
 
 # (id, files written under {tmp}, argv, exit code); {cohort} is the phantom
 # cohort of the module fixture.  No malformed input may end in a traceback.
@@ -240,6 +293,12 @@ MALFORMED_INPUTS = [
      {"m.json": '{"patients": [{"patient_id": "p000", "fold": Infinity}]}'},
      "froc --gt-dir {cohort}/gt --pred-dir {cohort}/pred --manifest {tmp}/m.json", EXIT_DATA),
     ("volume-header-directory", {"v.vol.json": DIR}, "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
+    ("volume-dims-beyond-memory",
+     {"v.vol.json": INTENSITY_HEADER.replace("[2, 2, 2]", "[100000, 100000, 100000]")
+      .replace("i.vol.raw", "v.vol.raw"), "v.vol.raw": bytes(32)},
+     "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
+    ("stack-dims-beyond-memory", stack_files(channel=0, dims=[100000, 100000, 100000]),
+     STACK_ARGV, EXIT_DATA),
     ("volume-header-too-deep", {"v.vol.json": DEEP_JSON}, "dice --a {tmp}/v --b {tmp}/v",
      EXIT_DATA),
     ("preprocess-zero-spacing", {"i.vol.json": INTENSITY_HEADER, "i.vol.raw": bytes(32)},
@@ -253,6 +312,21 @@ MALFORMED_INPUTS = [
     ("px2-out-under-file", {"f": "x", "p.csv": POINTS_HEADER + "p000,0,0,0,PZ,GS6\n"},
      "px2 --points {tmp}/p.csv --pred-dir {cohort}/pred --out {tmp}/f/o", EXIT_DATA),
     ("phantom-out-under-file", {"f": "x"}, "phantom --patients 1 --out {tmp}/f/o", EXIT_DATA),
+    ("stack-short-payload", stack_files(payload=bytes(4)), STACK_ARGV, EXIT_DATA),
+    ("stack-long-payload", stack_files(payload=bytes(12)), STACK_ARGV, EXIT_DATA),
+    ("stack-dims-mismatch", stack_files(dims=[1, 2, 1]), STACK_ARGV, EXIT_DATA),
+    ("stack-spacing-mismatch", stack_files(spacing_mm=[1.0, 1.0, 2.0]), STACK_ARGV, EXIT_DATA),
+    ("stack-nan", stack_files(payload=f32(np.nan, 0.0)), STACK_ARGV, EXIT_DATA),
+    ("stack-above-one", stack_files(payload=f32(1.5, 0.0)), STACK_ARGV, EXIT_DATA),
+    ("stack-sum-off", stack_files(payload=f32(2e-5, 0.0)), STACK_ARGV, EXIT_DATA),
+    ("stack-label-kind", stack_files(payload=bytes(2), kind="label", dtype="u8"), STACK_ARGV,
+     EXIT_DATA),
+    ("phantom-spacing-negative", {"c.json": '{"phantom": {"spacing_mm": [-1, -1, 3]}}'},
+     "--config {tmp}/c.json phantom --patients 3 --out {tmp}/o", EXIT_CONFIG),
+    ("config-threads-list", {"c.json": '{"evaluation": {"threads": []}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    ("config-connectivity-list", {"c.json": '{"evaluation": {"connectivity": [26]}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
 ]
 
 

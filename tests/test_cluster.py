@@ -327,6 +327,74 @@ class TestLesionFree:
             build(label_volume(self.LAB), probs, 26)
 
 
+def bfs_map(lab, conn, cs):
+    """(grade, voxel set, volume) per lesion of a GS or CS map, from the BFS
+    oracle run on each grade's mask (the CS union for a CS map)."""
+    groups = ([(CS_BINARY, np.isin(lab, [int(g) for g in CS_GRADES]))] if cs
+              else [(g, lab == int(g)) for g in GRADE_ORDER])
+    return sorted(
+        ((str(grade), frozenset(comp), len(comp) * 3.0)
+         for grade, mask in groups for comp in bfs_components(mask, conn)),
+        key=lambda c: (c[0], sorted(c[1])),
+    )
+
+
+def faces_lesions():
+    """A 5x6x7 grid with a lesion on each of the six faces, one touching an
+    edge and a corner of the grid, and GS6 and CS lesions of different grades
+    touching each other."""
+    lab = np.ones((5, 6, 7), dtype=np.uint8)
+    lab[0, 2:4, 2:4] = 2  # z = 0 face
+    lab[4, 2:4, 2:5] = 3  # z = nz - 1 face
+    lab[1:3, 0, 3:5] = 4  # y = 0 face
+    lab[2:4, 5, 1:3] = 5  # y = ny - 1 face
+    lab[1:4, 2:4, 0] = 3  # x = 0 face
+    lab[1:3, 1:4, 6] = 2  # x = nx - 1 face
+    lab[4, 5, 6] = 5  # far corner
+    lab[2, 2:4, 3] = 4  # touches the GS3+4 lesion on the x = 0 face
+    return lab
+
+
+def one_slice_lesions():
+    """Lesions one voxel thick along each axis in turn, inside a 4x5x6 grid."""
+    lab = np.zeros((4, 5, 6), dtype=np.uint8)
+    lab[1:3, 1:4, 1:5] = 1
+    lab[2, 1:4, 1:3] = 3  # one slice in z
+    lab[1:3, 4, 2:5] = 5  # one row in y, on the far face
+    lab[0:2, 0:2, 5] = 2  # one column in x, on the far face
+    return lab
+
+
+class TestBfsOracleMaps:
+    GRIDS = {
+        "faces": faces_lesions(),
+        "prostate_only": np.ones((3, 4, 5), dtype=np.uint8),
+        "background_only": np.zeros((3, 4, 5), dtype=np.uint8),
+        "one_slice": one_slice_lesions(),
+        "single_slice_grid": np.array([[[0, 2, 2, 1], [3, 0, 5, 5], [1, 1, 4, 3]]],
+                                      dtype=np.uint8),
+        "whole_grid_lesion": np.full((2, 3, 4), 4, dtype=np.uint8),
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("conn", [6, 18, 26])
+    @pytest.mark.parametrize("cs", [False, True], ids=["gs", "cs"])
+    def test_maps_match_bfs_oracle(self, grid, conn, cs):
+        lab = self.GRIDS[grid]
+        labels = label_volume(lab)
+        build = cs_lesion_maps if cs else gs_lesion_maps
+        for probs in (None, onehot_stack(labels)):
+            m = build(labels, probs, conn)
+            got = sorted(
+                ((str(c.grade), c.voxel_set, c.volume_mm3) for c in m.clusters),
+                key=lambda c: (c[0], sorted(c[1])),
+            )
+            assert got == bfs_map(lab, conn, cs)
+            assert all(c.score == 1.0 for c in m.clusters)  # one-hot: the cluster's own channel
+            assert [c.voxels[0][::-1] for c in m.clusters] == sorted(
+                c.voxels[0][::-1] for c in m.clusters)
+
+
 class TestFilters:
     def _map_with_sizes(self, sizes, spacing=(1.0, 1.0, 3.0)):
         clusters = []

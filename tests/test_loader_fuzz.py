@@ -16,7 +16,7 @@ from lesionkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from lesionkit.evaluation import EvaluationConfig
 from lesionkit.volume import KIND_LABEL, KIND_PROBABILITY, Volume, write_volume
 
-FUZZ = settings(max_examples=50, deadline=None)  # main builds its parser on every call
+FUZZ = settings(max_examples=100, deadline=None)
 
 GRADES = ["GS6", "GS3+4", "GS4+3", "GS>=8", "2", "5"]
 

@@ -602,6 +602,19 @@ class TestDice:
             assert d1 == dice_coefficient(b, a)
             assert 0.0 <= d1 <= 1.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_any_nonzero_code_is_foreground(self, seed):
+        # multi-code label volumes: a voxel counts when its code is nonzero,
+        # whatever the two codes are (2 and 1 share no bit)
+        rng = np.random.default_rng(seed)
+        a, b = (rng.choice(6, size=(2, 5, 6), p=[0.4, 0.12, 0.12, 0.12, 0.12, 0.12])
+                for _ in range(2))
+        na, nb, inter = int((a != 0).sum()), int((b != 0).sum()), int(((a != 0) & (b != 0)).sum())
+        want = 1.0 if na + nb == 0 else 2.0 * inter / (na + nb)
+        got = dice_coefficient(self._vol(a), self._vol(b))
+        assert type(got) is float and got == want
+
     def test_grid_mismatch(self):
         a = self._vol(np.zeros((1, 4, 4)))
         b = Volume(np.zeros((1, 4, 5), dtype=np.uint8), SPACING, KIND_LABEL)

@@ -1,12 +1,15 @@
 """Volume data model, file round-trips, and preprocessing."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lesionkit import volume
 from lesionkit.volume import (
     KIND_INTENSITY,
     KIND_LABEL,
@@ -18,6 +21,7 @@ from lesionkit.volume import (
     crop_center,
     normalize_minmax,
     preprocess,
+    read_prob_stack,
     read_volume,
     resample_inplane,
     write_volume,
@@ -79,6 +83,13 @@ def _sum_edge(side):
 
 
 class TestProbStack:
+    @pytest.mark.parametrize("spacing", [(0, 1, 3), (1, -1, 3), (1, 1, float("nan")), (1, 1)])
+    def test_spacing_checked(self, spacing):
+        data = np.zeros((6, 1, 1, 1), dtype=np.float32)
+        data[1] = 1.0
+        with pytest.raises(ValueError, match="spacing"):
+            ProbStack(data, spacing)
+
     def test_channel_sum_checked(self):
         data = np.zeros((6, 1, 2, 2), dtype=np.float32)
         data[0] = 0.5
@@ -92,13 +103,6 @@ class TestProbStack:
         s = ProbStack(data, (1, 1, 3))
         assert s.dims == (2, 2, 1)
         assert s.channel(2).kind == KIND_PROBABILITY
-
-    def test_from_channels_requires_same_grid(self):
-        a = Volume(np.ones((1, 2, 2), dtype=np.float32), (1, 1, 3), KIND_PROBABILITY)
-        b = Volume(np.zeros((1, 2, 3), dtype=np.float32), (1, 1, 3), KIND_PROBABILITY)
-        with pytest.raises(ValueError):
-            ProbStack.from_channels([a, b, b, b, b, b])
-
 
     @pytest.mark.parametrize("edits,message", [
         pytest.param(((3, np.nan),), _RANGE_MSG, id="nan"),
@@ -227,6 +231,125 @@ class TestFileIO:
         assert back.dims == v.dims
         assert back.spacing_mm == v.spacing_mm
         assert back.kind == v.kind
+
+
+def reference_prob_stack(base):
+    """The earlier stack reader, kept as a slow reference: each channel read
+    and validated as its own Volume, checked against channel 0's grid,
+    stacked into a copy and validated again as a ProbStack."""
+    channels = [read_volume(f"{base}_c{c}") for c in range(6)]
+    for ch in channels[1:]:
+        if not ch.same_grid(channels[0]):
+            raise ValueError("probability channels must share dims and spacing")
+    return ProbStack(np.stack([ch.values for ch in channels]), channels[0].spacing_mm)
+
+
+def write_channels(base, data, spacing):
+    for c in range(6):
+        write_volume(Volume(data[c], spacing, KIND_PROBABILITY), f"{base}_c{c}")
+
+
+def edit_header(path, **fields):
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+def valid_stack(shape, rng):
+    raw = rng.uniform(0.0, 1.0, size=(6, *shape))
+    raw[:, rng.random(shape) < 0.3] = 0.0
+    raw[int(rng.integers(6)), np.all(raw == 0, axis=0)] = 1.0  # one-hot where all were zeroed
+    return (raw / raw.sum(axis=0)).astype(np.float32)
+
+
+# faults a stack on disk can carry; each is applied to one channel
+STACK_FAULTS = ["none", "nan", "inf", "above_one", "negative", "sum_off", "short", "long",
+                "dims", "spacing", "spacing_nan", "dtype", "missing_payload", "every_spacing_zero"]
+
+
+class TestReadProbStack:
+    def test_requires_same_grid(self, tmp_path):
+        write_channels(tmp_path / "p", np.full((6, 1, 2, 2), 1 / 6, dtype=np.float32),
+                       (1.0, 1.0, 3.0))
+        write_volume(Volume(np.full((1, 2, 3), 1 / 6, dtype=np.float32), (1, 1, 3),
+                            KIND_PROBABILITY), tmp_path / "p_c3")
+        with pytest.raises(VolumeFormatError, match="p_c3.vol.json"):
+            read_prob_stack(tmp_path / "p")
+
+    def test_label_channel_rejected(self, tmp_path):
+        data = np.zeros((6, 1, 1, 2), dtype=np.float32)
+        data[1] = 1.0
+        write_channels(tmp_path / "p", data, (1.0, 1.0, 3.0))
+        write_volume(Volume(np.ones((1, 1, 2)), (1, 1, 3), KIND_LABEL), tmp_path / "p_c1")
+        with pytest.raises(VolumeFormatError, match="p_c1.vol.json: kind 'label'"):
+            read_prob_stack(tmp_path / "p")
+
+    @pytest.mark.parametrize("size", [7, 9], ids=["file_longer", "file_shorter"])
+    def test_payload_checked_when_read(self, tmp_path, size):
+        # the header check stats the payload first; this is the guard for a
+        # file that changes size between that check and the read
+        (tmp_path / "x.vol.raw").write_bytes(bytes(8))
+        with pytest.raises(VolumeFormatError, match="payload has 8 bytes"):
+            volume._read_payload(tmp_path / "x.vol.raw", np.empty(size, dtype=np.uint8))
+
+    def test_missing_channel(self, tmp_path):
+        write_channels(tmp_path / "p", np.full((6, 1, 1, 1), 1 / 6, dtype=np.float32),
+                       (1.0, 1.0, 3.0))
+        (tmp_path / "p_c5.vol.json").unlink()
+        with pytest.raises(FileNotFoundError, match="p_c5"):
+            read_prob_stack(tmp_path / "p")
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), fault=st.sampled_from(STACK_FAULTS),
+           channel=st.integers(0, 5),
+           spacing=st.sampled_from([(1.0, 1.0, 3.0), (0.5, 0.625, 3.0), (2, 2, 1)]))
+    def test_equals_per_channel_reader(self, seed, fault, channel, spacing):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, (4, 5, 6), endpoint=True))
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp) / "p"
+            write_channels(base, valid_stack(shape, rng), spacing)
+            header = Path(f"{base}_c{channel}.vol.json")
+            payload = Path(f"{base}_c{channel}.vol.raw")
+            values = np.frombuffer(payload.read_bytes(), dtype="<f4").copy()
+            at = int(rng.integers(values.size))
+            if fault in ("nan", "inf", "above_one", "negative", "sum_off"):
+                values[at] = {"nan": np.nan, "inf": np.inf, "above_one": 1.5,
+                              "negative": -0.25, "sum_off": values[at] + 1e-3}[fault]
+                payload.write_bytes(values.tobytes())
+            elif fault in ("short", "long"):
+                raw = payload.read_bytes()
+                payload.write_bytes(raw[:-1] if fault == "short" else raw + b"\0")
+            elif fault == "dims":
+                nz, ny, nx = shape
+                edit_header(header, dims=[nx * ny, 1, nz] if ny > 1 else [nx, ny, nz + 1])
+            elif fault == "spacing":
+                edit_header(header, spacing_mm=[spacing[0], spacing[1], 2.5])
+            elif fault == "spacing_nan":
+                edit_header(header, spacing_mm=[float("nan"), spacing[1], spacing[2]])
+            elif fault == "every_spacing_zero":
+                for c in range(6):
+                    edit_header(Path(f"{base}_c{c}.vol.json"), spacing_mm=[0.0, 1.0, 3.0])
+            elif fault == "dtype":
+                edit_header(header, dtype="u8")
+            elif fault == "missing_payload":
+                payload.unlink()
+            want = got = None
+            try:
+                want = reference_prob_stack(base)
+            except (OSError, ValueError) as e:
+                want = type(e) if isinstance(e, OSError) else ValueError
+            try:
+                got = read_prob_stack(base)
+            except (OSError, ValueError) as e:
+                got = type(e) if isinstance(e, OSError) else ValueError
+        if isinstance(want, ProbStack):
+            assert isinstance(got, ProbStack)
+            assert got.data.dtype == want.data.dtype and got.data.shape == want.data.shape
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.spacing_mm == want.spacing_mm
+            assert not got.data.flags.writeable
+        else:
+            assert got is want, fault
+        assert (fault == "none") == isinstance(got, ProbStack)
 
 
 class TestResample:
