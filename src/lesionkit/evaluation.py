@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import Counter, deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -349,18 +352,34 @@ def _fold_kappa(records, folds, include_fn_as_gs6):
 
 
 def stage_cohort(patients, cfg: EvaluationConfig) -> list[PatientStage]:
-    """Per-patient pipeline over the cohort; parallel map when threads > 1,
-    output always in input order."""
-    patients = list(patients)
-    if not patients:
+    """Per-patient pipeline over the cohort, output always in input order.
+
+    patients may be any iterable.  It is consumed one patient at a time and
+    only each PatientStage is kept, so from a lazy iterable such as
+    load_cohort's one patient's inputs are alive at a time.  With
+    threads > 1 the next patient loads while the ones before it stage in a
+    pool, and the oldest is waited for once `threads` are in flight: at
+    most threads + 1 patients' inputs are alive."""
+    stages = []
+    seen = set()
+    window = deque()  # futures of the patients in the pool, oldest first
+    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
+    with pool or nullcontext():
+        for patient in patients:
+            if patient.patient_id in seen:
+                raise ValueError("duplicate patient ids in cohort")
+            seen.add(patient.patient_id)
+            if pool is None:
+                stages.append(_stage_patient(patient, cfg))
+            else:
+                window.append(pool.submit(_stage_patient, patient, cfg))
+                if len(window) == cfg.threads:
+                    stages.append(window.popleft().result())
+            del patient  # released before the next patient loads
+        stages.extend(f.result() for f in window)
+    if not stages:
         raise ValueError("cohort is empty")
-    ids = [p.patient_id for p in patients]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate patient ids in cohort")
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(lambda p: _stage_patient(p, cfg), patients))
-    return [_stage_patient(p, cfg) for p in patients]
+    return stages
 
 
 def evaluate_cohort(patients, cfg: EvaluationConfig | None = None) -> EvaluationReport:
@@ -683,10 +702,14 @@ def load_fold_manifest(path) -> list[tuple[str, int]]:
     manifest = read_json(path)
     try:
         pairs = [(p["patient_id"], int(p["fold"])) for p in manifest["patients"]]
+        counts = Counter(pid for pid, _ in pairs)
     except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed fold manifest {path}: {e}") from e
     if not pairs:
         raise ValueError(f"fold manifest {path} lists no patients")
+    for pid, n in counts.items():
+        if n > 1:
+            raise ValueError(f"fold manifest {path} lists patient {pid!r} {n} times")
     return pairs
 
 
@@ -704,10 +727,14 @@ def load_patient_eval(cfg: EvaluationConfig, patient_id: str, fold: int) -> Pati
     return PatientEval(patient_id=patient_id, fold=fold, labels=labels, probs=probs, zones=zones)
 
 
-def load_cohort(cfg: EvaluationConfig) -> list[PatientEval]:
-    """Every patient of the fold manifest, in manifest order."""
+def load_cohort(cfg: EvaluationConfig) -> Iterator[PatientEval]:
+    """Every patient of the fold manifest, in manifest order.
+
+    The manifest is read and checked now; each patient's volumes are read
+    only when the returned iterator reaches that patient, so a consumer
+    that keeps no PatientEval holds one patient's inputs at a time."""
     pairs = load_fold_manifest(cfg.fold_manifest)
-    return [load_patient_eval(cfg, pid, fold) for pid, fold in pairs]
+    return (load_patient_eval(cfg, pid, fold) for pid, fold in pairs)
 
 
 def run_full_evaluation(cfg: EvaluationConfig):

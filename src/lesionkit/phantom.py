@@ -568,17 +568,20 @@ def ledger_from_dict(d: dict) -> PhantomLedger:
 def write_cohort(cfg: PhantomConfig, out_dir) -> PhantomLedger:
     """Generate a cohort and write it as an on-disk directory:
     gt/<pid>_labels, zones/<pid>_{pz,tz}, pred/<pid>_prob_c{0..5} volume
-    pairs, plus ledger.json and cohort.json (fold manifest)."""
+    pairs, plus ledger.json and cohort.json (fold manifest).  Each patient's
+    prediction stack is rendered just before it is written and released
+    before the next one, so one stack is held at a time."""
     out = Path(out_dir)
     patients, ledger = generate_cohort(cfg)
-    stacks = degrade_prediction(patients, ledger)
-    for patient, stack in zip(patients, stacks):
+    for patient in patients:
         pid = patient.patient_id
+        (stack,) = degrade_prediction([patient], ledger)
         write_volume(patient.labels, out / "gt" / f"{pid}_labels")
         write_volume(patient.zones.pz, out / "zones" / f"{pid}_pz")
         write_volume(patient.zones.tz, out / "zones" / f"{pid}_tz")
         for c in range(6):
             write_volume(stack.channel(c), out / "pred" / f"{pid}_prob_c{c}")
+        del stack
     write_json(out / "ledger.json", ledger_to_dict(ledger))
     manifest = {
         "n_folds": cfg.n_folds,

@@ -95,6 +95,17 @@ class Volume:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "spacing_mm", sp)
 
+    @classmethod
+    def _validated(cls, values: np.ndarray, spacing_mm, kind: str) -> "Volume":
+        """A Volume of values already checked as __post_init__ checks them
+        (contiguous, read-only, of kind's dtype and range) and a spacing
+        already checked, built without scanning the values again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "values", values)
+        object.__setattr__(v, "spacing_mm", spacing_mm)
+        object.__setattr__(v, "kind", kind)
+        return v
+
     @property
     def dims(self) -> tuple[int, int, int]:
         """(nx, ny, nz) voxel counts."""
@@ -117,6 +128,11 @@ class Volume:
         return self.dims == other.dims and self.spacing_mm == other.spacing_mm
 
 
+def _sums_near_one(total: np.ndarray, tol: float) -> bool:
+    """Every channel total lies within tol of 1."""
+    return float(total.max()) - 1.0 <= tol and 1.0 - float(total.min()) <= tol
+
+
 @dataclass(frozen=True)
 class ProbStack:
     """Six per-class probability channels on one grid.
@@ -136,10 +152,14 @@ class ProbStack:
         lo, hi = arr.min(), arr.max()
         if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError("probabilities must be finite and in [0, 1]")
-        # t - 1 and 1 - t round monotonically in t, so the extreme sums give
-        # the largest deviation exactly
-        total = arr.sum(axis=0, dtype=np.float64)
-        if total.max() - 1.0 > 1e-5 or 1.0 - total.min() > 1e-5:
+        # A float32 sum of six nonnegative terms is off by at most
+        # 5 * 2**-24 * sum, about 3e-7 near 1, in any summation order, so
+        # float32 totals within 1e-5 - 1e-6 of 1 pass the float64 check too;
+        # only a stack outside that margin pays for the float64 sum, which
+        # decides.  t - 1 and 1 - t round monotonically in t, so the extreme
+        # totals give the largest deviation exactly.
+        if not (_sums_near_one(arr.sum(axis=0, dtype=np.float32), 1e-5 - 1e-6)
+                or _sums_near_one(arr.sum(axis=0, dtype=np.float64), 1e-5)):
             raise ValueError("per-voxel channel sums deviate from 1 by more than 1e-5")
         sp = _check_spacing(self.spacing_mm)
         arr.flags.writeable = False
@@ -152,7 +172,9 @@ class ProbStack:
         return (nx, ny, nz)
 
     def channel(self, c: int) -> Volume:
-        return Volume(self.data[c], self.spacing_mm, KIND_PROBABILITY)
+        """Channel c as a read-only probability Volume sharing the stack's
+        memory; the stack was validated once, so the channel is not."""
+        return Volume._validated(self.data[c], self.spacing_mm, KIND_PROBABILITY)
 
 
 @dataclass(frozen=True)

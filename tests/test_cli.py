@@ -2,6 +2,7 @@
 and the full phantom -> evaluate round trip through main()."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -292,6 +293,11 @@ MALFORMED_INPUTS = [
     ("manifest-infinite-fold",
      {"m.json": '{"patients": [{"patient_id": "p000", "fold": Infinity}]}'},
      "froc --gt-dir {cohort}/gt --pred-dir {cohort}/pred --manifest {tmp}/m.json", EXIT_DATA),
+    ("manifest-duplicate-id",
+     {"m.json": '{"patients": [{"patient_id": "p000", "fold": 0}, '
+                '{"patient_id": "p000", "fold": 1}]}'},
+     "evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred --manifest {tmp}/m.json "
+     "--out {tmp}/o", EXIT_DATA),
     ("volume-header-directory", {"v.vol.json": DIR}, "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
     ("volume-dims-beyond-memory",
      {"v.vol.json": INTENSITY_HEADER.replace("[2, 2, 2]", "[100000, 100000, 100000]")
@@ -361,6 +367,18 @@ class TestPhantomEvaluate:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["n_patients"] == 4
         assert report["confusion"]["with_fn"]["include_fn_as_gs6"] is True
+
+    def test_fault_in_last_patient_writes_no_bundle(self, cohort, tmp_path, capsys):
+        bad = tmp_path / "coh"
+        shutil.copytree(cohort, bad)
+        payload = bad / "pred" / "p003_prob_c5.vol.raw"
+        payload.write_bytes(payload.read_bytes()[:-4])
+        code = main(["evaluate", "--cohort", str(bad), "--out", str(tmp_path / "out"),
+                     "--bootstrap", "5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error:") and str(payload) in err
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, cohort, tmp_path, capsys):
         for name in ("a", "b"):

@@ -2,15 +2,19 @@
 trips, and exact agreement with the phantom ledger."""
 
 import json
+import time
+import weakref
 
 import numpy as np
 import pytest
 
+from lesionkit import evaluation
 from lesionkit.evaluation import (
     EvaluationConfig,
     PatientEval,
     evaluate_cohort,
     evaluate_points,
+    load_cohort,
     read_points_csv,
     report_to_dict,
     run_full_evaluation,
@@ -252,6 +256,55 @@ class TestDiskRoundTrip:
         assert froc_header == "threshold,mean_fp_per_patient,sensitivity"
         agg_header = (tmp_path / "froc_cs_aggregate.csv").read_text().splitlines()[0]
         assert agg_header == "fp_rate,sens_mean,sens_lo,sens_hi"
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("threads, bound", [(1, 1), (2, 3)])
+    def test_one_patient_alive_per_thread(self, tmp_path, monkeypatch, threads, bound):
+        write_cohort(SCRIPTED, tmp_path / "cohort")
+        cfg = EvaluationConfig.for_cohort_dir(tmp_path / "cohort", threads=threads, **FAST)
+        loaded, alive = [], []
+        load, stage = evaluation.load_patient_eval, evaluation._stage_patient
+
+        def counting(*args):
+            patient = load(*args)
+            loaded.append(weakref.ref(patient))
+            alive.append(sum(r() is not None for r in loaded))
+            return patient
+
+        def slow_stage(patient, cfg):
+            time.sleep(0.02)  # slower than a load, so an unbounded window would fill
+            return stage(patient, cfg)
+
+        monkeypatch.setattr(evaluation, "load_patient_eval", counting)
+        monkeypatch.setattr(evaluation, "_stage_patient", slow_stage)
+        patients = load_cohort(cfg)
+        assert loaded == []  # the manifest is read now, the volumes lazily
+        stages = stage_cohort(patients, cfg)
+        assert [s.patient_id for s in stages] == [f"p{i:03d}" for i in range(6)]
+        assert len(alive) == 6 and max(alive) <= bound
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_errors_on_a_lazy_iterable(self, threads):
+        evals = phantom_patient_evals(*generate_cohort(PERFECT))
+        cfg = EvaluationConfig(threads=threads, **FAST)
+        with pytest.raises(ValueError, match="^cohort is empty$"):
+            stage_cohort(iter([]), cfg)
+        twice = (e for e in [*evals, evals[1]])
+        with pytest.raises(ValueError, match="^duplicate patient ids in cohort$"):
+            stage_cohort(twice, cfg)
+
+    def test_manifest_duplicate_rejected_before_any_read(self, tmp_path):
+        manifest = tmp_path / "cohort.json"
+        manifest.write_text(json.dumps({"patients": [
+            {"patient_id": "a", "fold": 0}, {"patient_id": "b", "fold": 1},
+            {"patient_id": "a", "fold": 1},
+        ]}))
+        # no volume exists, so any read would fail with FileNotFoundError
+        cfg = EvaluationConfig(gt_dir=str(tmp_path), pred_dir=str(tmp_path),
+                               fold_manifest=str(manifest))
+        with pytest.raises(ValueError, match="lists patient 'a' 2 times"):
+            load_cohort(cfg)
 
 
 def _one_cluster_stack():

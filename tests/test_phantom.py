@@ -2,10 +2,12 @@
 agreement between the ledger oracle and the clustering/matching pipeline."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from lesionkit import phantom
 from lesionkit.cluster import (
     cs_lesion_maps,
     filter_by_volume,
@@ -384,3 +386,24 @@ class TestCohortFiles:
         manifest = json.loads((tmp_path / "a" / "cohort.json").read_text())
         assert [p["fold"] for p in manifest["patients"]] == [0, 1]
         assert led1 == led2
+
+    def test_one_stack_held_at_a_time(self, tmp_path, monkeypatch):
+        rendered, alive, writes = [], [], []
+        render, write = phantom.degrade_prediction, phantom.write_volume
+
+        def counting_render(patients, ledger):
+            stacks = render(patients, ledger)
+            rendered.extend(weakref.ref(s) for s in stacks)
+            alive.append(sum(r() is not None for r in rendered))
+            return stacks
+
+        def counting_write(v, path):
+            writes.append(path)
+            write(v, path)
+
+        monkeypatch.setattr(phantom, "degrade_prediction", counting_render)
+        monkeypatch.setattr(phantom, "write_volume", counting_write)
+        write_cohort(SMALL, tmp_path / "c")
+        assert len(rendered) == SMALL.n_patients and max(alive) == 1
+        # every volume still goes through the module's write_volume
+        assert len(writes) == 9 * SMALL.n_patients

@@ -133,6 +133,52 @@ class TestProbStack:
             with pytest.raises(ValueError, match=message):
                 ProbStack(data, (1, 1, 3))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        side=st.sampled_from([1, -1]),
+        edge=st.sampled_from([1e-5, 1e-5 - 1e-6]),
+        ulps=st.integers(-6, 6),
+        seed=st.integers(0, 2**32 - 1),
+        n_voxels=st.integers(1, 4),
+    )
+    def test_sum_check_equals_float64_check(self, side, edge, ulps, seed, n_voxels):
+        # one voxel sums to within a few float32 ulp of 1 +- edge, at both the
+        # float32 margin and the 1e-5 limit; the others sum to 1
+        rng = np.random.default_rng(seed)
+        data = np.empty((6, 1, 1, n_voxels), dtype=np.float32)
+        for v, target in enumerate([1.0 + side * edge] + [1.0] * (n_voxels - 1)):
+            rest = rng.uniform(0.01, 1.0, size=5)
+            data[1:, 0, 0, v] = rest / rest.sum() * rng.uniform(0.05, 0.95) * target
+            c0 = np.float32(target - data[1:, 0, 0, v].sum(dtype=np.float64))
+            for _ in range(abs(ulps) if v == 0 else 0):
+                c0 = np.nextafter(c0, np.float32(np.sign(ulps)))
+            data[0, 0, 0, v] = c0
+        total = data.sum(axis=0, dtype=np.float64)
+        reference_ok = not (total.max() - 1.0 > 1e-5 or 1.0 - total.min() > 1e-5)
+        if reference_ok:
+            ProbStack(data, (1, 1, 3))
+        else:
+            with pytest.raises(ValueError, match=_SUM_MSG):
+                ProbStack(data, (1, 1, 3))
+
+    def test_channel_is_a_read_only_view(self):
+        data = np.zeros((6, 2, 3, 4), dtype=np.float32)
+        data[1] = 0.25
+        data[3] = 0.75
+        stack = ProbStack(data, (1, 1, 3))
+        for c in range(6):
+            ch = stack.channel(c)
+            assert ch.kind == KIND_PROBABILITY
+            assert ch.spacing_mm == stack.spacing_mm and ch.dims == stack.dims
+            assert np.shares_memory(ch.values, stack.data)
+            assert not ch.values.flags.writeable
+            assert np.array_equal(ch.values, stack.data[c])
+
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -0.25])
+    def test_public_volume_still_validates(self, value):
+        with pytest.raises(ValueError):
+            Volume(np.full((1, 2, 2), value, dtype=np.float32), (1, 1, 3), KIND_PROBABILITY)
+
 
 class TestZoneMask:
     def test_overlap_rejected(self):
