@@ -305,14 +305,22 @@ def cmd_wilcoxon(args, file_cfg) -> int:
     return EXIT_OK
 
 
+class _StackReader(dict):
+    """Patient id -> probability stack, read from disk on each lookup and
+    never stored."""
+
+    def __init__(self, pred_dir):
+        super().__init__()
+        self.pred_dir = Path(pred_dir)
+
+    def __missing__(self, patient_id):
+        return read_prob_stack(self.pred_dir / f"{patient_id}_prob")
+
+
 def cmd_px2(args, file_cfg) -> int:
     cfg = _eval_config(args, file_cfg, pred_dir=str(args.pred_dir))
     points = read_points_csv(args.points)
-    stacks = {
-        pid: read_prob_stack(Path(cfg.pred_dir) / f"{pid}_prob")
-        for pid in sorted({p.patient_id for p in points})
-    }
-    records, kappa = evaluate_points(points, stacks, cfg)
+    records, kappa = evaluate_points(points, _StackReader(cfg.pred_dir), cfg)
     payload = {"n_points": len(records), **_kappa_dict(kappa)}
     if args.out:
         out = Path(args.out)

@@ -781,40 +781,47 @@ def read_points_csv(path) -> list[PointAnnotation]:
     )
 
 
-def evaluate_points(points, stacks_by_id: dict, cfg: EvaluationConfig | None = None):
+def evaluate_points(points, stacks_by_id, cfg: EvaluationConfig | None = None):
     """Grade each annotated point against the prediction it falls in.
 
     A point inside a volume-filtered CS cluster takes the cluster's modal
     predicted GS grade; a point covered by no cluster reads GS6.  Returns
-    (records, kappa with bootstrap): records are per-point with fold 0, so
-    patient-level resampling still groups by patient id.
+    (records, kappa with bootstrap): records are per-point, in input order,
+    with fold 0, so patient-level resampling still groups by patient id.
+
+    Patients are graded one at a time, in order of their first point:
+    ``stacks_by_id[patient_id]`` is looked up once, its stack clustered and
+    the patient's points graded, and nothing of it is kept.  Any mapping
+    works, including one that reads each stack on lookup.
     """
     cfg = cfg or EvaluationConfig()
-    maps = {}
-    for pid, stack in stacks_by_id.items():
+    points = list(points)
+    by_patient = {}
+    for i, pt in enumerate(points):
+        by_patient.setdefault(pt.patient_id, []).append(i)
+    records = [None] * len(points)
+    for pid, indices in by_patient.items():
+        try:
+            stack = stacks_by_id[pid]
+        except KeyError:
+            raise ValueError(f"no prediction for patient {pid}") from None
         pred_labels = label_from_probs(stack)
         cs = filter_by_volume(
             cs_lesion_maps(pred_labels, stack, cfg.connectivity), cfg.min_volume_mm3
         )
-        maps[pid] = (cs, pred_labels)
-    records = []
-    for pt in points:
-        if pt.patient_id not in maps:
-            raise ValueError(f"no prediction for patient {pt.patient_id}")
-        cs, pred_labels = maps[pt.patient_id]
-        pred_grade = point_in_cluster_grade((pt.x, pt.y, pt.z), cs, pred_labels)
-        records.append(
-            DetectionRecord(
+        del stack  # released before the next patient's stack is read
+        for i in indices:
+            pt = points[i]
+            records[i] = DetectionRecord(
                 patient_id=pt.patient_id,
                 fold=0,
                 zone=pt.zone,
                 gt_grade=pt.gs_label,
-                pred_grade=pred_grade,
+                pred_grade=point_in_cluster_grade((pt.x, pt.y, pt.z), cs, pred_labels),
                 score=0.0,
                 dice=0.0,
                 overlap_frac=0.0,
             )
-        )
     kappa = bootstrap_kappa(
         records, n_iter=cfg.bootstrap_iterations, seed=cfg.bootstrap_seed,
         include_fn_as_gs6=False, resample=cfg.bootstrap_resample,

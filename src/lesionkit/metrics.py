@@ -6,6 +6,8 @@ and cross-fold aggregation with 2-sigma bands.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,16 +139,20 @@ def froc_from_matches(matches, n_patients: int) -> FrocCurve:
     Restricting a match to predictions with score >= t is equivalent to
     re-matching at threshold t: crediting runs in descending score order, so
     dropping lower-scored predictions never disturbs earlier credits.
+    Each threshold's TP and FP counts are read off the sorted scores by
+    bisection.
     """
     if n_patients < 1:
         raise ValueError("need at least one patient")
     n_gt = sum(m.n_gt for m in matches)
     if n_gt == 0:
         raise ValueError("sensitivity is undefined without ground-truth lesions")
+    tp_scores = sorted(t.pred.score for m in matches for t in m.tp)
+    fp_scores = sorted(c.score for m in matches for c in m.fp)
     points = []
     for thr in _sweep_thresholds(matches):
-        tp = sum(1 for m in matches for t in m.tp if t.pred.score >= thr)
-        fp = sum(1 for m in matches for c in m.fp if c.score >= thr)
+        tp = len(tp_scores) - bisect_left(tp_scores, thr)
+        fp = len(fp_scores) - bisect_left(fp_scores, thr)
         points.append(
             FrocPoint(
                 threshold=thr,
@@ -217,21 +223,30 @@ def sensitivity_at_fp(curve: FrocCurve, fp_rate: float) -> float:
 # Confusion matrix and kappa
 
 
+def _cell(record, include_fn_as_gs6: bool) -> int:
+    """Flat index gt * 4 + pred of the confusion cell a record counts in,
+    or -1 for a missed lesion in the TP-only variant (counted nowhere)."""
+    pred = record.pred_grade
+    if pred == MISSED:
+        if not include_fn_as_gs6:
+            return -1
+        pred = Grade.GS6
+    return record.gt_grade.ordinal * N_GRADES + pred.ordinal
+
+
 def confusion_matrix(records, include_fn_as_gs6: bool = False) -> ConfusionMatrix:
     """Lesion-grading matrix from detection records.
 
     The TP-only variant counts matched lesions at (gt grade, predicted
     grade).  The FN variant additionally books every missed lesion in the
     GS6 prediction column."""
-    counts = [[0] * N_GRADES for _ in range(N_GRADES)]
+    counts = [0] * (N_GRADES * N_GRADES)
     for r in records:
-        gi = r.gt_grade.ordinal
-        if r.pred_grade == MISSED:
-            if include_fn_as_gs6:
-                counts[gi][Grade.GS6.ordinal] += 1
-            continue
-        counts[gi][r.pred_grade.ordinal] += 1
-    return ConfusionMatrix(tuple(tuple(r) for r in counts), include_fn_as_gs6)
+        c = _cell(r, include_fn_as_gs6)
+        if c >= 0:
+            counts[c] += 1
+    rows = tuple(tuple(counts[i:i + N_GRADES]) for i in range(0, len(counts), N_GRADES))
+    return ConfusionMatrix(rows, include_fn_as_gs6)
 
 
 def quadratic_weighted_kappa(cm: ConfusionMatrix) -> KappaResult:
@@ -267,6 +282,157 @@ def _kappa_from_sums(n: int, obs: int, exp: int) -> tuple[float, bool]:
     return 1.0 - (n * obs) / exp, False
 
 
+# ---------------------------------------------------------------------------
+# Bootstrap draws
+#
+# Iteration i of a bootstrap over U units draws
+#     Generator(Philox(SeedSequence(seed).spawn(n_iter)[i])).integers(0, U, size=U)
+# The helpers below compute those draws for many iterations at once, bit for
+# bit: numpy's SeedSequence mixing gives each child's Philox key, Philox4x64-10
+# runs on counters 1, 2, ... under each key, and each 64-bit output word gives
+# two 32-bit draws, low half first, which Lemire's method maps to [0, U).
+
+_MASK32 = 0xFFFFFFFF
+_U32_SHIFT = np.uint64(32)
+_U32_MASK = np.uint64(_MASK32)
+
+# numpy.random.SeedSequence: pool size and hash constants
+_SS_POOL_SIZE = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+# Philox4x64: round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+
+#: Draws computed per block of iterations.  A block holds
+#: max(1, _BLOCK_DRAWS // U) iterations, so the working arrays stay near
+#: this size (and in cache) whatever n_iter and U are.
+_BLOCK_DRAWS = 1 << 16
+
+
+def _seed_words(seed) -> list[int]:
+    """The seed's 32-bit words, least significant first, as SeedSequence
+    splits an int."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+class _HashConsts:
+    """SeedSequence's running hash multiplier: each use xors with the
+    current value, then multiplies by the next."""
+
+    def __init__(self, init: int, mult: int):
+        self.value, self.mult = init, mult
+
+    def hash(self, x: np.ndarray) -> np.ndarray:
+        x = x ^ np.uint32(self.value)
+        self.value = self.value * self.mult & _MASK32
+        x = x * np.uint32(self.value)
+        return x ^ (x >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _SS_MIX_L * x - _SS_MIX_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _spawn_keys(seed, n_iter: int) -> np.ndarray:
+    """Philox keys of SeedSequence(seed).spawn(n_iter), as (n_iter, 2)
+    uint64: one lane of uint32 SeedSequence arithmetic per child.
+
+    A child's entropy is the seed's words padded with zeros to the pool
+    size, then its spawn word i."""
+    words = _seed_words(seed)
+    words += [0] * (_SS_POOL_SIZE - len(words))
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n_iter, dtype=np.uint32))
+    h = _HashConsts(_SS_INIT_A, _SS_MULT_A)
+    pool = [h.hash(e) for e in entropy[:_SS_POOL_SIZE]]
+    for src in range(_SS_POOL_SIZE):
+        for dst in range(_SS_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], h.hash(pool[src]))
+    for e in entropy[_SS_POOL_SIZE:]:
+        for dst in range(_SS_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], h.hash(e))
+    # generate_state(2, np.uint64): four hashed pool words, paired low first
+    h = _HashConsts(_SS_INIT_B, _SS_MULT_B)
+    state = [np.broadcast_to(h.hash(p), n_iter).astype(np.uint64) for p in pool]
+    return np.stack(
+        (state[0] | state[1] << _U32_SHIFT, state[2] | state[3] << _U32_SHIFT), axis=1
+    )
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * x, the high
+    word from 32-bit limbs."""
+    m0, m1 = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    x0, x1 = x & _U32_MASK, x >> _U32_SHIFT
+    p01 = x0 * m1
+    # the middle column: below 2**64, as (2**32 - 1)**2 + 2 * (2**32 - 1) is
+    mid = x1 * m0 + ((x0 * m0) >> _U32_SHIFT) + (p01 & _U32_MASK)
+    hi = x1 * m1 + (p01 >> _U32_SHIFT) + (mid >> _U32_SHIFT)
+    return hi, x * np.uint64(m)
+
+
+def _philox_words(keys: np.ndarray, n_ctr: int) -> np.ndarray:
+    """Philox4x64-10 output for counters 1..n_ctr under each key: shape
+    (len(keys), n_ctr, 4), words in the order the generator returns them."""
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    zero = np.zeros((1, n_ctr), dtype=np.uint64)
+    v = (np.arange(1, n_ctr + 1, dtype=np.uint64)[None, :], zero, zero, zero)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], v[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], v[2])
+        v = (hi1 ^ v[1] ^ k0, lo1, hi0 ^ v[3] ^ k1, lo0)
+    return np.stack(v, axis=-1)
+
+
+def _lemire(words: np.ndarray, n_units: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first n_units draws in [0, n_units) from its Philox words,
+    and which rows numpy would have rejected a draw in (and drawn again,
+    shifting every later draw of the row).
+
+    A draw is the high word of w * n_units for the 32-bit value w; numpy
+    rejects it when the low word falls below (2**32 - n_units) % n_units."""
+    # little-endian 32-bit halves: each 64-bit word's low half comes first
+    w = words.astype("<u8", copy=False).view("<u4").reshape(len(words), -1)[:, :n_units]
+    threshold = (2**32 - n_units) % n_units
+    rejected = (w * np.uint32(n_units) < threshold).any(axis=1)
+    return ((w * np.uint64(n_units)) >> _U32_SHIFT).astype(np.intp), rejected
+
+
+def _bootstrap_draws(seed, n_iter: int, n_units: int):
+    """Yield (start, idx): row r of idx holds the n_units indices that
+    iteration start + r draws, exactly as
+    Generator(Philox(SeedSequence(seed).spawn(n_iter)[i])).integers(0, n_units, size=n_units)
+    returns them.  Rows where numpy rejects a draw come from that
+    generator itself."""
+    keys = _spawn_keys(seed, n_iter)
+    n_ctr = -(-n_units // 8)  # 4 words, 8 draws per counter
+    per_block = max(1, _BLOCK_DRAWS // n_units)
+    for start in range(0, n_iter, per_block):
+        words = _philox_words(keys[start:start + per_block], n_ctr)
+        idx, rejected = _lemire(words, n_units)
+        for r in np.flatnonzero(rejected).tolist():
+            child = np.random.SeedSequence(seed, spawn_key=(start + r,))
+            idx[r] = np.random.Generator(np.random.Philox(child)).integers(
+                0, n_units, size=n_units
+            )
+        yield start, idx
+
+
 def bootstrap_kappa(
     records,
     n_iter: int = 1000,
@@ -278,11 +444,12 @@ def bootstrap_kappa(
     std of kappa over iterations.
 
     Lesion-level resampling draws records directly; patient-level draws
-    whole patients, in sorted patient-id order.  Each iteration uses an
-    independent counter-based substream of the master seed, so results do
-    not depend on execution order.  Every unit's confusion counts are
-    tabulated once; an iteration's table is the count-weighted sum of the
-    drawn units' tables, so no record is revisited per draw."""
+    whole patients, in sorted patient-id order.  Iteration i draws from
+    child i of SeedSequence(seed), through Philox, so results do not depend
+    on execution order; the draws are computed in bulk (see
+    _bootstrap_draws).  Every unit's confusion counts are tabulated once; an
+    iteration's table is the count-weighted sum of the drawn units' tables,
+    so no record is revisited per draw."""
     recs = list(records)
     if not recs:
         raise ValueError("bootstrap needs at least one record")
@@ -292,22 +459,22 @@ def bootstrap_kappa(
         raise ValueError("bootstrap needs at least one iteration")
     point = quadratic_weighted_kappa(confusion_matrix(recs, include_fn_as_gs6))
     if resample == "patient":
-        by_patient = {}
-        for r in recs:
-            by_patient.setdefault(r.patient_id, []).append(r)
-        units = [by_patient[k] for k in sorted(by_patient)]
+        unit_of = {pid: u for u, pid in enumerate(sorted({r.patient_id for r in recs}))}
+        unit = np.array([unit_of[r.patient_id] for r in recs], dtype=np.intp)
+        n_units = len(unit_of)
     else:
-        units = [[r] for r in recs]
-    cells = np.array(
-        [confusion_matrix(u, include_fn_as_gs6).as_array().ravel() for u in units],
-        dtype=np.int64,
-    )
+        unit = np.arange(len(recs))
+        n_units = len(recs)
+    cell = np.array([_cell(r, include_fn_as_gs6) for r in recs], dtype=np.intp)
+    counted = cell >= 0
+    cells = np.zeros((n_units, N_GRADES * N_GRADES), dtype=np.int64)
+    np.add.at(cells, (unit[counted], cell[counted]), 1)
     tables = np.empty((n_iter, N_GRADES * N_GRADES), dtype=np.int64)
-    streams = np.random.SeedSequence(seed).spawn(n_iter)
-    for it in range(n_iter):
-        rng = np.random.Generator(np.random.Philox(streams[it]))
-        idx = rng.integers(0, len(units), size=len(units))
-        tables[it] = np.bincount(idx, minlength=len(units)) @ cells
+    for start, idx in _bootstrap_draws(seed, n_iter, n_units):
+        rows = len(idx)
+        flat = idx + n_units * np.arange(rows)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=rows * n_units)
+        tables[start:start + rows] = counts.reshape(rows, n_units) @ cells
     tables = tables.reshape(n_iter, N_GRADES, N_GRADES)
     n = tables.sum(axis=(1, 2))
     obs = (tables * _KAPPA_WEIGHTS).sum(axis=(1, 2))

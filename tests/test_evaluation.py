@@ -352,6 +352,31 @@ class TestPointProtocol:
                                      EvaluationConfig(**FAST))
         assert [r.pred_grade for r in records] == [Grade.GS43, Grade.GS6]
 
+    def test_one_stack_alive_at_a_time(self):
+        """Each patient's stack is looked up once, when its turn comes, and
+        released before the next lookup; records keep input point order."""
+        order = ("b", "a", "c", "a", "b", "c", "a")
+        points = [
+            type("P", (), {"patient_id": pid, "x": 3 if k % 2 else 9, "y": 3 if k % 2 else 9,
+                           "z": 1, "zone": "PZ", "gs_label": Grade.GS43})()
+            for k, pid in enumerate(order)
+        ]
+        looked_up, alive = [], []
+
+        class Stacks(dict):
+            def __missing__(self, pid):
+                stack = _one_cluster_stack()
+                looked_up.append((pid, weakref.ref(stack)))
+                alive.append(sum(r() is not None for _, r in looked_up))
+                return stack
+
+        records, _ = evaluate_points(points, Stacks(), EvaluationConfig(**FAST))
+        assert [pid for pid, _ in looked_up] == ["b", "a", "c"]
+        assert alive == [1, 1, 1]
+        assert [r.patient_id for r in records] == list(order)
+        assert [r.pred_grade for r in records] == [
+            Grade.GS43 if k % 2 else Grade.GS6 for k in range(len(order))]
+
     def test_missing_patient_rejected(self):
         points = [
             type("P", (), {"patient_id": "ghost", "x": 0, "y": 0, "z": 0,

@@ -231,3 +231,18 @@ def test_kappa_patient_resample_digests(detections, capsys, variant):
     assert main(argv) == EXIT_OK
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_KAPPA_PATIENT[variant]
+
+
+#: sha256 of `lesionkit --seed 18446744073709551619 kappa` stdout on the
+#: same detections, resampling lesions: a seed of three 32-bit words
+#: (2**64 + 3), which the bundle's seed 0 never exercises.
+GOLDEN_KAPPA_WIDE_SEED = "9e5e5fb4ea689334048ba0a779b225d0715a1ba21fb36caf57dbc3c9c228adc9"
+
+
+def test_kappa_wide_seed_digest(detections, capsys):
+    capsys.readouterr()
+    argv = ["--seed", "18446744073709551619", "kappa", "--detections", str(detections),
+            "--bootstrap", "200", "--resample", "lesion"]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_KAPPA_WIDE_SEED

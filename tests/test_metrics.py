@@ -5,6 +5,7 @@ enumeration for Wilcoxon, linear-scan FROC readout, hand arithmetic.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from lesionkit import metrics
 from lesionkit.cluster import LesionCluster, LesionMap
 from lesionkit.grades import MISSED, Grade
 from lesionkit.matching import DetectionRecord, match_detections
@@ -27,6 +29,7 @@ from lesionkit.metrics import (
     dice_coefficient,
     froc_by_grade,
     froc_curve,
+    froc_from_matches,
     quadratic_weighted_kappa,
     sensitivity_at_fp,
     wilcoxon_one_sided,
@@ -167,6 +170,78 @@ class TestFrocCurve:
             )
         with pytest.raises(ValueError):
             FrocCurve((FrocPoint(0.1, 0.0, 0.2),), n_patients=1, n_gt_lesions=0)
+
+
+# Reference: the FROC sweep as first written, counting every threshold's
+# TPs and FPs with a full scan (quadratic in thresholds x matches).
+
+
+def _ref_froc_from_matches(matches, n_patients):
+    if n_patients < 1:
+        raise ValueError("need at least one patient")
+    n_gt = sum(m.n_gt for m in matches)
+    if n_gt == 0:
+        raise ValueError("sensitivity is undefined without ground-truth lesions")
+    scores = set()
+    for m in matches:
+        for t in m.tp:
+            scores.add(t.pred.score)
+        for c in m.fp:
+            scores.add(c.score)
+        for c in m.duplicates:
+            scores.add(c.score)
+    points = []
+    for thr in sorted(scores | {0.0, ABOVE_MAX_SCORE}):
+        tp = sum(1 for m in matches for t in m.tp if t.pred.score >= thr)
+        fp = sum(1 for m in matches for c in m.fp if c.score >= thr)
+        points.append(FrocPoint(thr, fp / n_patients, tp / n_gt))
+    return FrocCurve(tuple(points), n_patients, n_gt)
+
+
+# a few values, so that scores repeat within and across TP, FP and
+# duplicate sets; 0.0 and ABOVE_MAX_SCORE coincide with the sentinels
+_scores = st.sampled_from((0.0, 0.25, 0.5, 0.5000000000000001, 0.75, 1.0, ABOVE_MAX_SCORE))
+
+
+def _fake_match(tp, fp, dup, n_fn):
+    """The fields froc_from_matches reads of a MatchResult."""
+    return SimpleNamespace(
+        tp=[SimpleNamespace(pred=SimpleNamespace(score=s)) for s in tp],
+        fp=[SimpleNamespace(score=s) for s in fp],
+        duplicates=[SimpleNamespace(score=s) for s in dup],
+        n_gt=len(tp) + n_fn,
+    )
+
+
+_fake_matches = st.lists(
+    st.builds(_fake_match, st.lists(_scores, max_size=5), st.lists(_scores, max_size=5),
+              st.lists(_scores, max_size=3), st.integers(0, 2)),
+    max_size=6,
+)
+
+
+def _outcome_froc(fn, matches, n_patients):
+    """The curve, or the error it raised."""
+    try:
+        return fn(matches, n_patients)
+    except ValueError as e:
+        return ("error", str(e))
+
+
+class TestFrocSweepMatchesReference:
+    """The bisection sweep against the full-scan sweep: every point equal,
+    and the same error when the curve is undefined."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matches=_fake_matches, n_patients=st.integers(0, 8))
+    @example(matches=[_fake_match([], [0.5, 0.5], [0.5], 1)], n_patients=1)  # no TP
+    @example(matches=[_fake_match([0.0, 0.0], [], [], 0)], n_patients=2)  # no FP
+    @example(matches=[_fake_match([ABOVE_MAX_SCORE], [ABOVE_MAX_SCORE, 0.0], [1.0], 0)],
+             n_patients=3)
+    @example(matches=[], n_patients=1)
+    def test_equals_reference(self, matches, n_patients):
+        assert _outcome_froc(froc_from_matches, matches, n_patients) == \
+            _outcome_froc(_ref_froc_from_matches, matches, n_patients)
 
 
 def random_patient(rng):
@@ -562,6 +637,72 @@ class TestBootstrapMatchesReference:
     def test_equals_reference(self, records, n_iter, seed, include_fn, resample):
         kwargs = dict(n_iter=n_iter, seed=seed, include_fn_as_gs6=include_fn,
                       resample=resample)
+        assert _outcome(bootstrap_kappa, records, **kwargs) == \
+            _outcome(_ref_bootstrap_kappa, records, **kwargs)
+
+
+def _numpy_draws(seed, n_iter, n_units):
+    """Each iteration's draws from its own live generator."""
+    return np.array([
+        np.random.Generator(np.random.Philox(child)).integers(0, n_units, size=n_units)
+        for child in np.random.SeedSequence(seed).spawn(n_iter)
+    ]).reshape(n_iter, n_units)
+
+
+def _bulk_draws(seed, n_iter, n_units):
+    blocks = list(metrics._bootstrap_draws(seed, n_iter, n_units))
+    assert [start for start, _ in blocks] == list(
+        range(0, n_iter, max(1, metrics._BLOCK_DRAWS // n_units)))
+    return np.concatenate([idx for _, idx in blocks])
+
+
+class TestBulkDraws:
+    """The bulk draws against numpy's per-iteration generators: equal
+    arrays, for seeds of one to five 32-bit words, unit counts around
+    powers of two, and iteration counts around the block size."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130])
+    @pytest.mark.parametrize("n_units", [1, 2, 3, 160, 255, 256, 257, 4016])
+    def test_equals_numpy(self, monkeypatch, seed, n_units):
+        # a small block keeps the reference loop short; the blocking logic
+        # does not depend on the constant
+        monkeypatch.setattr(metrics, "_BLOCK_DRAWS", 1024)
+        block = max(1, 1024 // n_units)
+        for n_iter in sorted({1, block - 1, block, block + 1} - {0}):
+            np.testing.assert_array_equal(
+                _bulk_draws(seed, n_iter, n_units), _numpy_draws(seed, n_iter, n_units))
+
+    def test_equals_numpy_at_the_real_block_size(self):
+        n_units = 160
+        n_iter = metrics._BLOCK_DRAWS // n_units + 1
+        np.testing.assert_array_equal(
+            _bulk_draws(7, n_iter, n_units), _numpy_draws(7, n_iter, n_units))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            bootstrap_kappa([rec(Grade.GS6, Grade.GS6)], n_iter=1, seed=-1)
+
+    def test_rejected_draw_takes_the_fallback(self):
+        """At seed 0 and 4016 units, numpy rejects a draw in iterations 72
+        and 119 and draws again, so their bulk rows alone would be wrong."""
+        seed, n_iter, n_units = 0, 400, 4016
+        want = _numpy_draws(seed, n_iter, n_units)
+        keys = metrics._spawn_keys(seed, n_iter)
+        raw, rejected = metrics._lemire(metrics._philox_words(keys, -(-n_units // 8)), n_units)
+        assert np.flatnonzero(rejected).tolist() == [72, 119]
+        differs = (raw != want).any(axis=1)
+        assert np.flatnonzero(differs).tolist() == [72, 119]
+        np.testing.assert_array_equal(_bulk_draws(seed, n_iter, n_units), want)
+
+    def test_rejected_draw_kappa_equals_reference(self):
+        pids = ("p2", "p10", "a", "p1")
+        grades = tuple(Grade)
+        preds = (*Grade, MISSED)
+        records = [
+            rec(grades[i % 4], preds[(i * 7 // 3) % 5], pid=pids[(i // 5) % 4])
+            for i in range(4016)
+        ]
+        kwargs = dict(n_iter=400, seed=0, include_fn_as_gs6=True, resample="lesion")
         assert _outcome(bootstrap_kappa, records, **kwargs) == \
             _outcome(_ref_bootstrap_kappa, records, **kwargs)
 
