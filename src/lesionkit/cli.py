@@ -26,7 +26,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -74,7 +73,15 @@ from .netmath import (
     weighted_dice_loss,
 )
 from .phantom import PhantomConfig, PlacementError, write_cohort
-from .volume import preprocess, read_json, read_prob_stack, read_volume, write_json, write_volume
+from .volume import (
+    json_chunks,
+    preprocess,
+    read_json,
+    read_prob_stack,
+    read_volume,
+    write_json,
+    write_volume,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,7 +94,8 @@ class ConfigError(Exception):
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.writelines(json_chunks(payload))
+    sys.stdout.write("\n")
 
 
 def _load_config_file(path):

@@ -701,10 +701,14 @@ def read_csv(path, columns, parse) -> list:
 def load_fold_manifest(path) -> list[tuple[str, int]]:
     manifest = read_json(path)
     try:
-        pairs = [(p["patient_id"], int(p["fold"])) for p in manifest["patients"]]
+        pairs = [(p["patient_id"], p["fold"]) for p in manifest["patients"]]
         counts = Counter(pid for pid, _ in pairs)
-    except (KeyError, TypeError, OverflowError) as e:
+    except (KeyError, TypeError) as e:
         raise ValueError(f"malformed fold manifest {path}: {e}") from e
+    for pid, fold in pairs:
+        if type(fold) is not int:
+            raise ValueError(f"fold manifest {path}: fold of {pid!r} must be an integer, "
+                             f"got {fold!r}")
     if not pairs:
         raise ValueError(f"fold manifest {path} lists no patients")
     for pid, n in counts.items():

@@ -20,8 +20,9 @@ generate in parallel.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -222,9 +223,9 @@ def _blob_mask(dims, center, semi_axes):
     nx, ny, nz = dims
     cx, cy, cz = center
     ax, ay, az = semi_axes
-    x0, x1 = max(0, int(np.floor(cx - ax))), min(nx - 1, int(np.ceil(cx + ax)))
-    y0, y1 = max(0, int(np.floor(cy - ay))), min(ny - 1, int(np.ceil(cy + ay)))
-    z0, z1 = max(0, int(np.floor(cz - az))), min(nz - 1, int(np.ceil(cz + az)))
+    x0, x1 = max(0, math.floor(cx - ax)), min(nx - 1, math.ceil(cx + ax))
+    y0, y1 = max(0, math.floor(cy - ay)), min(ny - 1, math.ceil(cy + ay))
+    z0, z1 = max(0, math.floor(cz - az)), min(nz - 1, math.ceil(cz + az))
     z = np.arange(z0, z1 + 1)[:, None, None]
     y = np.arange(y0, y1 + 1)[:, None]
     x = np.arange(x0, x1 + 1)
@@ -367,8 +368,8 @@ def degrade_prediction(patients, ledger: PhantomLedger):
         nz, ny, nx = lab.shape
         data = np.zeros((6, nz, ny, nx), dtype=np.float32)
         gland = lab >= 1
-        data[0][~gland] = 1.0
-        data[1][gland] = 1.0
+        data[0] = ~gland
+        data[1] = gland
         events = [
             (e.pred_grade, e.voxels, e.score)
             for e in script.lesions
@@ -571,23 +572,23 @@ def write_cohort(cfg: PhantomConfig, out_dir) -> PhantomLedger:
     pairs, plus ledger.json and cohort.json (fold manifest).  Each patient's
     prediction stack is rendered just before it is written and released
     before the next one, so one stack is held at a time."""
-    out = Path(out_dir)
+    gt, zones, pred = (os.path.join(out_dir, d) for d in ("gt", "zones", "pred"))
     patients, ledger = generate_cohort(cfg)
     for patient in patients:
         pid = patient.patient_id
         (stack,) = degrade_prediction([patient], ledger)
-        write_volume(patient.labels, out / "gt" / f"{pid}_labels")
-        write_volume(patient.zones.pz, out / "zones" / f"{pid}_pz")
-        write_volume(patient.zones.tz, out / "zones" / f"{pid}_tz")
+        write_volume(patient.labels, os.path.join(gt, f"{pid}_labels"))
+        write_volume(patient.zones.pz, os.path.join(zones, f"{pid}_pz"))
+        write_volume(patient.zones.tz, os.path.join(zones, f"{pid}_tz"))
         for c in range(6):
-            write_volume(stack.channel(c), out / "pred" / f"{pid}_prob_c{c}")
+            write_volume(stack.channel(c), os.path.join(pred, f"{pid}_prob_c{c}"))
         del stack
-    write_json(out / "ledger.json", ledger_to_dict(ledger))
+    write_json(os.path.join(out_dir, "ledger.json"), ledger_to_dict(ledger))
     manifest = {
         "n_folds": cfg.n_folds,
         "patients": [
             {"patient_id": p.patient_id, "fold": p.fold} for p in ledger.patients
         ],
     }
-    write_json(out / "cohort.json", manifest)
+    write_json(os.path.join(out_dir, "cohort.json"), manifest)
     return ledger

@@ -12,9 +12,10 @@ payload in the same x-fastest order.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
-from itertools import chain
-from pathlib import Path
+from itertools import chain, repeat
+from json.encoder import INFINITY, c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -213,13 +214,159 @@ def voxel_indices(voxels):
 # File I/O
 
 
+def _not_serializable(o):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+#: json's C encoder with compact separators, built once; it is handed only
+#: lists whose items are plain scalars or lists of plain scalars
+_encode_compact = c_make_encoder(
+    None, _not_serializable, encode_basestring_ascii, None, ":", ",", True, False, True
+)
+_PLAIN_SCALARS = frozenset((int, float, bool, type(None)))
+_LISTS = frozenset((list, tuple))
+
+
+def _scalar_text(o):
+    """JSON text of a str, None, bool, int or float (subclasses included, as
+    json reads them); None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == INFINITY:
+            return "Infinity"
+        if o == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _leaf_list_text(lst, level: int):
+    """lst laid out as json.dumps with a two-space indent lays it out at
+    nesting level, when it holds only plain scalars or only lists of plain
+    scalars; None otherwise.  json's C encoder writes it compactly in one
+    call, and str.replace adds the line breaks: scalar texts hold no
+    bracket, comma or control character, so every one of those is
+    structure."""
+    if not lst:
+        return "[]"
+    types = set(map(type, lst))
+    if types <= _PLAIN_SCALARS:
+        nested = False
+    elif types <= _LISTS and set(map(type, chain.from_iterable(lst))) <= _PLAIN_SCALARS:
+        nested = True
+    else:
+        return None
+    body = "".join(_encode_compact(lst, 0))[1:-1]
+    nl0 = "\n" + "  " * level
+    nl1 = nl0 + "  "
+    if nested:
+        nl2 = nl1 + "  "
+        # \0 marks a comma between rows and \1 an empty row, so that the
+        # replaces that follow see only the brackets and commas of the rows
+        body = (body.replace("],[", "]\0[").replace(",", "," + nl2).replace("[]", "\1")
+                .replace("[", "[" + nl2).replace("]", nl1 + "]")
+                .replace("\0", "," + nl1).replace("\1", "[]"))
+    else:
+        body = body.replace(",", "," + nl1)
+    return "[" + nl1 + body + nl0 + "]"
+
+
+def _dict_key(key) -> str:
+    """A dict key as json turns it into a str: a number, bool or None
+    becomes its JSON text."""
+    if isinstance(key, str):
+        return key
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+        )
+    return text
+
+
+def _inline_text(o, level: int):
+    """The JSON text of o at nesting level when it is a scalar, an empty
+    dict or a list _leaf_list_text lays out; None for a container to walk."""
+    text = _scalar_text(o)
+    if text is None:
+        if isinstance(o, (list, tuple)):
+            return _leaf_list_text(o, level)
+        if isinstance(o, dict) and not o:
+            return "{}"
+    return text
+
+
+def _container_chunks(o, level: int, markers: dict):
+    """Chunks of a list, tuple or dict at nesting level, one per container
+    walked; TypeError for any other value and ValueError for a container
+    that holds itself."""
+    if isinstance(o, (list, tuple)):
+        items = zip(repeat(""), o)
+        opening, closing = "[", "]"
+    elif isinstance(o, dict):
+        # sorted before the keys become text, as json sorts them
+        items = [(encode_basestring_ascii(_dict_key(k)) + ": ", v) for k, v in sorted(o.items())]
+        opening, closing = "{", "}"
+    else:
+        _not_serializable(o)
+    if id(o) in markers:
+        raise ValueError("Circular reference detected")
+    markers[id(o)] = o
+    nl = "\n" + "  " * (level + 1)
+    parts = [opening]
+    for head, value in items:
+        parts += (nl, head)
+        text = _inline_text(value, level + 1)
+        if text is None:
+            yield "".join(parts)
+            yield from _container_chunks(value, level + 1, markers)
+            parts = [","]
+        else:
+            parts += (text, ",")
+    del markers[id(o)]
+    parts[-1] = "\n" + "  " * level + closing
+    yield "".join(parts)
+
+
+def json_chunks(obj):
+    """The text of json.dumps(obj) with a two-space indent and sorted keys,
+    in chunks: one for each list or dict that holds more than scalars and
+    lists of them, so a document is written while it is encoded."""
+    text = _inline_text(obj, 0)
+    if text is None:
+        yield from _container_chunks(obj, 0, {})
+    else:
+        yield text
+
+
+def _create(path):
+    """path opened for binary writing; its parent directories are made only
+    when the open finds them missing."""
+    try:
+        return open(path, "wb")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return open(path, "wb")
+
+
 def write_json(path, payload) -> None:
-    """Write payload as sorted, 2-space-indented JSON plus a trailing newline."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    """Write payload as sorted, 2-space-indented JSON plus a trailing
+    newline, one chunk at a time."""
+    with _create(path) as f:
+        for chunk in json_chunks(payload):
+            f.write(chunk.encode())
+        f.write(b"\n")
 
 
 def read_json(path):
@@ -232,63 +379,73 @@ def read_json(path):
             raise ValueError(f"{path}: not valid JSON: {e}") from e
 
 
-def _paths(path) -> tuple[Path, Path]:
-    p = Path(path)
-    name = p.name
-    if name.endswith(".vol.json"):
-        base = name[: -len(".vol.json")]
-    elif name.endswith(".vol.raw"):
-        base = name[: -len(".vol.raw")]
-    else:
-        base = name
-    return p.parent / f"{base}.vol.json", p.parent / f"{base}.vol.raw"
+def _paths(path) -> tuple[str, str]:
+    """(header path, payload path) of the volume a base name or either of
+    its two file names gives."""
+    base = os.fspath(path)
+    for suffix in (".vol.json", ".vol.raw"):
+        if base.endswith(suffix):
+            base = base[: -len(suffix)]
+            break
+    return base + ".vol.json", base + ".vol.raw"
 
 
-def _payload_error(data_path: Path, expected: int) -> VolumeFormatError:
+def _payload_error(data_path, expected: int) -> VolumeFormatError:
     return VolumeFormatError(
-        f"{data_path}: payload has {data_path.stat().st_size} bytes, header implies {expected}"
+        f"{data_path}: payload has {os.stat(data_path).st_size} bytes, header implies {expected}"
     )
 
 
 def _read_header(path):
     """Parse and check a volume header: (header path, payload path, dims,
-    spacing, kind).  The payload must exist and have the length the header
-    implies, which is checked before any buffer is allocated for it."""
+    spacing, kind).  dims must be a list of three positive ints and
+    spacing_mm a list of three numbers.  The payload must exist and have
+    the length the header implies, which is checked before any buffer is
+    allocated for it."""
     header_path, _ = _paths(path)
-    if not header_path.exists():
+    if not os.path.exists(header_path):
         raise FileNotFoundError(f"missing volume header {header_path}")
     try:
         header = read_json(header_path)
     except ValueError as e:
         raise VolumeFormatError(str(e)) from e
     try:
-        dims = tuple(int(d) for d in header["dims"])
-        spacing = tuple(float(s) for s in header["spacing_mm"])
+        dims, spacing = header["dims"], header["spacing_mm"]
         dtype_name = str(header["dtype"])
         kind = str(header["kind"])
         data_name = str(header["data"])
     except KeyError as e:
         raise VolumeFormatError(f"{header_path}: missing header field {e}") from e
-    except (TypeError, ValueError, OverflowError) as e:
+    except TypeError as e:
         raise VolumeFormatError(f"{header_path}: malformed header: {e}") from e
-    if len(dims) != 3 or min(dims) < 1:
-        raise VolumeFormatError(f"{header_path}: dims must be 3 positive integers, got {dims}")
+    # bools and floats are not ints, and text is not a list
+    if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int for d in dims)
+            and min(dims) >= 1):
+        raise VolumeFormatError(f"{header_path}: dims must be 3 positive integers, got {dims!r}")
+    if not (isinstance(spacing, list) and len(spacing) == 3
+            and all(type(s) in (int, float) for s in spacing)):
+        raise VolumeFormatError(f"{header_path}: spacing_mm must be 3 numbers, got {spacing!r}")
+    try:
+        spacing = tuple(float(s) for s in spacing)
+    except OverflowError as e:
+        raise VolumeFormatError(f"{header_path}: malformed header: {e}") from e
+    dims = tuple(dims)
     if dtype_name not in _DTYPE_FROM_NAME:
         raise VolumeFormatError(f"{header_path}: unknown dtype {dtype_name!r}")
     if kind not in _KINDS:
         raise VolumeFormatError(f"{header_path}: unknown kind {kind!r}")
     if _DTYPE_FROM_NAME[dtype_name] != _DTYPES[kind]:
         raise VolumeFormatError(f"{header_path}: dtype {dtype_name} does not match kind {kind}")
-    data_path = header_path.parent / data_name
-    if not data_path.exists():
+    data_path = os.path.join(os.path.dirname(header_path), data_name)
+    if not os.path.exists(data_path):
         raise FileNotFoundError(f"missing volume payload {data_path}")
     expected = dims[0] * dims[1] * dims[2] * _DTYPES[kind].itemsize
-    if data_path.stat().st_size != expected:
+    if os.stat(data_path).st_size != expected:
         raise _payload_error(data_path, expected)
     return header_path, data_path, dims, spacing, kind
 
 
-def _read_payload(data_path: Path, out: np.ndarray) -> None:
+def _read_payload(data_path, out: np.ndarray) -> None:
     """Fill the contiguous array out with the payload's bytes; a payload
     that is no longer exactly out's size when read raises VolumeFormatError."""
     with open(data_path, "rb") as f:
@@ -338,17 +495,20 @@ def read_prob_stack(base) -> ProbStack:
 
 
 def write_volume(v: Volume, path) -> None:
-    """Write ``<base>.vol.json`` + ``<base>.vol.raw``; round-trips bit-exactly."""
+    """Write ``<base>.vol.json`` + ``<base>.vol.raw``; round-trips bit-exactly.
+    The payload is written from the array's own memory, which Volume keeps
+    C-contiguous and little-endian."""
     header_path, data_path = _paths(path)
     header = {
         "dims": list(v.dims),
         "spacing_mm": list(v.spacing_mm),
         "dtype": _DTYPE_NAMES[v.values.dtype],
         "kind": v.kind,
-        "data": data_path.name,
+        "data": os.path.basename(data_path),
     }
     write_json(header_path, header)
-    data_path.write_bytes(np.ascontiguousarray(v.values).tobytes())
+    with open(data_path, "wb") as f:
+        f.write(memoryview(v.values))
 
 
 # ---------------------------------------------------------------------------

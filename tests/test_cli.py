@@ -234,6 +234,21 @@ def stack_files(payload=None, channel=3, **fields):
     return files
 
 
+def label_volume(dims, spacing_mm=(1.0, 1.0, 3.0), n_bytes=24):
+    """A label volume v with the given header fields and an all-zero payload."""
+    return {"v.vol.json": json.dumps({"dims": dims, "spacing_mm": spacing_mm, "dtype": "u8",
+                                      "kind": "label", "data": "v.vol.raw"}),
+            "v.vol.raw": bytes(n_bytes)}
+
+
+def fold_manifest(fold):
+    return {"m.json": json.dumps({"patients": [{"patient_id": "p000", "fold": fold}]})}
+
+
+EVALUATE_MANIFEST = ("evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred "
+                     "--manifest {tmp}/m.json --out {tmp}/o --bootstrap 5")
+
+
 def f32(*values):
     return np.array(values, dtype="<f4").tobytes()
 
@@ -333,6 +348,15 @@ MALFORMED_INPUTS = [
      "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
     ("config-connectivity-list", {"c.json": '{"evaluation": {"connectivity": [26]}}'},
      "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    # header and manifest integers are taken as written, never coerced
+    ("volume-dims-text", label_volume("234"), "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
+    ("volume-dims-float", label_volume([2.9, 3, 4]), "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
+    ("volume-dims-bool", label_volume([True, 3, 8]), "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
+    ("volume-spacing-text", label_volume([2, 3, 4], spacing_mm="113"),
+     "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
+    ("manifest-fold-float", fold_manifest(1.7), EVALUATE_MANIFEST, EXIT_DATA),
+    ("manifest-fold-text", fold_manifest("2"), EVALUATE_MANIFEST, EXIT_DATA),
+    ("manifest-fold-bool", fold_manifest(True), EVALUATE_MANIFEST, EXIT_DATA),
 ]
 
 

@@ -1,5 +1,7 @@
 """Volume data model, file round-trips, and preprocessing."""
 
+import enum
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -19,11 +21,13 @@ from lesionkit.volume import (
     VolumeFormatError,
     ZoneMask,
     crop_center,
+    json_chunks,
     normalize_minmax,
     preprocess,
     read_prob_stack,
     read_volume,
     resample_inplane,
+    write_json,
     write_volume,
 )
 
@@ -277,6 +281,126 @@ class TestFileIO:
         assert back.dims == v.dims
         assert back.spacing_mm == v.spacing_mm
         assert back.kind == v.kind
+
+    def test_write_creates_missing_nested_directories(self, tmp_path):
+        v = Volume(np.arange(6, dtype=np.uint8).reshape(1, 2, 3), (1.0, 1.0, 3.0), KIND_LABEL)
+        write_volume(v, tmp_path / "a" / "b" / "c" / "vol")
+        back = read_volume(tmp_path / "a" / "b" / "c" / "vol")
+        assert back.values.tobytes() == v.values.tobytes()
+
+
+def stdlib_json(obj) -> str:
+    """The oracle: the layout every JSON file and stdout payload must have."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def outcome(encode, obj):
+    """encode(obj), or the type of the TypeError or ValueError it raises."""
+    try:
+        return encode(obj)
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Text(str):
+    pass
+
+
+TRICKY_TEXT = ['', '"', ',', '[', ']', '],[', '[]', '{}', '\\', '\n', '\x00', '\x01', ': ',
+               'é', 'Gleason ≥ 8', '漢字', '"a","b"', '[1,2]']
+SPECIAL_NUMBERS = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 2**70, -2**70,
+                   Level.HIGH, np.float64(0.25), np.float64("nan"), True, False, None]
+numbers = st.one_of(st.integers(), st.floats(), st.sampled_from(SPECIAL_NUMBERS))
+texts = st.one_of(st.text(max_size=6), st.sampled_from(TRICKY_TEXT))
+scalars = st.one_of(numbers, texts, texts.map(Text))
+number_lists = st.one_of(
+    st.lists(numbers, max_size=5),
+    st.lists(st.lists(numbers, max_size=4), max_size=4),
+    st.lists(st.lists(st.lists(numbers, max_size=3), max_size=3), max_size=3),
+    st.lists(st.tuples(numbers, numbers), max_size=3),
+)
+
+
+def dicts(values):
+    return st.one_of(
+        st.dictionaries(st.one_of(texts, texts.map(Text)), values, max_size=4),
+        # ints, floats and bools sort among each other; the keys become text
+        # only after sorting, so 10 comes after 9
+        st.dictionaries(st.one_of(st.integers(-20, 20), st.floats(), st.booleans()), values,
+                        max_size=4),
+        st.dictionaries(st.none(), values, max_size=1),
+    )
+
+
+json_values = st.recursive(
+    st.one_of(scalars, number_lists),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=3).map(tuple), dicts(children)),
+    max_leaves=25,
+)
+
+
+class TestJsonEncoder:
+    @settings(max_examples=600, deadline=None)
+    @given(obj=json_values)
+    def test_matches_stdlib_indented_sorted_dumps(self, obj):
+        assert outcome(lambda o: "".join(json_chunks(o)), obj) == outcome(stdlib_json, obj)
+
+    @pytest.mark.parametrize("obj", [
+        set(), [1, {2}], {"a": [1, {3}]}, {(1,): 2}, {1: 0, "a": 1}, [np.int64(3)],
+        {"k": np.array([1.0])},
+    ])
+    def test_type_error_where_stdlib_raises_it(self, obj):
+        with pytest.raises(TypeError):
+            stdlib_json(obj)
+        with pytest.raises(TypeError):
+            "".join(json_chunks(obj))
+
+    def test_container_holding_itself(self):
+        loop = [1]
+        loop.append([loop])
+        with pytest.raises(ValueError, match="Circular"):
+            "".join(json_chunks(loop))
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [[], [1]], [[], []], {"a": [], "b": {}, "c": [[]]},
+        [[1, 2], [], [3]], [[[1, 2], []], [[]]], {10: "x", 9: "y", 2.5: "z"},
+        ["a,b", "[c]", 1, [2]], [[1, "x,"], [2]], {"vox": [(1, 2, 3), (4, 5, 6)]},
+    ])
+    def test_layout_cases(self, obj):
+        assert "".join(json_chunks(obj)) == stdlib_json(obj)
+
+    def test_ledger_sized_document_is_streamed(self, monkeypatch):
+        from lesionkit import phantom
+
+        cfg = phantom.PhantomConfig(seed=7, n_patients=24, dims=(48, 48, 12),
+                                    lesions_per_grade=(2, 2, 2, 2), fp_per_patient=4,
+                                    miss_fraction=0.2, lesion_radius_mm=(2.5, 3.0))
+        _, ledger = phantom.generate_cohort(cfg)
+        payload = phantom.ledger_to_dict(ledger)
+        payload["patients"] *= 10  # the 240 patients of a benchmark cohort
+        writes = []
+
+        class Recorder(io.BytesIO):
+            def write(self, b):
+                writes.append(len(b))
+                return super().write(b)
+
+            def close(self):
+                self.text = self.getvalue().decode()
+                super().close()
+
+        recorder = Recorder()
+        monkeypatch.setattr(volume, "_create", lambda path: recorder)
+        write_json("ledger.json", payload)
+        assert recorder.text == stdlib_json(payload) + "\n"
+        assert sum(writes) > 5_000_000
+        assert max(writes) <= 64 * 1024
 
 
 def reference_prob_stack(base):
