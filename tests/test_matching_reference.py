@@ -1,5 +1,6 @@
-"""Differential tests: detection matching, best-Dice grading and the staged
-detection records against a brute-force reference.
+"""Differential tests: detection matching, best-Dice grading, the staged
+detection records and the cohort FROC curves against a brute-force
+reference.
 
 The reference intersects frozensets of voxels for every (prediction,
 lesion) pair, written out in full here so the package's intersection code
@@ -9,12 +10,16 @@ lesions, several predictions on one lesion (duplicates) and overlaps that
 land exactly on the threshold all occur; the explicit examples pin each.
 """
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lesionkit.cluster import MAP_GS, LesionCluster, LesionMap
-from lesionkit.evaluation import EvaluationConfig, PatientEval, stage_cohort
+from lesionkit.evaluation import EvaluationConfig, PatientEval, aggregate_stages, stage_cohort
 from lesionkit.grades import GRADE_ORDER, MISSED
 from lesionkit.matching import OVERLAP_DENOMS, best_dice_assignment, match_detections
 from lesionkit.volume import KIND_LABEL, ProbStack, Volume
@@ -99,6 +104,33 @@ def ref_records(stage, cfg):
         out.append((lesion.grade, best.grade, best.score, ref_dice(frozenset(best.voxels), ls),
                     ref_overlap(inter, best, lesion, cfg.overlap_denom)))
     return out
+
+
+ABOVE_MAX = float(np.nextafter(1.0, 2.0))
+
+
+def ref_curve(pairs, overlap_frac, denom, strict_duplicates):
+    """(points, n_gt) of the FROC over per-patient (pred, gt) maps, or None
+    without ground-truth lesions.  Every threshold re-matches each patient
+    from scratch on the predictions scoring at or above it."""
+    n_gt = sum(len(gt.clusters) for _, gt in pairs)
+    if n_gt == 0:
+        return None
+    scores = {c.score for pred, _ in pairs for c in pred.clusters}
+    points = []
+    for thr in sorted(scores | {0.0, ABOVE_MAX}):
+        n_tp = n_fp = 0
+        for pred, gt in pairs:
+            kept = replace(pred, clusters=tuple(c for c in pred.clusters if c.score >= thr))
+            tp, fp, _, _ = ref_match(kept, gt, overlap_frac, denom, strict_duplicates)
+            n_tp += len(tp)
+            n_fp += len(fp)
+        points.append((thr, n_fp / len(pairs), n_tp / n_gt))
+    return points, n_gt
+
+
+def ref_only_grade(m, grade):
+    return replace(m, clusters=tuple(c for c in m.clusters if c.grade == grade))
 
 
 # ---------------------------------------------------------------------------
@@ -209,3 +241,50 @@ def test_staged_records_match_reference(gt_lab, pred_lab, score_idx, frac, denom
     assert got == ref_records(stage, cfg)
     for r in stage.records:
         assert type(r.dice) is float and type(r.overlap_frac) is float
+
+
+def _patient(pid, fold, gt_lab, pred_lab, score_idx):
+    shape = (DIMS[2], DIMS[1], DIMS[0])
+    gt = np.asarray(gt_lab, dtype=np.uint8).reshape(shape)
+    pred = np.asarray(pred_lab, dtype=np.uint8).reshape(shape)
+    probs = _one_hot_probs(pred, np.asarray(score_idx).reshape(shape))
+    return PatientEval(
+        patient_id=pid, fold=fold,
+        labels=Volume(gt, (1.0, 1.0, 1.0), KIND_LABEL),
+        probs=ProbStack(probs, (1.0, 1.0, 1.0)),
+    )
+
+
+def _curve_points(curve):
+    if curve is None:
+        return None
+    return [(p.threshold, p.mean_fp_per_patient, p.sensitivity) for p in curve.points], \
+        curve.n_gt_lesions
+
+
+@settings(max_examples=20, deadline=None)
+@given(cohort=st.lists(st.tuples(grid_labels, grid_labels, grid_scores), min_size=2, max_size=4))
+def test_cohort_curves_match_reference(cohort):
+    """Pooled CS, per-fold CS and per-grade curves of aggregate_stages, for
+    every overlap rule, against full-scan curves of the reference matcher
+    over a two-fold cohort."""
+    patients = [_patient(f"p{i}", i % 2, *arrays) for i, arrays in enumerate(cohort)]
+    for frac, denom, strict in itertools.product(FRACS, OVERLAP_DENOMS, (False, True)):
+        cfg = EvaluationConfig(min_volume_mm3=0.0, overlap_frac=frac, overlap_denom=denom,
+                               strict_duplicates=strict, bootstrap_iterations=1)
+        stages = stage_cohort(patients, cfg)
+        rule = (frac, denom, strict)
+        pooled = ref_curve([(s.cs_pred, s.cs_gt) for s in stages], *rule)
+        if pooled is None:
+            with pytest.raises(ValueError):
+                aggregate_stages(stages, cfg)
+            continue
+        report = aggregate_stages(stages, cfg)
+        assert _curve_points(report.cs_froc) == pooled
+        assert sorted(report.cs_froc_by_fold) == [0, 1]
+        for f, curve in report.cs_froc_by_fold.items():
+            fold = [(s.cs_pred, s.cs_gt) for s in stages if s.fold == f]
+            assert _curve_points(curve) == ref_curve(fold, *rule)
+        for g in GRADE_ORDER:
+            graded = [(ref_only_grade(s.gs_pred, g), ref_only_grade(s.gs_gt, g)) for s in stages]
+            assert _curve_points(report.grade_froc[g]) == ref_curve(graded, *rule)
