@@ -23,7 +23,6 @@ inputs, grid mismatches, empty strata and an unwritable --out.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import sys
@@ -60,6 +59,8 @@ from .metrics import (
     bootstrap_kappa,
     confusion_matrix,
     dice_coefficient,
+    froc_from_matches,
+    sensitivity_at_fp,
     wilcoxon_one_sided,
 )
 from .netmath import (
@@ -79,6 +80,7 @@ from .volume import (
     read_json,
     read_prob_stack,
     read_volume,
+    write_csv,
     write_json,
     write_volume,
 )
@@ -240,27 +242,17 @@ def _cohort_config(args, file_cfg, **extra) -> EvaluationConfig:
 
 
 def cmd_froc(args, file_cfg) -> int:
-    from .metrics import froc_by_grade, froc_curve, sensitivity_at_fp
     from .evaluation import stage_cohort
 
     cfg = _cohort_config(args, file_cfg)
+    grade = None if args.grade is None else parse_grade(args.grade)
     stages = stage_cohort(load_cohort(cfg), cfg)
-    if args.grade is None:
-        pairs = [(s.cs_pred, s.cs_gt) for s in stages]
-        curve = froc_curve(pairs, cfg.overlap_frac, cfg.overlap_denom,
-                           cfg.strict_duplicates)
-        stratum = "CS"
-    else:
-        grade = parse_grade(args.grade)
-        pairs = [(s.gs_pred, s.gs_gt) for s in stages]
-        curve = froc_by_grade(pairs, grade, cfg.overlap_frac, cfg.overlap_denom,
-                              cfg.strict_duplicates)
-        stratum = grade.display
+    matches = [s.cs_match if grade is None else s.grade_matches[grade] for s in stages]
+    curve = froc_from_matches(matches, len(stages))
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        _write_froc_csv(Path(args.out), curve)
+        _write_froc_csv(args.out, curve)
     _emit({
-        "stratum": stratum,
+        "stratum": "CS" if grade is None else grade.display,
         "n_patients": curve.n_patients,
         "n_gt_lesions": curve.n_gt_lesions,
         "sensitivity_at_fp": {
@@ -333,13 +325,10 @@ def cmd_px2(args, file_cfg) -> int:
     if args.out:
         out = Path(args.out)
         write_json(out / "px2_report.json", payload)
-        with open(out / "px2_records.csv", "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["patient_id", "x_vox", "y_vox", "z_vox", "zone",
-                        "gs_label", "pred_grade"])
-            for pt, r in zip(points, records):
-                w.writerow([pt.patient_id, pt.x, pt.y, pt.z, pt.zone,
-                            pt.gs_label.display, r.pred_grade.display])
+        write_csv(out / "px2_records.csv",
+                  ("patient_id", "x_vox", "y_vox", "z_vox", "zone", "gs_label", "pred_grade"),
+                  ((pt.patient_id, pt.x, pt.y, pt.z, pt.zone, pt.gs_label.display,
+                    r.pred_grade.display) for pt, r in zip(points, records)))
     _emit(payload)
     if kappa.degenerate and args.strict:
         print("warning: point-protocol kappa is degenerate", file=sys.stderr)
@@ -374,6 +363,16 @@ def cmd_evaluate(args, file_cfg) -> int:
     return EXIT_OK
 
 
+def _fd_rel_err(fun, x, idx, analytic, step=1e-4) -> float:
+    """Relative error of the analytic derivative of fun at x along
+    coordinate idx against the central difference with the given step."""
+    hi, lo = x.copy(), x.copy()
+    hi[idx] += step
+    lo[idx] -= step
+    fd = (fun(hi) - fun(lo)) / (2 * step)
+    return abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-6)
+
+
 def _fd_loss_err(rng) -> float:
     n = int(rng.integers(8, 40))
     w = ClassWeights.lesion_default()
@@ -385,18 +384,7 @@ def _fd_loss_err(rng) -> float:
     def loss(q):
         return weighted_dice_loss(q, y, w) + weighted_ce_loss(q, y, w)
 
-    step = 1e-4
-    worst = 0.0
-    for i in range(n):
-        for c in range(6):
-            hi = p.copy()
-            lo = p.copy()
-            hi[i, c] += step
-            lo[i, c] -= step
-            fd = (loss(hi) - loss(lo)) / (2 * step)
-            denom = max(abs(fd), abs(grad[i, c]), 1e-6)
-            worst = max(worst, abs(fd - grad[i, c]) / denom)
-    return worst
+    return max(_fd_rel_err(loss, p, (i, c), grad[i, c]) for i in range(n) for c in range(6))
 
 
 def _fd_gate_err(rng) -> float:
@@ -415,24 +403,13 @@ def _fd_gate_err(rng) -> float:
         out = attention_gate_forward(FeatureStack(fp), AttentionMap(ap))
         return float((out.planes * dout).sum())
 
-    step = 1e-4
-    worst = 0.0
+    errs = []
     for _ in range(20):  # spot-check random coordinates of both gradients
-        i, j, k = (int(rng.integers(0, s)) for s in (C, h, w))
-        fp_hi, fp_lo = f.planes.copy(), f.planes.copy()
-        fp_hi[i, j, k] += step
-        fp_lo[i, j, k] -= step
-        fd = (forward_sum(fp_hi, a.plane) - forward_sum(fp_lo, a.plane)) / (2 * step)
-        denom = max(abs(fd), abs(df[i, j, k]), 1e-6)
-        worst = max(worst, abs(fd - df[i, j, k]) / denom)
-        u, v = int(rng.integers(0, ah)), int(rng.integers(0, aw))
-        ap_hi, ap_lo = a.plane.copy(), a.plane.copy()
-        ap_hi[u, v] += step
-        ap_lo[u, v] -= step
-        fd = (forward_sum(f.planes, ap_hi) - forward_sum(f.planes, ap_lo)) / (2 * step)
-        denom = max(abs(fd), abs(da[u, v]), 1e-6)
-        worst = max(worst, abs(fd - da[u, v]) / denom)
-    return worst
+        fi = tuple(int(rng.integers(0, s)) for s in (C, h, w))
+        ai = (int(rng.integers(0, ah)), int(rng.integers(0, aw)))
+        errs.append(_fd_rel_err(lambda fp: forward_sum(fp, a.plane), f.planes, fi, df[fi]))
+        errs.append(_fd_rel_err(lambda ap: forward_sum(f.planes, ap), a.plane, ai, da[ai]))
+    return max(errs)
 
 
 def cmd_losscheck(args, file_cfg) -> int:

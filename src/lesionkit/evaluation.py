@@ -42,11 +42,13 @@ from .matching import (
     DEFAULT_OVERLAP_FRAC,
     OVERLAP_DENOMS,
     DetectionRecord,
+    MatchResult,
     _dice,
     _grading_key,
     _intersection_table,
     _overlap_value,
     _qualifies,
+    match_detections,
     point_in_cluster_grade,
 )
 from .metrics import (
@@ -59,8 +61,11 @@ from .metrics import (
     bootstrap_kappa,
     confusion_matrix,
     dice_coefficient,
+    # unused here; perfbench/tracer.py wraps both names in this module and fails if one is missing
     froc_by_grade,
     froc_curve,
+    froc_from_matches,
+    match_grade,
     quadratic_weighted_kappa,
     sensitivity_at_fp,
 )
@@ -74,6 +79,7 @@ from .volume import (
     read_prob_stack,
     read_volume,
     require_ints,
+    write_csv,
     write_json,
 )
 
@@ -202,7 +208,8 @@ class PatientEval:
 
 @dataclass(frozen=True)
 class PatientStage:
-    """Per-patient pipeline products feeding cohort aggregation."""
+    """Per-patient pipeline products feeding cohort aggregation.  The
+    matches are at score threshold 0, from which every FROC curve counts."""
 
     patient_id: str
     fold: int
@@ -212,6 +219,8 @@ class PatientStage:
     cs_gt: LesionMap
     prostate_dice: float
     records: tuple[DetectionRecord, ...]
+    cs_match: MatchResult
+    grade_matches: dict[Grade, MatchResult]  # match_grade of the GS maps, per grade
 
 
 @dataclass
@@ -318,6 +327,8 @@ def _stage_patient(patient: PatientEval, cfg: EvaluationConfig) -> PatientStage:
         patient.labels.spacing_mm,
         KIND_LABEL,
     )
+    rule = {"overlap_frac": cfg.overlap_frac, "denom": cfg.overlap_denom,
+            "strict_duplicates": cfg.strict_duplicates}
     return PatientStage(
         patient_id=patient.patient_id,
         fold=patient.fold,
@@ -327,6 +338,8 @@ def _stage_patient(patient: PatientEval, cfg: EvaluationConfig) -> PatientStage:
         cs_gt=cs_gt,
         prostate_dice=dice_coefficient(gt_gland, pred_gland),
         records=_patient_records(patient, gs_pred, gs_gt, cfg),
+        cs_match=match_detections(cs_pred, cs_gt, **rule),
+        grade_matches={g: match_grade(gs_pred, gs_gt, g, **rule) for g in GRADE_ORDER},
     )
 
 
@@ -388,32 +401,25 @@ def evaluate_cohort(patients, cfg: EvaluationConfig | None = None) -> Evaluation
     return aggregate_stages(stage_cohort(patients, cfg), cfg)
 
 
+def _curve_or_none(matches) -> FrocCurve | None:
+    """FROC over one match per patient, or None without ground-truth lesions."""
+    if sum(m.n_gt for m in matches) == 0:
+        return None
+    return froc_from_matches(matches, len(matches))
+
+
 def aggregate_stages(stages, cfg: EvaluationConfig) -> EvaluationReport:
     """Cohort-level metrics from per-patient stages, in deterministic order."""
     degenerate = []
     folds = tuple(sorted({s.fold for s in stages}))
-    cs_pairs = [(s.cs_pred, s.cs_gt) for s in stages]
-    gs_pairs = [(s.gs_pred, s.gs_gt) for s in stages]
-
-    cs_curve = froc_curve(
-        cs_pairs, overlap_frac=cfg.overlap_frac, denom=cfg.overlap_denom,
-        strict_duplicates=cfg.strict_duplicates,
-    )
+    cs_curve = froc_from_matches([s.cs_match for s in stages], len(stages))
 
     cs_by_fold = {}
-    fold_curves = []
     for f in folds:
-        pairs = [(s.cs_pred, s.cs_gt) for s in stages if s.fold == f]
-        if sum(len(gt) for _, gt in pairs) == 0:
-            cs_by_fold[f] = None
+        cs_by_fold[f] = _curve_or_none([s.cs_match for s in stages if s.fold == f])
+        if cs_by_fold[f] is None:
             degenerate.append(f"fold {f} has no CS ground-truth lesions")
-            continue
-        curve = froc_curve(
-            pairs, overlap_frac=cfg.overlap_frac, denom=cfg.overlap_denom,
-            strict_duplicates=cfg.strict_duplicates,
-        )
-        cs_by_fold[f] = curve
-        fold_curves.append(curve)
+    fold_curves = [c for c in cs_by_fold.values() if c is not None]
     cs_aggregate = (
         aggregate_folds(fold_curves, cfg.fp_grid) if len(fold_curves) >= 2 else None
     )
@@ -422,15 +428,9 @@ def aggregate_stages(stages, cfg: EvaluationConfig) -> EvaluationReport:
 
     grade_curves = {}
     for g in GRADE_ORDER:
-        n_gt = sum(1 for _, gt in gs_pairs for c in gt.clusters if c.grade == g)
-        if n_gt == 0:
-            grade_curves[g] = None
+        grade_curves[g] = _curve_or_none([s.grade_matches[g] for s in stages])
+        if grade_curves[g] is None:
             degenerate.append(f"no {g.display} ground-truth lesions; curve omitted")
-            continue
-        grade_curves[g] = froc_by_grade(
-            gs_pairs, g, overlap_frac=cfg.overlap_frac, denom=cfg.overlap_denom,
-            strict_duplicates=cfg.strict_duplicates,
-        )
 
     sens_at = {
         "CS": {t: sensitivity_at_fp(cs_curve, t) for t in cfg.fp_targets}
@@ -579,12 +579,9 @@ def report_to_dict(report: EvaluationReport) -> dict:
     }
 
 
-def _write_froc_csv(path: Path, curve: FrocCurve) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["threshold", "mean_fp_per_patient", "sensitivity"])
-        for p in curve.points:
-            w.writerow([p.threshold, p.mean_fp_per_patient, p.sensitivity])
+def _write_froc_csv(path, curve: FrocCurve) -> None:
+    write_csv(path, ("threshold", "mean_fp_per_patient", "sensitivity"),
+              ((p.threshold, p.mean_fp_per_patient, p.sensitivity) for p in curve.points))
 
 
 def _cluster_summary(m: LesionMap) -> list[dict]:
@@ -608,14 +605,12 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", report_to_dict(report))
 
-    with open(out / "detections.csv", "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(DETECTION_COLUMNS)
-        for r in report.records:
-            pred = r.pred_grade.display if isinstance(r.pred_grade, Grade) else MISSED
-            w.writerow(
-                [r.patient_id, r.fold, r.zone, r.gt_grade.display, pred, r.score, r.dice, r.overlap_frac]
-            )
+    write_csv(out / "detections.csv", DETECTION_COLUMNS, (
+        (r.patient_id, r.fold, r.zone, r.gt_grade.display,
+         r.pred_grade.display if isinstance(r.pred_grade, Grade) else MISSED,
+         r.score, r.dice, r.overlap_frac)
+        for r in report.records
+    ))
 
     _write_froc_csv(out / "froc_cs.csv", report.cs_froc)
     for f, curve in report.cs_froc_by_fold.items():
@@ -625,11 +620,8 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
         if curve is not None:
             _write_froc_csv(out / f"froc_{GRADE_STEMS[g]}.csv", curve)
     if report.cs_aggregate is not None:
-        with open(out / "froc_cs_aggregate.csv", "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["fp_rate", "sens_mean", "sens_lo", "sens_hi"])
-            for p in report.cs_aggregate:
-                w.writerow([p.fp_rate, p.sens_mean, p.sens_lo, p.sens_hi])
+        write_csv(out / "froc_cs_aggregate.csv", ("fp_rate", "sens_mean", "sens_lo", "sens_hi"),
+                  ((p.fp_rate, p.sens_mean, p.sens_lo, p.sens_hi) for p in report.cs_aggregate))
 
     write_json(
         out / "confusion_tp_only.json",

@@ -15,7 +15,7 @@ from scipy.stats import norm
 
 from .cluster import LesionMap
 from .grades import GRADE_ORDER, MISSED, Grade
-from .matching import _dice, match_detections
+from .matching import MatchResult, _dice, match_detections
 
 #: Threshold sentinel just above the maximum attainable score.
 ABOVE_MAX_SCORE = float(np.nextafter(1.0, 2.0))
@@ -183,8 +183,19 @@ def froc_curve(
     return froc_from_matches(matches, len(pairs))
 
 
-def _only_grade(m: LesionMap, grade: Grade) -> LesionMap:
-    return replace(m, clusters=tuple(c for c in m.clusters if c.grade == grade))
+def match_grade(
+    pred: LesionMap,
+    gt: LesionMap,
+    grade: Grade,
+    overlap_frac: float = 0.10,
+    denom: str = "pred",
+    strict_duplicates: bool = False,
+) -> MatchResult:
+    """match_detections of grade-g predictions against grade-g lesions only."""
+    pred, gt = (replace(m, clusters=tuple(c for c in m.clusters if c.grade == grade))
+                for m in (pred, gt))
+    return match_detections(pred, gt, overlap_frac=overlap_frac, denom=denom,
+                            strict_duplicates=strict_duplicates)
 
 
 def froc_by_grade(
@@ -194,17 +205,15 @@ def froc_by_grade(
     denom: str = "pred",
     strict_duplicates: bool = False,
 ) -> FrocCurve:
-    """Per-grade FROC: grade-g predictions against grade-g lesions only.
+    """Per-grade FROC over match_grade of each (prediction, ground truth) pair.
 
     A detected but misgraded lesion therefore counts as a false negative in
     its true grade's curve, and its prediction as a false positive in the
     predicted grade's curve.
     """
-    filtered = [(_only_grade(p, grade), _only_grade(g, grade)) for p, g in patients]
-    return froc_curve(
-        filtered, overlap_frac=overlap_frac, denom=denom,
-        strict_duplicates=strict_duplicates,
-    )
+    pairs = list(patients)
+    matches = [match_grade(p, g, grade, overlap_frac, denom, strict_duplicates) for p, g in pairs]
+    return froc_from_matches(matches, len(pairs))
 
 
 def sensitivity_at_fp(curve: FrocCurve, fp_rate: float) -> float:

@@ -11,6 +11,7 @@ payload in the same x-fastest order.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass
@@ -350,14 +351,14 @@ def json_chunks(obj):
         yield text
 
 
-def _create(path):
-    """path opened for binary writing; its parent directories are made only
-    when the open finds them missing."""
+def _create(path, mode="wb", **kwargs):
+    """open(path, mode, **kwargs) for writing; the parent directories are
+    made only when the open finds them missing."""
     try:
-        return open(path, "wb")
+        return open(path, mode, **kwargs)
     except FileNotFoundError:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        return open(path, "wb")
+        return open(path, mode, **kwargs)
 
 
 def write_json(path, payload) -> None:
@@ -367,6 +368,15 @@ def write_json(path, payload) -> None:
         for chunk in json_chunks(payload):
             f.write(chunk.encode())
         f.write(b"\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header and then each row as comma-separated UTF-8 lines
+    ending in a bare newline."""
+    with _create(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def read_json(path):

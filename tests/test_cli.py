@@ -46,6 +46,15 @@ def cohort(tmp_path_factory):
     return root / "coh"
 
 
+@pytest.fixture(scope="module")
+def bundle(cohort, tmp_path_factory):
+    """The evaluate bundle of the cohort."""
+    out = tmp_path_factory.mktemp("bundle")
+    assert main(["evaluate", "--cohort", str(cohort), "--out", str(out),
+                 "--bootstrap", "10"]) == EXIT_OK
+    return out
+
+
 class TestExitCodes:
     def test_config_file_not_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -488,14 +497,20 @@ class TestSmallCommands:
         assert code == EXIT_OK
         assert seen == [expected]
 
-    def test_froc_csv(self, cohort, tmp_path, capsys):
+    @pytest.mark.parametrize("grade, bundle_csv", [
+        (None, "froc_cs.csv"), ("GS6", "froc_gs6.csv"), ("GS3+4", "froc_gs34.csv"),
+        ("GS4+3", "froc_gs43.csv"), ("GS>=8", "froc_gs8.csv"),
+    ], ids=["cs", "gs6", "gs34", "gs43", "gs8"])
+    def test_froc_csv(self, cohort, bundle, tmp_path, capsys, grade, bundle_csv):
         out = tmp_path / "froc.csv"
-        code, payload = run(capsys, "froc", "--cohort", str(cohort),
+        stratum = [] if grade is None else ["--grade", grade]
+        code, payload = run(capsys, "froc", "--cohort", str(cohort), *stratum,
                             "--out", str(out))
         assert code == EXIT_OK
-        assert payload["stratum"] == "CS"
+        assert payload["stratum"] == (grade or "CS")
         header = out.read_text().splitlines()[0]
         assert header == "threshold,mean_fp_per_patient,sensitivity"
+        assert out.read_bytes() == (bundle / bundle_csv).read_bytes()
 
     def test_kappa_round_trip(self, cohort, tmp_path, capsys):
         code, _ = run(capsys, "evaluate", "--cohort", str(cohort),

@@ -8,10 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
-from lesionkit import evaluation
+from lesionkit import evaluation, matching, metrics
 from lesionkit.evaluation import (
     EvaluationConfig,
     PatientEval,
+    aggregate_stages,
     evaluate_cohort,
     evaluate_points,
     load_cohort,
@@ -196,6 +197,21 @@ class TestReportShape:
         d1["config"].pop("threads", None)
         d2["config"].pop("threads", None)
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+    def test_aggregation_only_counts_the_staged_matches(self, monkeypatch):
+        pats, ledger = generate_cohort(SCRIPTED)
+        cfg = EvaluationConfig(strict_duplicates=True, **FAST)
+        stages = stage_cohort(phantom_patient_evals(pats, ledger), cfg)
+        expected = aggregate_stages(stages, cfg)
+
+        def no_matching(*args, **kwargs):
+            raise AssertionError("aggregation ran the matcher")
+
+        for module in (matching, metrics, evaluation):
+            for name in ("match_detections", "match_grade"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_matching)
+        assert aggregate_stages(stages, cfg) == expected
 
 
 class TestZoneRule:

@@ -218,31 +218,6 @@ def _one_hot_probs(labels, score_idx):
     return data
 
 
-grid_labels = st.lists(st.integers(0, 5), min_size=N_VOX, max_size=N_VOX)
-grid_scores = st.lists(st.integers(0, 3), min_size=N_VOX, max_size=N_VOX)
-
-
-@settings(max_examples=200, deadline=None)
-@given(gt_lab=grid_labels, pred_lab=grid_labels, score_idx=grid_scores,
-       frac=st.sampled_from(FRACS), denom=st.sampled_from(OVERLAP_DENOMS))
-def test_staged_records_match_reference(gt_lab, pred_lab, score_idx, frac, denom):
-    shape = (DIMS[2], DIMS[1], DIMS[0])
-    gt = np.asarray(gt_lab, dtype=np.uint8).reshape(shape)
-    pred = np.asarray(pred_lab, dtype=np.uint8).reshape(shape)
-    probs = _one_hot_probs(pred, np.asarray(score_idx).reshape(shape))
-    patient = PatientEval(
-        patient_id="p", fold=0,
-        labels=Volume(gt, (1.0, 1.0, 1.0), KIND_LABEL),
-        probs=ProbStack(probs, (1.0, 1.0, 1.0)),
-    )
-    cfg = EvaluationConfig(min_volume_mm3=0.0, overlap_frac=frac, overlap_denom=denom)
-    (stage,) = stage_cohort([patient], cfg)
-    got = [(r.gt_grade, r.pred_grade, r.score, r.dice, r.overlap_frac) for r in stage.records]
-    assert got == ref_records(stage, cfg)
-    for r in stage.records:
-        assert type(r.dice) is float and type(r.overlap_frac) is float
-
-
 def _patient(pid, fold, gt_lab, pred_lab, score_idx):
     shape = (DIMS[2], DIMS[1], DIMS[0])
     gt = np.asarray(gt_lab, dtype=np.uint8).reshape(shape)
@@ -253,6 +228,23 @@ def _patient(pid, fold, gt_lab, pred_lab, score_idx):
         labels=Volume(gt, (1.0, 1.0, 1.0), KIND_LABEL),
         probs=ProbStack(probs, (1.0, 1.0, 1.0)),
     )
+
+
+grid_labels = st.lists(st.integers(0, 5), min_size=N_VOX, max_size=N_VOX)
+grid_scores = st.lists(st.integers(0, 3), min_size=N_VOX, max_size=N_VOX)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gt_lab=grid_labels, pred_lab=grid_labels, score_idx=grid_scores,
+       frac=st.sampled_from(FRACS), denom=st.sampled_from(OVERLAP_DENOMS))
+def test_staged_records_match_reference(gt_lab, pred_lab, score_idx, frac, denom):
+    patient = _patient("p", 0, gt_lab, pred_lab, score_idx)
+    cfg = EvaluationConfig(min_volume_mm3=0.0, overlap_frac=frac, overlap_denom=denom)
+    (stage,) = stage_cohort([patient], cfg)
+    got = [(r.gt_grade, r.pred_grade, r.score, r.dice, r.overlap_frac) for r in stage.records]
+    assert got == ref_records(stage, cfg)
+    for r in stage.records:
+        assert type(r.dice) is float and type(r.overlap_frac) is float
 
 
 def _curve_points(curve):
