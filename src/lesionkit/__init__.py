@@ -35,7 +35,6 @@ from .matching import (
     MatchResult,
     TpMatch,
     best_dice_assignment,
-    dice_overlap,
     match_detections,
     point_in_cluster_grade,
 )

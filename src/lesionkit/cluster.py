@@ -5,13 +5,13 @@ and lesion probability scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
 
 from .grades import CS_BINARY, CS_GRADES, GRADE_ORDER, Grade
-from .volume import ProbStack, Volume, mask_voxels, voxel_indices
+from .volume import ProbStack, Volume, mask_voxels
 
 MAP_GS = "gs"
 MAP_CS = "cs"
@@ -23,45 +23,67 @@ _CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
 CONNECTIVITIES = tuple(_CONNECTIVITY_RANK)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LesionCluster:
-    """One connected lesion: voxel tuple, grade, physical volume, and its
-    probability score (mean of the scoring channel)."""
+    """One connected lesion: its voxels as a mask within their box, its grade,
+    physical volume, and probability score (mean of the scoring channel).
+    ``values[c.box][c.mask]`` reads an array under it, in scan order.
+    Clusters compare by identity."""
 
-    voxels: tuple[tuple[int, int, int], ...]  # (x, y, z), in scan order
+    box: tuple[slice, slice, slice]  # tight (z, y, x) box, as find_objects gives it
+    mask: np.ndarray  # bool, the box's shape; stored read-only
     grade: object  # Grade member, or CS_BINARY for merged CS clusters
     volume_mm3: float
     score: float
+    n_voxels: int = field(init=False, repr=False)
+    first_voxel: tuple[int, int, int] = field(init=False, repr=False)  # (x, y, z), in scan order
 
     def __post_init__(self):
-        if not self.voxels:
+        mask = np.asarray(self.mask, dtype=bool).view()
+        if len(self.box) != 3 or mask.shape != tuple(s.stop - s.start for s in self.box):
+            raise ValueError(f"mask of shape {mask.shape} does not fill the box {self.box}")
+        mask.flags.writeable = False
+        n = int(np.count_nonzero(mask))
+        if n == 0:
             raise ValueError("cluster must contain at least one voxel")
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score {self.score} outside [0, 1]")
         if self.grade != CS_BINARY and not isinstance(self.grade, Grade):
             raise ValueError(f"grade must be a lesion grade or {CS_BINARY!r}")
+        z, y, x = (int(i) + s.start for i, s in zip(np.unravel_index(mask.argmax(), mask.shape),
+                                                     self.box))
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "n_voxels", n)
+        object.__setattr__(self, "first_voxel", (x, y, z))
 
     @property
-    def n_voxels(self) -> int:
-        return len(self.voxels)
-
-    @property
-    def voxel_set(self) -> frozenset:
-        return frozenset(self.voxels)
+    def voxels(self) -> tuple[tuple[int, int, int], ...]:
+        """(x, y, z) tuples of the cluster's voxels, in scan order."""
+        return mask_voxels(self.mask, self.box)
 
     @property
     def bbox(self) -> tuple[int, int, int, int, int, int]:
         """(xmin, ymin, zmin, xmax, ymax, zmax), inclusive."""
-        xs, ys, zs = zip(*self.voxels)
-        return (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
-
-    def index_arrays(self):
-        """(zs, ys, xs) integer arrays for numpy fancy indexing."""
-        return voxel_indices(self.voxels)
+        z, y, x = self.box
+        return (x.start, y.start, z.start, x.stop - 1, y.stop - 1, z.stop - 1)
 
     @property
     def grade_name(self) -> str:
         return self.grade if self.grade == CS_BINARY else self.grade.display
+
+
+def shared_voxels(a: LesionCluster, b: LesionCluster) -> int:
+    """The number of voxels two clusters share: their masks compared over
+    the box the two boxes have in common, none when the boxes are apart."""
+    common = []
+    for s, t in zip(a.box, b.box):
+        lo, hi = max(s.start, t.start), min(s.stop, t.stop)
+        if lo >= hi:
+            return 0  # the boxes are apart: most pairs end here, so it stays cheap
+        common.append((lo, hi))
+    pa, pb = (c.mask[tuple(slice(lo - s.start, hi - s.start) for (lo, hi), s in zip(common, c.box))]
+              for c in (a, b))
+    return int(np.count_nonzero(pa & pb))
 
 
 @dataclass(frozen=True)
@@ -76,18 +98,28 @@ class LesionMap:
     def __post_init__(self):
         if self.map_kind not in (MAP_GS, MAP_CS):
             raise ValueError(f"map_kind must be {MAP_GS!r} or {MAP_CS!r}")
-        seen = set()
-        for c in self.clusters:
-            common = seen.intersection(c.voxels)
-            if common:
-                raise ValueError(f"clusters overlap at voxel {min(common)}")
-            seen.update(c.voxels)
+        # sweep along z: only clusters whose z ranges meet can share a voxel
+        by_z = sorted(self.clusters, key=lambda c: c.box[0].start)
+        for i, a in enumerate(by_z):
+            for b in by_z[i + 1:]:
+                if b.box[0].start >= a.box[0].stop:
+                    break
+                if shared_voxels(a, b):
+                    raise ValueError(f"clusters at voxels {a.first_voxel} and "
+                                     f"{b.first_voxel} overlap")
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
 
     def __len__(self) -> int:
         return len(self.clusters)
+
+    def select(self, keep) -> LesionMap:
+        """The map of the clusters for which keep(cluster) holds.  They are
+        disjoint as this map's are, so the overlap check is skipped."""
+        m = replace(self, clusters=())
+        object.__setattr__(m, "clusters", tuple(c for c in self.clusters if keep(c)))
+        return m
 
 
 def _structure(connectivity: int) -> np.ndarray:
@@ -134,13 +166,12 @@ def connected_components(v: Volume, connectivity: int = DEFAULT_CONNECTIVITY):
     return [set(mask_voxels(comp, box)) for box, comp in _components(mask, structure)]
 
 
-def _scoring_channel(probs: ProbStack, grade, index) -> np.ndarray:
-    """The scoring channel at index (a box or index arrays): the grade's own
-    channel, or the per-voxel float64 sum of the CS channels for a CS-binary
-    cluster."""
+def _scoring_channel(probs: ProbStack, grade, box) -> np.ndarray:
+    """The scoring channel within a box: the grade's own channel, or the
+    per-voxel float64 sum of the CS channels for a CS-binary cluster."""
     if grade == CS_BINARY:
-        return np.sum([probs.data[int(g)][index] for g in CS_GRADES], axis=0, dtype=np.float64)
-    return probs.data[int(grade)][index]
+        return np.sum([probs.data[int(g)][box] for g in CS_GRADES], axis=0, dtype=np.float64)
+    return probs.data[int(grade)][box]
 
 
 def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> LesionMap:
@@ -168,20 +199,15 @@ def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> Lesio
     for grade, mask in groups:
         for sub_box, comp in _components(mask, structure):
             box = _shift(sub_box, crop)
-            vox = mask_voxels(comp, box)
             score = 1.0 if probs is None else float(
-                _scoring_channel(probs, grade, box)[comp].mean(dtype=np.float64)
-            )
-            clusters.append(
-                LesionCluster(
-                    voxels=vox,
-                    grade=grade,
-                    volume_mm3=len(vox) * labels.voxel_volume_mm3,
-                    score=min(score, 1.0),
-                )
-            )
-    clusters.sort(key=lambda c: c.voxels[0][::-1])
-    return LesionMap(tuple(clusters), labels.dims, labels.spacing_mm, map_kind)
+                _scoring_channel(probs, grade, box)[comp].mean(dtype=np.float64))
+            volume = int(np.count_nonzero(comp)) * labels.voxel_volume_mm3
+            clusters.append(LesionCluster(box, comp, grade, volume, min(score, 1.0)))
+    clusters.sort(key=lambda c: c.first_voxel[::-1])
+    m = LesionMap((), labels.dims, labels.spacing_mm, map_kind)
+    # components of disjoint masks are disjoint: the overlap check has nothing to find
+    object.__setattr__(m, "clusters", tuple(clusters))
+    return m
 
 
 def gs_lesion_maps(
@@ -205,7 +231,7 @@ def cs_lesion_maps(
 def lesion_probability_score(c: LesionCluster, probs: ProbStack) -> float:
     """Mean over the cluster's voxels of its scoring channel (the grade's
     channel, or the summed CS channels for a CS-binary cluster)."""
-    return float(_scoring_channel(probs, c.grade, c.index_arrays()).mean(dtype=np.float64))
+    return float(_scoring_channel(probs, c.grade, c.box)[c.mask].mean(dtype=np.float64))
 
 
 def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> LesionMap:
@@ -213,13 +239,12 @@ def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> Le
     at exactly the threshold is kept."""
     if not (min_mm3 >= 0):  # NaN fails too
         raise ValueError("min_mm3 must be nonnegative")
-    kept = tuple(c for c in m.clusters if c.volume_mm3 >= min_mm3)
-    return replace(m, clusters=kept)
+    return m.select(lambda c: c.volume_mm3 >= min_mm3)
 
 
 def _in_zone(c: LesionCluster, zone: Volume) -> bool:
     """At least half of the cluster's voxels lie inside the zone mask."""
-    return 2 * int(np.count_nonzero(zone.values[c.index_arrays()])) >= c.n_voxels
+    return 2 * int(np.count_nonzero(zone.values[c.box][c.mask])) >= c.n_voxels
 
 
 def filter_by_zone(m: LesionMap, zone: Volume) -> LesionMap:
@@ -228,4 +253,4 @@ def filter_by_zone(m: LesionMap, zone: Volume) -> LesionMap:
 
     Selection is per whole cluster, never voxel carving, so it commutes with
     volume filtering."""
-    return replace(m, clusters=tuple(c for c in m.clusters if _in_zone(c, zone)))
+    return m.select(lambda c: _in_zone(c, zone))

@@ -36,6 +36,7 @@ from .cluster import (
     filter_by_volume,
     filter_by_zone,
     gs_lesion_maps,
+    shared_voxels,
 )
 from .grades import GRADE_ORDER, Grade, MISSED, parse_grade
 from .matching import (
@@ -45,7 +46,6 @@ from .matching import (
     MatchResult,
     _dice,
     _grading_key,
-    _intersection_table,
     _overlap_value,
     _qualifies,
     match_detections,
@@ -79,6 +79,7 @@ from .volume import (
     read_prob_stack,
     read_volume,
     require_ints,
+    require_reals,
     write_csv,
     write_json,
 )
@@ -130,6 +131,7 @@ class EvaluationConfig:
 
     def __post_init__(self):
         require_ints(self, "connectivity", "bootstrap_iterations", "bootstrap_seed", "threads")
+        require_reals(self, "min_volume_mm3", "overlap_frac", sequences=("fp_targets", "fp_grid"))
         for name in ("gt_dir", "pred_dir", "zones_dir", "fold_manifest", "output_dir"):
             if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
                 raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
@@ -267,13 +269,11 @@ def _patient_records(patient: PatientEval, gs_pred, gs_gt, cfg) -> tuple:
     the grade of the highest-Dice qualifying cluster (one cluster may grade
     several lesions)."""
     denom = cfg.overlap_denom
-    by_lesion = _intersection_table(gs_pred.clusters, gs_gt.clusters).T.tolist()
     records = []
-    for lesion, inters in zip(gs_gt.clusters, by_lesion):
-        cands = [
-            (inter, c) for inter, c in zip(inters, gs_pred.clusters)
-            if _qualifies(inter, c, lesion, denom, cfg.overlap_frac)
-        ]
+    for lesion in gs_gt.clusters:
+        inters = ((shared_voxels(c, lesion), c) for c in gs_pred.clusters)
+        cands = [(inter, c) for inter, c in inters
+                 if _qualifies(inter, c, lesion, denom, cfg.overlap_frac)]
         if cands:
             inter, best = max(cands, key=lambda ic: _grading_key(*ic, lesion))
             pred_grade, score = best.grade, best.score
@@ -312,21 +312,12 @@ def _stage_patient(patient: PatientEval, cfg: EvaluationConfig) -> PatientStage:
                 f"{patient.patient_id} has no zone masks"
             )
         mask = patient.zones.pz if cfg.zone == "pz" else patient.zones.tz
-        gs_pred = filter_by_zone(gs_pred, mask)
-        gs_gt = filter_by_zone(gs_gt, mask)
-        cs_pred = filter_by_zone(cs_pred, mask)
-        cs_gt = filter_by_zone(cs_gt, mask)
+        gs_pred, gs_gt, cs_pred, cs_gt = (filter_by_zone(m, mask)
+                                          for m in (gs_pred, gs_gt, cs_pred, cs_gt))
 
-    gt_gland = Volume(
-        (np.asarray(patient.labels.values) >= 1).astype(np.uint8),
-        patient.labels.spacing_mm,
-        KIND_LABEL,
-    )
-    pred_gland = Volume(
-        (np.asarray(pred_labels.values) >= 1).astype(np.uint8),
-        patient.labels.spacing_mm,
-        KIND_LABEL,
-    )
+    gt_gland, pred_gland = (Volume((np.asarray(v.values) >= 1).astype(np.uint8),
+                                   patient.labels.spacing_mm, KIND_LABEL)
+                            for v in (patient.labels, pred_labels))
     rule = {"overlap_frac": cfg.overlap_frac, "denom": cfg.overlap_denom,
             "strict_duplicates": cfg.strict_duplicates}
     return PatientStage(
@@ -623,14 +614,9 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
         write_csv(out / "froc_cs_aggregate.csv", ("fp_rate", "sens_mean", "sens_lo", "sens_hi"),
                   ((p.fp_rate, p.sens_mean, p.sens_lo, p.sens_hi) for p in report.cs_aggregate))
 
-    write_json(
-        out / "confusion_tp_only.json",
-        _confusion_dict(report.confusion_tp_only, report.kappa_tp_only),
-    )
-    write_json(
-        out / "confusion_with_fn.json",
-        _confusion_dict(report.confusion_with_fn, report.kappa_with_fn),
-    )
+    for name, cm, k in (("tp_only", report.confusion_tp_only, report.kappa_tp_only),
+                        ("with_fn", report.confusion_with_fn, report.kappa_with_fn)):
+        write_json(out / f"confusion_{name}.json", _confusion_dict(cm, k))
 
     if stages is not None:
         clusters = {

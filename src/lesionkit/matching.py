@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import LesionCluster, LesionMap
+from .cluster import LesionCluster, LesionMap, shared_voxels
 from .grades import MISSED, Grade
 from .volume import Volume
 
@@ -22,13 +22,6 @@ OVERLAP_DENOMS = ("pred", "gt", "union")
 
 def _dice(inter: int, na: int, nb: int) -> float:
     return 2.0 * inter / (na + nb)
-
-
-def dice_overlap(a: frozenset, b: frozenset) -> float:
-    """2|A∩B| / (|A|+|B|) for voxel sets."""
-    if not a and not b:
-        return 1.0
-    return _dice(len(a & b), len(a), len(b))
 
 
 @dataclass(frozen=True)
@@ -98,16 +91,6 @@ class DetectionRecord:
             raise ValueError(f"pred_grade must be a grade or {MISSED!r}")
 
 
-def _intersection_table(pred, gt) -> np.ndarray:
-    """P x G voxel-intersection counts of predicted against ground-truth
-    clusters.  The ground-truth clusters must be disjoint, as in a LesionMap,
-    so each voxel maps to at most one of them."""
-    owner = {v: gi for gi, g in enumerate(gt) for v in g.voxels}
-    pairs = [pi * len(gt) + owner[v] for pi, p in enumerate(pred) for v in p.voxels if v in owner]
-    counts = np.bincount(np.asarray(pairs, dtype=np.intp), minlength=len(pred) * len(gt))
-    return counts.reshape(len(pred), len(gt))
-
-
 def _overlap_value(inter: int, pred: LesionCluster, gt: LesionCluster, denom: str) -> float:
     # denom is one of OVERLAP_DENOMS, validated where it enters
     if denom == "pred":
@@ -157,18 +140,16 @@ def match_detections(
 
     order = sorted(
         (c for c in pred.clusters if c.score >= score_threshold),
-        key=lambda c: (-c.score, c.voxels[0][::-1]),
+        key=lambda c: (-c.score, c.first_voxel[::-1]),
     )
-    table = _intersection_table(order, gt.clusters).tolist()
     claimed = [False] * len(gt.clusters)
     tp, fp, dup = [], [], []
-    for p, row in zip(order, table):
-        best = None  # (intersection, -gt_index) maximized
-        for gi, inter in enumerate(row):
-            if not _qualifies(inter, p, gt.clusters[gi], denom, overlap_frac):
-                continue
-            if best is None or inter > best[0]:
-                best = (inter, gi)
+    for p in order:
+        inters = ((shared_voxels(p, g), gi, g) for gi, g in enumerate(gt.clusters))
+        qualifying = [(inter, gi) for inter, gi, g in inters
+                      if _qualifies(inter, p, g, denom, overlap_frac)]
+        # the largest intersection; on ties the first lesion
+        best = max(qualifying, key=lambda ig: ig[0], default=None)
         if best is None:
             fp.append(p)
             continue
@@ -178,15 +159,9 @@ def match_detections(
             continue
         claimed[gi] = True
         g = gt.clusters[gi]
-        tp.append(
-            TpMatch(
-                pred=p,
-                gt=g,
-                intersection=inter,
-                overlap=_overlap_value(inter, p, g, denom),
-                dice=_dice(inter, p.n_voxels, g.n_voxels),
-            )
-        )
+        tp.append(TpMatch(pred=p, gt=g, intersection=inter,
+                          overlap=_overlap_value(inter, p, g, denom),
+                          dice=_dice(inter, p.n_voxels, g.n_voxels)))
     fn = tuple(c for gi, c in enumerate(gt.clusters) if not claimed[gi])
     return MatchResult(tp=tuple(tp), fp=tuple(fp), fn=fn, duplicates=tuple(dup))
 
@@ -197,7 +172,7 @@ def best_dice_assignment(gt: LesionCluster, candidates) -> LesionCluster:
     cands = list(candidates)
     if not cands:
         raise ValueError("no candidate predictions")
-    inters = _intersection_table(cands, [gt])[:, 0].tolist()
+    inters = [shared_voxels(c, gt) for c in cands]
     if 0 in inters:
         raise ValueError("candidates must intersect the ground-truth lesion")
     return max(zip(inters, cands), key=lambda ic: _grading_key(*ic, gt))[1]
@@ -213,20 +188,15 @@ def point_in_cluster_grade(
     nx, ny, nz = gs_labels.dims
     if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
         raise ValueError(f"point {point} outside grid {gs_labels.dims}")
-    hit = None
-    for c in cs_map.clusters:
-        if (x, y, z) in c.voxels:
-            hit = c
-            break
+    zyx = (z, y, x)
+    hit = next((c for c in cs_map.clusters
+                if all(s.start <= i < s.stop for s, i in zip(c.box, zyx))
+                and c.mask[tuple(i - s.start for s, i in zip(c.box, zyx))]), None)
     if hit is None:
         return Grade.GS6
-    labels = np.asarray(gs_labels.values)[hit.index_arrays()]
-    counts = {}
-    for g in Grade:
-        n = int((labels == int(g)).sum())
-        if n:
-            counts[g] = n
-    if not counts:
+    labels = np.asarray(gs_labels.values)[hit.box][hit.mask]
+    counts = {g: int(np.count_nonzero(labels == int(g))) for g in Grade}
+    if not any(counts.values()):
         return Grade.GS6
     # modal grade; exact ties resolve to the more aggressive grade
     return max(counts, key=lambda g: (counts[g], int(g)))

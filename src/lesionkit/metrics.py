@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -192,8 +192,7 @@ def match_grade(
     strict_duplicates: bool = False,
 ) -> MatchResult:
     """match_detections of grade-g predictions against grade-g lesions only."""
-    pred, gt = (replace(m, clusters=tuple(c for c in m.clusters if c.grade == grade))
-                for m in (pred, gt))
+    pred, gt = (m.select(lambda c: c.grade == grade) for m in (pred, gt))
     return match_detections(pred, gt, overlap_frac=overlap_frac, denom=denom,
                             strict_duplicates=strict_duplicates)
 

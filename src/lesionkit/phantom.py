@@ -34,8 +34,11 @@ from .volume import (
     ProbStack,
     Volume,
     ZoneMask,
+    _check_spacing,
+    is_real,
     mask_voxels,
     require_ints,
+    require_reals,
     voxel_indices,
     write_json,
     write_volume,
@@ -84,6 +87,8 @@ class PhantomConfig:
     def __post_init__(self):
         require_ints(self, "seed", "n_patients", "fp_per_patient", "min_lesion_voxels",
                      "max_place_retries", "n_folds", sequences=("dims", "lesions_per_grade"))
+        require_reals(self, "fp_score", "miss_fraction", "pz_fraction", "tz_scale",
+                      sequences=("lesion_radius_mm", "score_range", "spacing_mm"))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.n_patients < 1:
@@ -95,7 +100,7 @@ class PhantomConfig:
         if not (0.0 <= self.pz_fraction <= 1.0):
             raise ValueError("pz_fraction must lie in [0, 1]")
         lo, hi = self.lesion_radius_mm
-        if lo <= 0 or hi < lo:
+        if not (0 < lo <= hi):  # NaN fails too
             raise ValueError("lesion radius range must be positive and ordered")
         if len(self.lesions_per_grade) != 4 or any(n < 0 for n in self.lesions_per_grade):
             raise ValueError("lesions_per_grade needs 4 nonnegative counts")
@@ -108,20 +113,15 @@ class PhantomConfig:
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("misgrade table must be 4x4")
         for r in rows:
-            if any(p < 0 for p in r) or abs(sum(r) - 1.0) > 1e-9:
-                raise ValueError("misgrade rows must be distributions")
+            if not (all(map(is_real, r)) and all(p >= 0 for p in r) and abs(sum(r) - 1) <= 1e-9):
+                raise ValueError(f"misgrade rows must be distributions, got {r!r}")
         if not (0 < self.tz_scale < 1):
             raise ValueError("tz_scale must lie in (0, 1)")
         if self.n_folds < 1 or self.n_folds > self.n_patients:
             raise ValueError("n_folds must lie in 1..n_patients")
         if self.min_lesion_voxels < 1:
             raise ValueError("min_lesion_voxels must be positive")
-        sp = self.spacing_mm
-        if not (isinstance(sp, (tuple, list)) and len(sp) == 3 and all(
-            type(s) in (int, float) and 0.0 < s < float("inf") for s in sp
-        )):
-            raise ValueError(f"spacing_mm must be three positive finite numbers, got {sp!r}")
-        sx, sy, sz = sp
+        sx, sy, sz = _check_spacing(self.spacing_mm)
         if self.min_lesion_voxels * sx * sy * sz < MIN_LESION_VOLUME_MM3:
             raise ValueError(
                 "min_lesion_voxels times the voxel volume must reach the "

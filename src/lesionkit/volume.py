@@ -46,14 +46,35 @@ def require_ints(cfg, *names, sequences=()) -> None:
     """Raise ValueError unless each named field of a config holds one int
     and each field named in sequences a tuple or list of ints; bools and
     floats are rejected."""
+    _require(cfg, names, sequences, lambda v: type(v) is int, "an integer")
+
+
+def is_real(value) -> bool:
+    """An int, float or numpy float; a bool is not a real number here."""
+    return isinstance(value, (int, float, np.floating)) and not isinstance(value, bool)
+
+
+def require_reals(cfg, *names, sequences=()) -> None:
+    """As require_ints, for real numbers by the rule of is_real.  Numpy
+    floats are stored back as Python floats, so the config serializes."""
+    _require(cfg, names, sequences, is_real, "a real number")
+
+
+def _plain(value):
+    return float(value) if isinstance(value, np.floating) else value
+
+
+def _require(cfg, names, sequences, accepts, noun) -> None:
     for name in names:
         value = getattr(cfg, name)
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not accepts(value):
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
+        object.__setattr__(cfg, name, _plain(value))
     for name in sequences:
         value = getattr(cfg, name)
-        if not (isinstance(value, (tuple, list)) and all(type(v) is int for v in value)):
-            raise ValueError(f"{name} must be a list of integers, got {value!r}")
+        if not (isinstance(value, (tuple, list)) and all(map(accepts, value))):
+            raise ValueError(f"{name} must be a list, each {noun}, got {value!r}")
+        object.__setattr__(cfg, name, type(value)(map(_plain, value)))
 
 
 def _check_spacing(spacing) -> tuple[float, float, float]:
@@ -61,7 +82,7 @@ def _check_spacing(spacing) -> tuple[float, float, float]:
     finite numbers."""
     sp = tuple(float(s) for s in spacing)
     if len(sp) != 3 or not all(0.0 < s < float("inf") for s in sp):
-        raise ValueError(f"spacing must be three positive finite floats, got {spacing}")
+        raise ValueError(f"spacing_mm must be three positive finite numbers, got {spacing}")
     return sp
 
 

@@ -21,7 +21,6 @@ from lesionkit.cli import main
 from lesionkit.cluster import (
     DEFAULT_CONNECTIVITY,
     MIN_LESION_VOLUME_MM3,
-    LesionCluster,
     LesionMap,
     connected_components,
     filter_by_volume,
@@ -59,6 +58,8 @@ from lesionkit.phantom import (
 )
 from lesionkit.volume import KIND_LABEL, Volume
 
+from lesion_builders import from_voxels
+
 
 @contextmanager
 def criterion(name: str, budget_s: float):
@@ -89,8 +90,8 @@ def test_c1_constants_fidelity():
         # at (1, 1, 3) mm spacing the 45 mm^3 filter is exactly 15 voxels
         sx, sy, sz = 1.0, 1.0, 3.0
         assert MIN_LESION_VOLUME_MM3 / (sx * sy * sz) == 15.0
-        keep = LesionCluster(box(0, 5, 0, 3, 0, 1), Grade.GS34, 15 * 3.0, 0.9)
-        drop = LesionCluster(box(0, 7, 6, 8, 0, 1), Grade.GS34, 14 * 3.0, 0.9)
+        keep = from_voxels(box(0, 5, 0, 3, 0, 1), Grade.GS34, 15 * 3.0, 0.9)
+        drop = from_voxels(box(0, 7, 6, 8, 0, 1), Grade.GS34, 14 * 3.0, 0.9)
         m = LesionMap((keep, drop), (16, 16, 4), (sx, sy, sz), "gs")
         assert filter_by_volume(m).clusters == (keep,)
 
@@ -452,7 +453,7 @@ def test_c7_protocol_variants():
         dims, spacing = (16, 16, 4), (1.0, 1.0, 3.0)
 
         def cl(voxels, grade, score):
-            return LesionCluster(voxels, grade, len(voxels) * 3.0, score)
+            return from_voxels(voxels, grade, len(voxels) * 3.0, score)
 
         l1, l2, l3 = (
             box(1, 4, 1, 4, 0, 2),
@@ -492,7 +493,7 @@ def test_c7_protocol_variants():
         for x, y, z in vox:
             labels[z, y, x] = 4  # GS4+3 label code
         gs_vol = Volume(labels, ps, KIND_LABEL)
-        cs_map = LesionMap((LesionCluster(vox, CS_BINARY, len(vox) * 3.0, 0.9),), pd, ps, "cs")
+        cs_map = LesionMap((from_voxels(vox, CS_BINARY, len(vox) * 3.0, 0.9),), pd, ps, "cs")
         assert point_in_cluster_grade((8, 8, 0), cs_map, gs_vol) == Grade.GS6
         assert point_in_cluster_grade((3, 3, 1), cs_map, gs_vol) == Grade.GS43
 

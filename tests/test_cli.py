@@ -174,6 +174,14 @@ class TestExitCodes:
         {"bootstrap_seed": -1},
         {"threads": True},
         {"connectivity": 26.0},
+        # a bool is not a real number, nor is text
+        {"overlap_frac": True, "min_volume_mm3": False, "fp_targets": [True, 1.5]},
+        {"overlap_frac": True},
+        {"min_volume_mm3": False},
+        {"fp_targets": [True, 1.5]},
+        {"fp_grid": [0.5, False]},
+        {"overlap_frac": "0.1"},
+        {"fp_targets": 1.0},
     ])
     def test_bad_evaluation_config_fails_before_loading(self, tmp_path, capsys, section):
         cfg = tmp_path / "cfg.json"
@@ -199,6 +207,29 @@ class TestExitCodes:
                      id="spacing-count"),
         pytest.param({"phantom": {"spacing_mm": [1.0, "1", 3.0]}}, "phantom", "spacing_mm",
                      id="spacing-text"),
+        pytest.param({"phantom": {"spacing_mm": [True, 1.0, 3.0]}}, "phantom", "spacing_mm",
+                     id="spacing-bool"),
+        pytest.param({"evaluation": {"overlap_frac": True}}, "evaluate", "overlap_frac",
+                     id="overlap_frac-bool"),
+        pytest.param({"evaluation": {"min_volume_mm3": False}}, "evaluate", "min_volume_mm3",
+                     id="min_volume-bool"),
+        pytest.param({"evaluation": {"fp_targets": [True, 1.5]}}, "evaluate", "fp_targets",
+                     id="fp_targets-bool"),
+        pytest.param({"evaluation": {"fp_grid": [0.5, False]}}, "evaluate", "fp_grid",
+                     id="fp_grid-bool"),
+        pytest.param({"phantom": {"miss_fraction": True}}, "phantom", "miss_fraction",
+                     id="miss_fraction-bool"),
+        pytest.param({"phantom": {"fp_score": True}}, "phantom", "fp_score", id="fp_score-bool"),
+        pytest.param({"phantom": {"pz_fraction": False}}, "phantom", "pz_fraction",
+                     id="pz_fraction-bool"),
+        pytest.param({"phantom": {"tz_scale": "0.5"}}, "phantom", "tz_scale", id="tz_scale-text"),
+        pytest.param({"phantom": {"lesion_radius_mm": [True, 5.0]}}, "phantom",
+                     "lesion_radius_mm", id="radius-bool"),
+        pytest.param({"phantom": {"score_range": [0.6, True]}}, "phantom", "score_range",
+                     id="score_range-bool"),
+        pytest.param({"phantom": {"misgrade": [[True, False, False, False], [0, 1, 0, 0],
+                                               [0, 0, 1, 0], [0, 0, 0, 1]]}},
+                     "phantom", "misgrade", id="misgrade-bool"),
     ])
     def test_config_error_names_the_field(self, tmp_path, capsys, section, command, field):
         cfg = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Connected components against a brute-force BFS oracle, lesion map
 construction, volume/zone filtering, and probability scoring."""
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -21,6 +22,8 @@ from lesionkit.cluster import (
 )
 from lesionkit.grades import CS_BINARY, CS_GRADES, GRADE_ORDER, Grade
 from lesionkit.volume import KIND_LABEL, KIND_PROBABILITY, ProbStack, Volume
+
+from lesion_builders import from_voxels
 
 
 def bfs_components(mask, connectivity):
@@ -176,7 +179,7 @@ class TestLesionMaps:
         m = gs_lesion_maps(label_volume(lab), None, 26)
         covered = set()
         for c in m.clusters:
-            covered |= c.voxel_set
+            covered |= frozenset(c.voxels)
         want = {
             (int(x), int(y), int(z))
             for z, y, x in zip(*np.nonzero(lab >= 2))
@@ -298,11 +301,20 @@ class TestReferenceMaps:
             raw[:3, rng.random(shape) < 0.3] = 0.0  # all mass on CS channels: sums reach 1
             probs = ProbStack((raw / raw.sum(axis=0)).astype(np.float32), labels.spacing_mm)
         build = cs_lesion_maps if cs else gs_lesion_maps
-        got = [(c.voxels, c.grade, c.volume_mm3, c.score)
-               for c in build(labels, probs, conn).clusters]
+        clusters = build(labels, probs, conn).clusters
+        got = [(c.voxels, c.grade, c.volume_mm3, c.score) for c in clusters]
         want = reference_map(labels, probs, conn, cs)
         assert [g[:3] for g in got] == [w[:3] for w in want]
         assert np.array([g[3] for g in got]).tobytes() == np.array([w[3] for w in want]).tobytes()
+        # what each cluster derives from its box and mask, against the reference's tuples
+        for c, (vox, *_) in zip(clusters, want):
+            xs, ys, zs = zip(*vox)
+            assert c.bbox == (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
+            assert c.n_voxels == len(vox) and c.first_voxel == vox[0]
+            assert lab[c.box][c.mask].tolist() == [lab[z, y, x] for x, y, z in vox]
+            assert not c.mask.flags.writeable
+        keys = [c.first_voxel[::-1] for c in clusters]
+        assert keys == sorted(keys) == [(v[0][2], v[0][1], v[0][0]) for v, *_ in want]
 
 
 class TestLesionFree:
@@ -386,7 +398,7 @@ class TestBfsOracleMaps:
         for probs in (None, onehot_stack(labels)):
             m = build(labels, probs, conn)
             got = sorted(
-                ((str(c.grade), c.voxel_set, c.volume_mm3) for c in m.clusters),
+                ((str(c.grade), frozenset(c.voxels), c.volume_mm3) for c in m.clusters),
                 key=lambda c: (c[0], sorted(c[1])),
             )
             assert got == bfs_map(lab, conn, cs)
@@ -402,7 +414,7 @@ class TestFilters:
         for n in sizes:
             vox = tuple((x, 0, z) for x in range(n))
             clusters.append(
-                LesionCluster(vox, Grade.GS34, n * spacing[0] * spacing[1] * spacing[2], 0.9)
+                from_voxels(vox, Grade.GS34, n * spacing[0] * spacing[1] * spacing[2], 0.9)
             )
             z += 1
         return LesionMap(tuple(clusters), (max(sizes), 1, len(sizes)), spacing, "gs")
@@ -428,7 +440,7 @@ class TestFilters:
         vox_in = tuple((x, 0, 0) for x in range(6))
         vox_out = tuple((x, 3, 0) for x in range(6))
         half = tuple((x, 1, 0) for x in range(4))  # 2 of 4 inside
-        mk = lambda v: LesionCluster(v, Grade.GS6, float(len(v)), 0.5)
+        mk = lambda v: from_voxels(v, Grade.GS6, float(len(v)), 0.5)
         m = LesionMap((mk(vox_in), mk(vox_out), mk(half)), (8, 4, 1), (1, 1, 1), "gs")
         zone = np.zeros((1, 4, 8), dtype=np.uint8)
         zone[0, 0, :] = 1
@@ -450,7 +462,7 @@ class TestFilters:
 
 class TestScoring:
     def _cluster(self, voxels, grade=Grade.GS34):
-        return LesionCluster(tuple(voxels), grade, float(len(voxels)), 0.5)
+        return from_voxels(voxels, grade, float(len(voxels)), 0.5)
 
     def _stack(self, data):
         return ProbStack(np.asarray(data, dtype=np.float32), (1.0, 1.0, 3.0))
@@ -502,18 +514,51 @@ class TestScoring:
 class TestModelValidation:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            LesionCluster((), Grade.GS6, 0.0, 0.5)
+            from_voxels((), Grade.GS6, 0.0, 0.5)
 
     def test_bad_score_rejected(self):
         with pytest.raises(ValueError):
-            LesionCluster(((0, 0, 0),), Grade.GS6, 3.0, 1.5)
+            from_voxels(((0, 0, 0),), Grade.GS6, 3.0, 1.5)
 
     def test_overlapping_clusters_rejected(self):
-        a = LesionCluster(((0, 0, 0),), Grade.GS6, 3.0, 0.5)
-        b = LesionCluster(((0, 0, 0), (1, 0, 0)), Grade.GS34, 6.0, 0.5)
+        a = from_voxels(((0, 0, 0),), Grade.GS6, 3.0, 0.5)
+        b = from_voxels(((0, 0, 0), (1, 0, 0)), Grade.GS34, 6.0, 0.5)
         with pytest.raises(ValueError):
             LesionMap((a, b), (2, 1, 1), (1, 1, 3), "gs")
 
+    def test_interleaved_clusters_pass_and_one_shared_voxel_fails(self):
+        def mk(vox):
+            return from_voxels(vox, Grade.GS6, float(len(vox)), 0.5)
+
+        # the two colours of a checkerboard: the same box, disjoint masks
+        grid = [(x, y, z) for z in range(3) for y in range(4) for x in range(6)]
+        even = mk([v for v in grid if sum(v) % 2 == 0])
+        odd = mk([v for v in grid if sum(v) % 2 == 1])
+        tall = mk([(6, 0, z) for z in range(3)])
+        mid = mk([(6, 3, 1)])
+        # shares only (6, 0, 2) with tall, and starts two slices above it
+        late = mk([(6, 0, 2), (7, 0, 2)])
+        dims, spacing = (8, 4, 3), (1.0, 1.0, 3.0)
+        assert even.box == odd.box
+        for order in itertools.permutations((even, odd, tall, mid)):
+            assert len(LesionMap(order, dims, spacing, "gs")) == 4
+        for order in itertools.permutations((even, odd, tall, mid, late)):
+            with pytest.raises(ValueError, match="overlap"):
+                LesionMap(order, dims, spacing, "gs")
+
+    def test_mask_must_fill_the_box_and_is_read_only(self):
+        mask = np.ones((1, 2, 2), dtype=bool)
+        with pytest.raises(ValueError, match="box"):
+            LesionCluster((slice(0, 1), slice(0, 2), slice(0, 3)), mask, Grade.GS6, 4.0, 0.5)
+        c = LesionCluster((slice(2, 3), slice(0, 2), slice(1, 3)), mask, Grade.GS6, 4.0, 0.5)
+        assert c.voxels == ((1, 0, 2), (2, 0, 2), (1, 1, 2), (2, 1, 2))
+        assert c.bbox == (1, 0, 2, 2, 1, 2) and c.n_voxels == 4 and c.first_voxel == (1, 0, 2)
+        with pytest.raises(ValueError):
+            c.mask[0, 0, 0] = False
+        mask[0, 0, 0] = False  # the caller's array stays writable
+        twin = LesionCluster(c.box, np.ones((1, 2, 2), dtype=bool), Grade.GS6, 4.0, 0.5)
+        assert c != twin and c == c  # clusters compare by identity
+
     def test_bbox(self):
-        c = LesionCluster(((2, 1, 0), (4, 3, 1)), Grade.GS8, 6.0, 0.5)
+        c = from_voxels(((2, 1, 0), (4, 3, 1)), Grade.GS8, 6.0, 0.5)
         assert c.bbox == (2, 1, 0, 4, 3, 1)

@@ -165,6 +165,14 @@ class TestReportShape:
         assert "1.0" in back["sensitivity_at_fp"]["CS"]
         assert len(back["patients"]) == SCRIPTED.n_patients
 
+    def test_numpy_floats_are_stored_as_python_floats(self):
+        cfg = EvaluationConfig(overlap_frac=np.float32(0.25), fp_targets=[np.float64(1.0), 2])
+        assert type(cfg.overlap_frac) is float and cfg.overlap_frac == 0.25
+        assert cfg.fp_targets == [1.0, 2] and type(cfg.fp_targets[0]) is float
+        assert json.loads(json.dumps(cfg.to_dict()))["overlap_frac"] == 0.25
+        with pytest.raises(ValueError, match="overlap_frac"):
+            EvaluationConfig(overlap_frac=np.bool_(True))
+
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
             evaluate_cohort([], EvaluationConfig())

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lesionkit.cluster import LesionCluster, LesionMap, cs_lesion_maps, gs_lesion_maps
+from lesionkit.cluster import LesionMap, cs_lesion_maps, gs_lesion_maps
 from lesionkit.grades import CS_BINARY, MISSED, Grade
 from lesionkit.matching import (
     DetectionRecord,
     best_dice_assignment,
-    dice_overlap,
     match_detections,
     point_in_cluster_grade,
 )
 from lesionkit.volume import KIND_LABEL, Volume
+
+from lesion_builders import from_voxels
+from test_matching_reference import ref_dice
 
 DIMS = (12, 12, 4)
 SPACING = (1.0, 1.0, 3.0)
@@ -30,7 +32,7 @@ def box(x0, x1, y0, y1, z0, z1):
 
 
 def mk(voxels, grade=Grade.GS34, score=0.9):
-    return LesionCluster(tuple(voxels), grade, len(voxels) * 3.0, score)
+    return from_voxels(voxels, grade, len(voxels) * 3.0, score)
 
 
 def mk_map(clusters, kind="gs"):
@@ -70,8 +72,8 @@ class TestMatchDetections:
         pred = mk(box(0, 2, 0, 4, 0, 1) + box(2, 4, 2, 4, 0, 1))
         res = match_detections(mk_map([pred]), mk_map([g1, g2]), overlap_frac=0.10)
         assert res.tp_count == 1
-        inter1 = len(set(pred.voxels) & g1.voxel_set)
-        inter2 = len(set(pred.voxels) & g2.voxel_set)
+        inter1 = len(frozenset(pred.voxels) & frozenset(g1.voxels))
+        inter2 = len(frozenset(pred.voxels) & frozenset(g2.voxels))
         assert inter1 != inter2
         larger = g1 if inter1 > inter2 else g2
         assert res.tp[0].gt.voxels == larger.voxels
@@ -213,7 +215,7 @@ class TestBestDiceAssignment:
                 y0 = int(rng.integers(0, 6))
                 vox = box(x0, x0 + int(rng.integers(2, 5)), y0, y0 + int(rng.integers(2, 5)), 0, 2)
                 c = mk(vox, grade=Grade(int(rng.integers(2, 6))))
-                if c.voxel_set & gt.voxel_set:
+                if frozenset(c.voxels) & frozenset(gt.voxels):
                     cands.append(c)
             if not cands:
                 continue
@@ -221,8 +223,8 @@ class TestBestDiceAssignment:
             best = max(
                 cands,
                 key=lambda c: (
-                    dice_overlap(c.voxel_set, gt.voxel_set),
-                    len(c.voxel_set & gt.voxel_set),
+                    ref_dice(frozenset(c.voxels), frozenset(gt.voxels)),
+                    len(frozenset(c.voxels) & frozenset(gt.voxels)),
                     -int(c.grade),
                 ),
             )

@@ -18,11 +18,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lesionkit.cluster import MAP_GS, LesionCluster, LesionMap
+from lesionkit.cluster import MAP_GS, LesionMap
 from lesionkit.evaluation import EvaluationConfig, PatientEval, aggregate_stages, stage_cohort
 from lesionkit.grades import GRADE_ORDER, MISSED
 from lesionkit.matching import OVERLAP_DENOMS, best_dice_assignment, match_detections
 from lesionkit.volume import KIND_LABEL, ProbStack, Volume
+
+from lesion_builders import from_voxels
 
 DIMS = (4, 3, 2)  # (nx, ny, nz)
 N_VOX = DIMS[0] * DIMS[1] * DIMS[2]
@@ -149,7 +151,7 @@ def lesion_map(ids, scores, grades):
         if k:
             groups.setdefault(k, []).append(_voxel(i))
     clusters = tuple(
-        LesionCluster(voxels=tuple(vs), grade=GRADE_ORDER[grades[k - 1]],
+        from_voxels(voxels=vs, grade=GRADE_ORDER[grades[k - 1]],
                       volume_mm3=float(len(vs)), score=SCORES[scores[k - 1]])
         for k, vs in sorted(groups.items())
     )
@@ -169,6 +171,41 @@ AT_TEN_PERCENT = (
     [1] * 10 + [0] * 14,
     [0] * 9 + [1] * 3 + [0] * 12,
 )
+# The next three pin the intersection where a count over the common box
+# would be wrong.  Rows are y = 0..2 of the z = 0 slice, then of z = 1.
+# An L-shaped prediction wrapped around a lesion: the boxes overlap, the
+# masks share nothing.  Prediction 2 covers the lesion.
+WRAP = (
+    [1, 1, 1, 0,
+     1, 2, 2, 0,
+     1, 2, 2, 0] + [0] * 12,
+    [0, 0, 0, 0,
+     0, 1, 1, 0,
+     0, 1, 1, 0] + [0] * 12,
+)
+# A frame whose box holds the lesion's box: they share one voxel, 10% of
+# the frame.
+NESTED = (
+    [1, 1, 1, 1,
+     1, 0, 0, 1,
+     1, 1, 1, 1] + [0] * 12,
+    [0, 0, 0, 0,
+     0, 1, 1, 0,
+     0, 1, 0, 0] + [0] * 12,
+)
+# A prediction whose box touches one lesion's box along x and the other's
+# along z, sharing no voxel; prediction 2's box overlaps lesion 1's in one
+# corner voxel, which both hold.
+TOUCHING = (
+    [1, 1, 0, 0,
+     1, 1, 0, 0,
+     0, 0, 0, 2] + [0] * 12,
+    [0, 0, 1, 1,
+     0, 0, 1, 1,
+     0, 0, 0, 1] + [2, 2, 0, 0,
+                    2, 2, 0, 0,
+                    0, 0, 0, 0],
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,6 +218,12 @@ AT_TEN_PERCENT = (
          gt_grades=[0, 1, 2, 3], frac=0.1, denom="union", strict=True)
 @example(pred_ids=AT_TEN_PERCENT[0], gt_ids=AT_TEN_PERCENT[1], scores=[0, 0, 0, 0],
          grades=[0, 0, 0, 0], gt_grades=[0, 0, 0, 0], frac=0.1, denom="pred", strict=False)
+@example(pred_ids=WRAP[0], gt_ids=WRAP[1], scores=[3, 0, 0, 0], grades=[0, 1, 0, 0],
+         gt_grades=[1, 0, 0, 0], frac=0.1, denom="pred", strict=False)
+@example(pred_ids=NESTED[0], gt_ids=NESTED[1], scores=[0, 0, 0, 0], grades=[0, 0, 0, 0],
+         gt_grades=[0, 0, 0, 0], frac=0.1, denom="pred", strict=False)
+@example(pred_ids=TOUCHING[0], gt_ids=TOUCHING[1], scores=[3, 1, 0, 0], grades=[0, 0, 0, 0],
+         gt_grades=[0, 0, 0, 0], frac=0.1, denom="union", strict=False)
 def test_match_detections_matches_reference(pred_ids, gt_ids, scores, grades, gt_grades,
                                             frac, denom, strict):
     pred = lesion_map(pred_ids, scores, grades)
@@ -199,6 +242,9 @@ def test_match_detections_matches_reference(pred_ids, gt_ids, scores, grades, gt
 @settings(max_examples=300, deadline=None)
 @given(pred_ids=ids, gt_ids=ids, grades=picks)
 @example(pred_ids=SPAN[0], gt_ids=SPAN[1], grades=[0, 1, 2, 3])
+@example(pred_ids=WRAP[0], gt_ids=WRAP[1], grades=[0, 1, 2, 3])
+@example(pred_ids=NESTED[0], gt_ids=NESTED[1], grades=[0, 1, 2, 3])
+@example(pred_ids=TOUCHING[0], gt_ids=TOUCHING[1], grades=[0, 1, 2, 3])
 def test_best_dice_assignment_matches_reference(pred_ids, gt_ids, grades):
     pred = lesion_map(pred_ids, [0] * 4, grades)
     gt = lesion_map(gt_ids, [0] * 4, [0] * 4)
@@ -206,6 +252,10 @@ def test_best_dice_assignment_matches_reference(pred_ids, gt_ids, grades):
         cands = [c for c in pred.clusters if set(c.voxels) & set(lesion.voxels)]
         if cands:
             assert best_dice_assignment(lesion, cands) is ref_best(lesion, cands)
+        for c in pred.clusters:
+            if c not in cands:
+                with pytest.raises(ValueError, match="intersect"):
+                    best_dice_assignment(lesion, [c])
 
 
 def _one_hot_probs(labels, score_idx):

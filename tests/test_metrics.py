@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from lesionkit import metrics
-from lesionkit.cluster import LesionCluster, LesionMap
+from lesionkit.cluster import LesionMap
 from lesionkit.grades import MISSED, Grade
 from lesionkit.matching import DetectionRecord, match_detections
 from lesionkit.metrics import (
@@ -36,6 +36,8 @@ from lesionkit.metrics import (
 )
 from lesionkit.volume import KIND_LABEL, Volume
 
+from lesion_builders import from_voxels
+
 DIMS = (16, 16, 4)
 SPACING = (1.0, 1.0, 3.0)
 
@@ -47,7 +49,7 @@ def box(x0, x1, y0, y1, z0, z1):
 
 
 def mk(voxels, grade=Grade.GS34, score=0.9):
-    return LesionCluster(tuple(voxels), grade, len(voxels) * 3.0, score)
+    return from_voxels(voxels, grade, len(voxels) * 3.0, score)
 
 
 def mk_map(clusters, kind="gs"):

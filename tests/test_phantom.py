@@ -347,10 +347,11 @@ class TestPipelineAgreement:
         counts_fn = [[0] * 4 for _ in range(4)]
         for (pred, gt), script in zip(gs_pairs, ledger.patients):
             for lesion in gt.clusters:
+                lesion_voxels = frozenset(lesion.voxels)
                 cands = [
                     c
                     for c in pred.clusters
-                    if len(c.voxel_set & lesion.voxel_set) / c.n_voxels >= 0.10
+                    if len(frozenset(c.voxels) & lesion_voxels) / c.n_voxels >= 0.10
                 ]
                 gi = lesion.grade.ordinal
                 if cands:
