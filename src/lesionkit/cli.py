@@ -488,13 +488,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strict-duplicates", action="store_true")
     sp.set_defaults(func=cmd_match)
 
-    def cohort_parser(name, summary):
-        sp = sub.add_parser(name, help=summary)
-        for flag in ("--cohort", "--gt-dir", "--pred-dir", "--zones-dir", "--manifest"):
-            sp.add_argument(flag, default=None)
-        return sp
-
-    sp = cohort_parser("froc", "FROC curve over a cohort directory")
+    sp = sub.add_parser("froc", help="FROC curve over a cohort directory")
+    sp.add_argument("--cohort", default=None)
+    sp.add_argument("--gt-dir", default=None)
+    sp.add_argument("--pred-dir", default=None)
+    sp.add_argument("--zones-dir", default=None)
+    sp.add_argument("--manifest", default=None)
     sp.add_argument("--grade", default=None,
                     help="per-grade curve (GS6, GS3+4, GS4+3, GS>=8); default CS binary")
     sp.add_argument("--out", default=None, help="CSV output path")
@@ -525,7 +524,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_px2)
 
-    sp = cohort_parser("evaluate", "full evaluation over a cohort directory")
+    sp = sub.add_parser("evaluate", help="full evaluation over a cohort directory")
+    sp.add_argument("--cohort", default=None)
+    sp.add_argument("--gt-dir", default=None)
+    sp.add_argument("--pred-dir", default=None)
+    sp.add_argument("--zones-dir", default=None)
+    sp.add_argument("--manifest", default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--zone", choices=("none", "pz", "tz"), default=None)
     sp.add_argument("--min-volume", type=float, default=None)

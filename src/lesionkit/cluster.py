@@ -31,7 +31,7 @@ class LesionCluster:
     Clusters compare by identity."""
 
     box: tuple[slice, slice, slice]  # tight (z, y, x) box, as find_objects gives it
-    mask: np.ndarray  # bool, the box's shape; stored read-only
+    mask: np.ndarray  # bool, the box's shape; stored as a read-only copy
     grade: object  # Grade member, or CS_BINARY for merged CS clusters
     volume_mm3: float
     score: float
@@ -39,7 +39,7 @@ class LesionCluster:
     first_voxel: tuple[int, int, int] = field(init=False, repr=False)  # (x, y, z), in scan order
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool).view()
+        mask = np.array(self.mask, dtype=bool)  # a copy: the caller's array may change
         if len(self.box) != 3 or mask.shape != tuple(s.stop - s.start for s in self.box):
             raise ValueError(f"mask of shape {mask.shape} does not fill the box {self.box}")
         mask.flags.writeable = False
@@ -86,6 +86,37 @@ def shared_voxels(a: LesionCluster, b: LesionCluster) -> int:
     return int(np.count_nonzero(pa & pb))
 
 
+def overlapping(clusters, others) -> list[list[tuple[int, int]]]:
+    """Per cluster, (index into others, shared voxels) for each of the others
+    it shares a voxel with, by ascending index.  The boxes are compared in
+    one numpy step per cluster, so shared_voxels only runs where boxes meet."""
+    starts = np.array([[s.start for s in o.box] for o in others], dtype=np.intp).reshape(-1, 3)
+    stops = np.array([[s.stop for s in o.box] for o in others], dtype=np.intp).reshape(-1, 3)
+    table = []
+    for c in clusters:
+        lo, hi = [s.start for s in c.box], [s.stop for s in c.box]
+        meet = np.flatnonzero(((starts < hi) & (stops > lo)).all(axis=1)).tolist()
+        table.append([(j, n) for j in meet if (n := shared_voxels(c, others[j]))])
+    return table
+
+
+def _check_disjoint(clusters) -> None:
+    """Raise ValueError when two clusters share a voxel: each mask is painted
+    in turn over the clusters' union box, and must find its voxels unpainted."""
+    if len(clusters) < 2:
+        return
+    lo = [min(c.box[a].start for c in clusters) for a in range(3)]
+    hi = [max(c.box[a].stop for c in clusters) for a in range(3)]
+    painted = np.zeros([h - l for l, h in zip(lo, hi)], dtype=bool)
+    for c in clusters:
+        region = painted[tuple(slice(s.start - l, s.stop - l) for s, l in zip(c.box, lo))]
+        if region[c.mask].any():
+            other = next(o for o in clusters if o is not c and shared_voxels(o, c))
+            raise ValueError(f"clusters at voxels {other.first_voxel} and "
+                             f"{c.first_voxel} overlap")
+        region[c.mask] = True
+
+
 @dataclass(frozen=True)
 class LesionMap:
     """Disjoint lesion clusters extracted from one volume."""
@@ -98,16 +129,8 @@ class LesionMap:
     def __post_init__(self):
         if self.map_kind not in (MAP_GS, MAP_CS):
             raise ValueError(f"map_kind must be {MAP_GS!r} or {MAP_CS!r}")
-        # sweep along z: only clusters whose z ranges meet can share a voxel
-        by_z = sorted(self.clusters, key=lambda c: c.box[0].start)
-        for i, a in enumerate(by_z):
-            for b in by_z[i + 1:]:
-                if b.box[0].start >= a.box[0].stop:
-                    break
-                if shared_voxels(a, b):
-                    raise ValueError(f"clusters at voxels {a.first_voxel} and "
-                                     f"{b.first_voxel} overlap")
         object.__setattr__(self, "clusters", tuple(self.clusters))
+        _check_disjoint(self.clusters)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
 
@@ -115,11 +138,8 @@ class LesionMap:
         return len(self.clusters)
 
     def select(self, keep) -> LesionMap:
-        """The map of the clusters for which keep(cluster) holds.  They are
-        disjoint as this map's are, so the overlap check is skipped."""
-        m = replace(self, clusters=())
-        object.__setattr__(m, "clusters", tuple(c for c in self.clusters if keep(c)))
-        return m
+        """The map of the clusters for which keep(cluster) holds."""
+        return replace(self, clusters=tuple(c for c in self.clusters if keep(c)))
 
 
 def _structure(connectivity: int) -> np.ndarray:
@@ -204,10 +224,7 @@ def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> Lesio
             volume = int(np.count_nonzero(comp)) * labels.voxel_volume_mm3
             clusters.append(LesionCluster(box, comp, grade, volume, min(score, 1.0)))
     clusters.sort(key=lambda c: c.first_voxel[::-1])
-    m = LesionMap((), labels.dims, labels.spacing_mm, map_kind)
-    # components of disjoint masks are disjoint: the overlap check has nothing to find
-    object.__setattr__(m, "clusters", tuple(clusters))
-    return m
+    return LesionMap(tuple(clusters), labels.dims, labels.spacing_mm, map_kind)
 
 
 def gs_lesion_maps(

@@ -36,7 +36,7 @@ from .cluster import (
     filter_by_volume,
     filter_by_zone,
     gs_lesion_maps,
-    shared_voxels,
+    overlapping,
 )
 from .grades import GRADE_ORDER, Grade, MISSED, parse_grade
 from .matching import (
@@ -270,10 +270,10 @@ def _patient_records(patient: PatientEval, gs_pred, gs_gt, cfg) -> tuple:
     several lesions)."""
     denom = cfg.overlap_denom
     records = []
-    for lesion in gs_gt.clusters:
-        inters = ((shared_voxels(c, lesion), c) for c in gs_pred.clusters)
-        cands = [(inter, c) for inter, c in inters
-                 if _qualifies(inter, c, lesion, denom, cfg.overlap_frac)]
+    preds = gs_pred.clusters
+    for lesion, hits in zip(gs_gt.clusters, overlapping(gs_gt.clusters, preds)):
+        cands = [(inter, preds[j]) for j, inter in hits
+                 if _qualifies(inter, preds[j], lesion, denom, cfg.overlap_frac)]
         if cands:
             inter, best = max(cands, key=lambda ic: _grading_key(*ic, lesion))
             pred_grade, score = best.grade, best.score
@@ -312,12 +312,21 @@ def _stage_patient(patient: PatientEval, cfg: EvaluationConfig) -> PatientStage:
                 f"{patient.patient_id} has no zone masks"
             )
         mask = patient.zones.pz if cfg.zone == "pz" else patient.zones.tz
-        gs_pred, gs_gt, cs_pred, cs_gt = (filter_by_zone(m, mask)
-                                          for m in (gs_pred, gs_gt, cs_pred, cs_gt))
+        gs_pred = filter_by_zone(gs_pred, mask)
+        gs_gt = filter_by_zone(gs_gt, mask)
+        cs_pred = filter_by_zone(cs_pred, mask)
+        cs_gt = filter_by_zone(cs_gt, mask)
 
-    gt_gland, pred_gland = (Volume((np.asarray(v.values) >= 1).astype(np.uint8),
-                                   patient.labels.spacing_mm, KIND_LABEL)
-                            for v in (patient.labels, pred_labels))
+    gt_gland = Volume(
+        (np.asarray(patient.labels.values) >= 1).astype(np.uint8),
+        patient.labels.spacing_mm,
+        KIND_LABEL,
+    )
+    pred_gland = Volume(
+        (np.asarray(pred_labels.values) >= 1).astype(np.uint8),
+        patient.labels.spacing_mm,
+        KIND_LABEL,
+    )
     rule = {"overlap_frac": cfg.overlap_frac, "denom": cfg.overlap_denom,
             "strict_duplicates": cfg.strict_duplicates}
     return PatientStage(
@@ -614,9 +623,14 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
         write_csv(out / "froc_cs_aggregate.csv", ("fp_rate", "sens_mean", "sens_lo", "sens_hi"),
                   ((p.fp_rate, p.sens_mean, p.sens_lo, p.sens_hi) for p in report.cs_aggregate))
 
-    for name, cm, k in (("tp_only", report.confusion_tp_only, report.kappa_tp_only),
-                        ("with_fn", report.confusion_with_fn, report.kappa_with_fn)):
-        write_json(out / f"confusion_{name}.json", _confusion_dict(cm, k))
+    write_json(
+        out / "confusion_tp_only.json",
+        _confusion_dict(report.confusion_tp_only, report.kappa_tp_only),
+    )
+    write_json(
+        out / "confusion_with_fn.json",
+        _confusion_dict(report.confusion_with_fn, report.kappa_with_fn),
+    )
 
     if stages is not None:
         clusters = {

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import LesionCluster, LesionMap, shared_voxels
+from .cluster import LesionCluster, LesionMap, overlapping, shared_voxels
 from .grades import MISSED, Grade
 from .volume import Volume
 
@@ -144,10 +144,9 @@ def match_detections(
     )
     claimed = [False] * len(gt.clusters)
     tp, fp, dup = [], [], []
-    for p in order:
-        inters = ((shared_voxels(p, g), gi, g) for gi, g in enumerate(gt.clusters))
-        qualifying = [(inter, gi) for inter, gi, g in inters
-                      if _qualifies(inter, p, g, denom, overlap_frac)]
+    for p, hits in zip(order, overlapping(order, gt.clusters)):
+        qualifying = [(inter, gi) for gi, inter in hits
+                      if _qualifies(inter, p, gt.clusters[gi], denom, overlap_frac)]
         # the largest intersection; on ties the first lesion
         best = max(qualifying, key=lambda ig: ig[0], default=None)
         if best is None:
@@ -159,9 +158,15 @@ def match_detections(
             continue
         claimed[gi] = True
         g = gt.clusters[gi]
-        tp.append(TpMatch(pred=p, gt=g, intersection=inter,
-                          overlap=_overlap_value(inter, p, g, denom),
-                          dice=_dice(inter, p.n_voxels, g.n_voxels)))
+        tp.append(
+            TpMatch(
+                pred=p,
+                gt=g,
+                intersection=inter,
+                overlap=_overlap_value(inter, p, g, denom),
+                dice=_dice(inter, p.n_voxels, g.n_voxels),
+            )
+        )
     fn = tuple(c for gi, c in enumerate(gt.clusters) if not claimed[gi])
     return MatchResult(tp=tuple(tp), fp=tuple(fp), fn=fn, duplicates=tuple(dup))
 

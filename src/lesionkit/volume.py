@@ -453,8 +453,7 @@ def _read_header(path):
     if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int for d in dims)
             and min(dims) >= 1):
         raise VolumeFormatError(f"{header_path}: dims must be 3 positive integers, got {dims!r}")
-    if not (isinstance(spacing, list) and len(spacing) == 3
-            and all(type(s) in (int, float) for s in spacing)):
+    if not (isinstance(spacing, list) and len(spacing) == 3 and all(map(is_real, spacing))):
         raise VolumeFormatError(f"{header_path}: spacing_mm must be 3 numbers, got {spacing!r}")
     try:
         spacing = tuple(float(s) for s in spacing)

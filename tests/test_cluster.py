@@ -555,7 +555,8 @@ class TestModelValidation:
         assert c.bbox == (1, 0, 2, 2, 1, 2) and c.n_voxels == 4 and c.first_voxel == (1, 0, 2)
         with pytest.raises(ValueError):
             c.mask[0, 0, 0] = False
-        mask[0, 0, 0] = False  # the caller's array stays writable
+        mask[0, 0, 0] = False  # the caller's array stays writable, and c holds a copy
+        assert c.mask.all() and c.n_voxels == 4 and len(c.voxels) == 4
         twin = LesionCluster(c.box, np.ones((1, 2, 2), dtype=bool), Grade.GS6, 4.0, 0.5)
         assert c != twin and c == c  # clusters compare by identity
 
