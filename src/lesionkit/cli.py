@@ -30,14 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import (
-    CONNECTIVITIES,
-    DEFAULT_CONNECTIVITY,
-    MIN_LESION_VOLUME_MM3,
-    cs_lesion_maps,
-    filter_by_volume,
-    gs_lesion_maps,
-)
+from .cluster import CONNECTIVITIES, cs_lesion_maps, filter_by_volume, gs_lesion_maps
 from .evaluation import (
     EvaluationConfig,
     _cluster_summary,
@@ -56,6 +49,7 @@ from .grades import parse_grade
 from .matching import OVERLAP_DENOMS, match_detections
 from .metrics import (
     RESAMPLE_UNITS,
+    WILCOXON_EXACT_MAX_N,
     bootstrap_kappa,
     confusion_matrix,
     dice_coefficient,
@@ -75,6 +69,7 @@ from .netmath import (
 )
 from .phantom import PhantomConfig, PlacementError, write_cohort
 from .volume import (
+    _check_spacing,
     json_chunks,
     preprocess,
     read_json,
@@ -141,10 +136,16 @@ def _build_dataclass(cls, section: dict, overrides: dict):
 
 
 def cmd_preprocess(args, file_cfg) -> int:
+    try:
+        spacing = _check_spacing(args.spacing)
+    except ValueError as e:
+        raise ConfigError(f"--spacing: {e}") from e
+    if min(args.crop) < 1:
+        raise ConfigError(f"--crop must be two positive integers, got {args.crop}")
     v = read_volume(args.input)
     out = preprocess(
         v,
-        target_spacing=tuple(args.spacing),
+        target_spacing=spacing,
         crop=tuple(args.crop),
         per_slice_norm=args.per_slice,
     )
@@ -160,7 +161,7 @@ def cmd_phantom(args, file_cfg) -> int:
     if args.patients is not None:
         overrides["n_patients"] = args.patients
         if "n_folds" not in section:  # default folds cannot exceed patients
-            overrides["n_folds"] = min(5, args.patients)
+            overrides["n_folds"] = min(PhantomConfig.n_folds, args.patients)
     cfg = _build_dataclass(PhantomConfig, section, overrides)
     try:
         ledger = write_cohort(cfg, args.out)
@@ -179,10 +180,12 @@ def cmd_phantom(args, file_cfg) -> int:
 
 
 def cmd_cluster(args, file_cfg) -> int:
+    cfg = _eval_config(args, file_cfg, connectivity=args.connectivity,
+                       min_volume_mm3=args.min_volume)
     labels = read_volume(args.labels)
     probs = read_prob_stack(args.probs) if args.probs else None
     build = cs_lesion_maps if args.mode == "cs" else gs_lesion_maps
-    m = filter_by_volume(build(labels, probs, args.connectivity), args.min_volume)
+    m = filter_by_volume(build(labels, probs, cfg.connectivity), cfg.min_volume_mm3)
     payload = {"mode": args.mode, "n_clusters": len(m), "clusters": _cluster_summary(m)}
     if args.out:
         write_json(args.out, payload)
@@ -191,15 +194,20 @@ def cmd_cluster(args, file_cfg) -> int:
 
 
 def cmd_match(args, file_cfg) -> int:
+    cfg = _eval_config(
+        args, file_cfg, connectivity=args.connectivity, min_volume_mm3=args.min_volume,
+        overlap_frac=args.overlap, overlap_denom=args.denom,
+        strict_duplicates=args.strict_duplicates,
+    )
     gt_labels = read_volume(args.gt)
     pred_labels = read_volume(args.pred)
     probs = read_prob_stack(args.pred_probs) if args.pred_probs else None
     build = cs_lesion_maps if args.mode == "cs" else gs_lesion_maps
-    gt = filter_by_volume(build(gt_labels, None, args.connectivity), args.min_volume)
-    pred = filter_by_volume(build(pred_labels, probs, args.connectivity), args.min_volume)
+    gt = filter_by_volume(build(gt_labels, None, cfg.connectivity), cfg.min_volume_mm3)
+    pred = filter_by_volume(build(pred_labels, probs, cfg.connectivity), cfg.min_volume_mm3)
     result = match_detections(
-        pred, gt, overlap_frac=args.overlap, denom=args.denom,
-        strict_duplicates=args.strict_duplicates,
+        pred, gt, overlap_frac=cfg.overlap_frac, denom=cfg.overlap_denom,
+        strict_duplicates=cfg.strict_duplicates,
     )
     _emit({
         "mode": args.mode,
@@ -244,8 +252,11 @@ def _cohort_config(args, file_cfg, **extra) -> EvaluationConfig:
 def cmd_froc(args, file_cfg) -> int:
     from .evaluation import stage_cohort
 
+    try:
+        grade = None if args.grade is None else parse_grade(args.grade)
+    except ValueError as e:
+        raise ConfigError(f"--grade: {e}") from e
     cfg = _cohort_config(args, file_cfg)
-    grade = None if args.grade is None else parse_grade(args.grade)
     stages = stage_cohort(load_cohort(cfg), cfg)
     matches = [s.cs_match if grade is None else s.grade_matches[grade] for s in stages]
     curve = froc_from_matches(matches, len(stages))
@@ -264,17 +275,16 @@ def cmd_froc(args, file_cfg) -> int:
 
 
 def cmd_kappa(args, file_cfg) -> int:
-    if args.bootstrap < 1:
-        raise ConfigError("--bootstrap must be positive")
+    cfg = _eval_config(args, file_cfg, bootstrap_iterations=args.bootstrap,
+                       bootstrap_resample=args.resample)
     records = read_detections_csv(args.detections)
     cm = confusion_matrix(records, include_fn_as_gs6=args.include_fn)
     if cm.total == 0:
         raise ValueError(f"{args.detections}: no gradable records "
                          "(all lesions missed in TP-only mode)")
-    seed = args.seed if args.seed is not None else 0
     result = bootstrap_kappa(
-        records, n_iter=args.bootstrap, seed=seed,
-        include_fn_as_gs6=args.include_fn, resample=args.resample,
+        records, n_iter=cfg.bootstrap_iterations, seed=cfg.bootstrap_seed,
+        include_fn_as_gs6=args.include_fn, resample=cfg.bootstrap_resample,
     )
     _emit(_confusion_dict(cm, result))
     if result.degenerate and args.strict:
@@ -300,7 +310,7 @@ def cmd_wilcoxon(args, file_cfg) -> int:
         "n_nonzero_diffs": n_nonzero,
         "alternative": f"{args.x} > {args.y}",
         "p_value": p,
-        "mode": "exact" if n_nonzero <= 20 else "normal_approx",
+        "mode": "exact" if n_nonzero <= WILCOXON_EXACT_MAX_N else "normal_approx",
     })
     return EXIT_OK
 
@@ -469,9 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--labels", required=True)
     sp.add_argument("--probs", default=None, help="probability base path (channels _c0.._c5)")
     sp.add_argument("--mode", choices=("gs", "cs"), default="gs")
-    sp.add_argument("--connectivity", type=int, default=DEFAULT_CONNECTIVITY,
-                    choices=CONNECTIVITIES)
-    sp.add_argument("--min-volume", type=float, default=MIN_LESION_VOLUME_MM3)
+    sp.add_argument("--connectivity", type=int, default=None, choices=CONNECTIVITIES)
+    sp.add_argument("--min-volume", type=float, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_cluster)
 
@@ -480,12 +489,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gt", required=True, help="ground-truth label volume")
     sp.add_argument("--pred-probs", default=None)
     sp.add_argument("--mode", choices=("gs", "cs"), default="cs")
-    sp.add_argument("--overlap", type=float, default=0.10)
-    sp.add_argument("--denom", choices=OVERLAP_DENOMS, default="pred")
-    sp.add_argument("--connectivity", type=int, default=DEFAULT_CONNECTIVITY,
-                    choices=CONNECTIVITIES)
-    sp.add_argument("--min-volume", type=float, default=MIN_LESION_VOLUME_MM3)
-    sp.add_argument("--strict-duplicates", action="store_true")
+    sp.add_argument("--overlap", type=float, default=None)
+    sp.add_argument("--denom", choices=OVERLAP_DENOMS, default=None)
+    sp.add_argument("--connectivity", type=int, default=None, choices=CONNECTIVITIES)
+    sp.add_argument("--min-volume", type=float, default=None)
+    sp.add_argument("--strict-duplicates", action="store_true", default=None)
     sp.set_defaults(func=cmd_match)
 
     sp = sub.add_parser("froc", help="FROC curve over a cohort directory")
@@ -503,8 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--detections", required=True)
     sp.add_argument("--include-fn", action="store_true",
                     help="book missed lesions as GS6 predictions")
-    sp.add_argument("--bootstrap", type=int, default=1000)
-    sp.add_argument("--resample", choices=RESAMPLE_UNITS, default="lesion")
+    sp.add_argument("--bootstrap", type=int, default=None)
+    sp.add_argument("--resample", choices=RESAMPLE_UNITS, default=None)
     sp.set_defaults(func=cmd_kappa)
 
     sp = sub.add_parser("dice", help="Dice coefficient of two binary volumes")

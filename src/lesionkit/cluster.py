@@ -186,12 +186,16 @@ def connected_components(v: Volume, connectivity: int = DEFAULT_CONNECTIVITY):
     return [set(mask_voxels(comp, box)) for box, comp in _components(mask, structure)]
 
 
-def _scoring_channel(probs: ProbStack, grade, box) -> np.ndarray:
-    """The scoring channel within a box: the grade's own channel, or the
-    per-voxel float64 sum of the CS channels for a CS-binary cluster."""
+def _score(probs: ProbStack, grade, box, mask) -> float:
+    """Mean under the mask of the scoring channel within the box: the
+    grade's own channel, or the per-voxel float64 sum of the CS channels for
+    a CS-binary cluster.  Clamped at 1, as the CS channels of a valid stack
+    may sum to just above it."""
     if grade == CS_BINARY:
-        return np.sum([probs.data[int(g)][box] for g in CS_GRADES], axis=0, dtype=np.float64)
-    return probs.data[int(grade)][box]
+        channel = np.sum([probs.data[int(g)][box] for g in CS_GRADES], axis=0, dtype=np.float64)
+    else:
+        channel = probs.data[int(grade)][box]
+    return min(float(channel[mask].mean(dtype=np.float64)), 1.0)
 
 
 def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> LesionMap:
@@ -219,10 +223,9 @@ def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> Lesio
     for grade, mask in groups:
         for sub_box, comp in _components(mask, structure):
             box = _shift(sub_box, crop)
-            score = 1.0 if probs is None else float(
-                _scoring_channel(probs, grade, box)[comp].mean(dtype=np.float64))
+            score = 1.0 if probs is None else _score(probs, grade, box, comp)
             volume = int(np.count_nonzero(comp)) * labels.voxel_volume_mm3
-            clusters.append(LesionCluster(box, comp, grade, volume, min(score, 1.0)))
+            clusters.append(LesionCluster(box, comp, grade, volume, score))
     clusters.sort(key=lambda c: c.first_voxel[::-1])
     return LesionMap(tuple(clusters), labels.dims, labels.spacing_mm, map_kind)
 
@@ -247,8 +250,9 @@ def cs_lesion_maps(
 
 def lesion_probability_score(c: LesionCluster, probs: ProbStack) -> float:
     """Mean over the cluster's voxels of its scoring channel (the grade's
-    channel, or the summed CS channels for a CS-binary cluster)."""
-    return float(_scoring_channel(probs, c.grade, c.box)[c.mask].mean(dtype=np.float64))
+    channel, or the summed CS channels for a CS-binary cluster), clamped at
+    1: the score its map gave it."""
+    return _score(probs, c.grade, c.box, c.mask)
 
 
 def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> LesionMap:

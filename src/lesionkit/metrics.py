@@ -15,7 +15,7 @@ from scipy.stats import norm
 
 from .cluster import LesionMap
 from .grades import GRADE_ORDER, MISSED, Grade
-from .matching import MatchResult, _dice, match_detections
+from .matching import DEFAULT_OVERLAP_FRAC, MatchResult, _dice, match_detections
 
 #: Threshold sentinel just above the maximum attainable score.
 ABOVE_MAX_SCORE = float(np.nextafter(1.0, 2.0))
@@ -25,6 +25,7 @@ RESAMPLE_UNITS = ("lesion", "patient")
 
 WILCOXON_EXACT_MAX_N = 20
 N_GRADES = len(GRADE_ORDER)
+_N_CELLS = N_GRADES * N_GRADES
 
 #: Quadratic kappa weights (i - j)^2 over the grade ordinals, without the
 #: common 1/(K-1)^2 factor.
@@ -165,7 +166,7 @@ def froc_from_matches(matches, n_patients: int) -> FrocCurve:
 
 def froc_curve(
     patients,
-    overlap_frac: float = 0.10,
+    overlap_frac: float = DEFAULT_OVERLAP_FRAC,
     denom: str = "pred",
     strict_duplicates: bool = False,
 ) -> FrocCurve:
@@ -187,7 +188,7 @@ def match_grade(
     pred: LesionMap,
     gt: LesionMap,
     grade: Grade,
-    overlap_frac: float = 0.10,
+    overlap_frac: float = DEFAULT_OVERLAP_FRAC,
     denom: str = "pred",
     strict_duplicates: bool = False,
 ) -> MatchResult:
@@ -200,7 +201,7 @@ def match_grade(
 def froc_by_grade(
     patients,
     grade: Grade,
-    overlap_frac: float = 0.10,
+    overlap_frac: float = DEFAULT_OVERLAP_FRAC,
     denom: str = "pred",
     strict_duplicates: bool = False,
 ) -> FrocCurve:
@@ -242,19 +243,31 @@ def _cell(record, include_fn_as_gs6: bool) -> int:
     return record.gt_grade.ordinal * N_GRADES + pred.ordinal
 
 
+def _unit_tables(records, include_fn_as_gs6: bool, unit=0, n_units: int = 1) -> np.ndarray:
+    """(n_units, 4, 4) confusion counts: record k counts in table
+    unit[k] (every record in table 0 by default), at the cell _cell gives."""
+    cell = np.fromiter((_cell(r, include_fn_as_gs6) for r in records), dtype=np.intp)
+    flat = (unit * _N_CELLS + cell)[cell >= 0]
+    return np.bincount(flat, minlength=n_units * _N_CELLS).reshape(n_units, N_GRADES, N_GRADES)
+
+
 def confusion_matrix(records, include_fn_as_gs6: bool = False) -> ConfusionMatrix:
     """Lesion-grading matrix from detection records.
 
     The TP-only variant counts matched lesions at (gt grade, predicted
     grade).  The FN variant additionally books every missed lesion in the
     GS6 prediction column."""
-    counts = [0] * (N_GRADES * N_GRADES)
-    for r in records:
-        c = _cell(r, include_fn_as_gs6)
-        if c >= 0:
-            counts[c] += 1
-    rows = tuple(tuple(counts[i:i + N_GRADES]) for i in range(0, len(counts), N_GRADES))
-    return ConfusionMatrix(rows, include_fn_as_gs6)
+    return ConfusionMatrix(_unit_tables(records, include_fn_as_gs6)[0], include_fn_as_gs6)
+
+
+def _kappa_sums(tables: np.ndarray):
+    """n, sum W*O and sum W*row*col of each 4x4 count table in the last two
+    axes, W being _KAPPA_WEIGHTS.  The int64 sums are exact: sum W*row*col
+    is at most 9 n^2."""
+    n = tables.sum(axis=(-2, -1))
+    obs = (tables * _KAPPA_WEIGHTS).sum(axis=(-2, -1))
+    exp = ((tables.sum(axis=-1) @ _KAPPA_WEIGHTS) * tables.sum(axis=-2)).sum(axis=-1)
+    return n, obs, exp
 
 
 def quadratic_weighted_kappa(cm: ConfusionMatrix) -> KappaResult:
@@ -268,17 +281,7 @@ def quadratic_weighted_kappa(cm: ConfusionMatrix) -> KappaResult:
     """
     if cm.total <= 0:
         raise ValueError("kappa needs a populated matrix")
-    o = cm.counts
-    n = cm.total
-    rows = cm.row_sums()
-    cols = cm.col_sums()
-    obs = sum(o[i][j] * (i - j) ** 2 for i in range(N_GRADES) for j in range(N_GRADES))
-    exp = sum(
-        rows[i] * cols[j] * (i - j) ** 2
-        for i in range(N_GRADES)
-        for j in range(N_GRADES)
-    )
-    kappa, degenerate = _kappa_from_sums(n, obs, exp)
+    kappa, degenerate = _kappa_from_sums(*(int(s) for s in _kappa_sums(cm.as_array())))
     return KappaResult(kappa=kappa, degenerate=degenerate)
 
 
@@ -473,20 +476,14 @@ def bootstrap_kappa(
     else:
         unit = np.arange(len(recs))
         n_units = len(recs)
-    cell = np.array([_cell(r, include_fn_as_gs6) for r in recs], dtype=np.intp)
-    counted = cell >= 0
-    cells = np.zeros((n_units, N_GRADES * N_GRADES), dtype=np.int64)
-    np.add.at(cells, (unit[counted], cell[counted]), 1)
-    tables = np.empty((n_iter, N_GRADES * N_GRADES), dtype=np.int64)
+    cells = _unit_tables(recs, include_fn_as_gs6, unit, n_units).reshape(n_units, _N_CELLS)
+    tables = np.empty((n_iter, _N_CELLS), dtype=np.int64)
     for start, idx in _bootstrap_draws(seed, n_iter, n_units):
         rows = len(idx)
         flat = idx + n_units * np.arange(rows)[:, None]
         counts = np.bincount(flat.ravel(), minlength=rows * n_units)
         tables[start:start + rows] = counts.reshape(rows, n_units) @ cells
-    tables = tables.reshape(n_iter, N_GRADES, N_GRADES)
-    n = tables.sum(axis=(1, 2))
-    obs = (tables * _KAPPA_WEIGHTS).sum(axis=(1, 2))
-    exp = ((tables.sum(axis=2) @ _KAPPA_WEIGHTS) * tables.sum(axis=1)).sum(axis=1)
+    n, obs, exp = _kappa_sums(tables.reshape(n_iter, N_GRADES, N_GRADES))
     values = np.array(
         [
             # an empty table: every drawn record was a MISSED lesion in the

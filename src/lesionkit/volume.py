@@ -592,9 +592,7 @@ def resample_inplane(v: Volume, target_spacing, method: str | None = None) -> Vo
     round(n * src / dst) per in-plane axis.  Intensities and probabilities
     resample bilinearly, labels nearest-neighbour, unless overridden.
     """
-    tx, ty, tz = (float(s) for s in target_spacing)
-    if not all(0.0 < s < float("inf") for s in (tx, ty, tz)):
-        raise ValueError(f"target spacing must be positive and finite, got {target_spacing}")
+    tx, ty, tz = _check_spacing(target_spacing)
     sx, sy, sz = v.spacing_mm
     if abs(tz - sz) > 1e-9:
         raise ValueError(f"in-plane resampling only: target z spacing {tz} != source {sz}")

@@ -88,19 +88,30 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("argv", [
-        "kappa --bootstrap 0 --detections MISSING",
-        "kappa --bootstrap -3 --detections MISSING",
-        "--seed -2 kappa --detections MISSING",
-        "--seed -2 phantom --out MISSING",
-        "--seed -2 evaluate --cohort MISSING --out MISSING",
-        "losscheck --instances 0",
-    ])
+    #: argv -> the setting its config error must name
+    BAD_FLAGS = {
+        "kappa --bootstrap 0 --detections MISSING": "bootstrap_iterations",
+        "kappa --bootstrap -3 --detections MISSING": "bootstrap_iterations",
+        "--seed -2 kappa --detections MISSING": "seed",
+        "--seed -2 phantom --out MISSING": "seed",
+        "--seed -2 evaluate --cohort MISSING --out MISSING": "seed",
+        "losscheck --instances 0": "--instances",
+        "match --overlap 0 --pred MISSING --gt MISSING": "overlap_frac",
+        "cluster --min-volume -1 --labels MISSING": "min_volume_mm3",
+        "froc --grade GS7 --cohort MISSING": "GS7",
+        "preprocess --spacing 0 1 3 --in MISSING --out MISSING": "--spacing",
+        "preprocess --spacing 1 1 inf --in MISSING --out MISSING": "--spacing",
+        "preprocess --crop 0 4 --in MISSING --out MISSING": "--crop",
+    }
+
+    @pytest.mark.parametrize("argv", BAD_FLAGS)
     def test_bad_flag_value_fails_before_reading(self, tmp_path, capsys, argv):
         # MISSING names no file: reading it would exit with a data error
         missing = str(tmp_path / "missing")
-        code, _ = run(capsys, *(missing if a == "MISSING" else a for a in argv.split()))
+        code = main([missing if a == "MISSING" else a for a in argv.split()])
+        err = capsys.readouterr().err
         assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and self.BAD_FLAGS[argv] in err
         assert not (tmp_path / "missing").exists()
 
     def test_missing_volume_is_data_error(self, tmp_path, capsys):
@@ -339,10 +350,10 @@ MALFORMED_INPUTS = [
     ("evaluate-without-cohort", {}, "evaluate --out {tmp}/o", EXIT_CONFIG),
     ("evaluate-min-volume-nan", {}, EVALUATE_MISSING + " --min-volume nan", EXIT_CONFIG),
     ("cluster-min-volume-nan", {}, "cluster --labels {cohort}/gt/p000_labels --min-volume nan",
-     EXIT_DATA),
+     EXIT_CONFIG),
     ("match-min-volume-nan", {},
      "match --pred {cohort}/gt/p000_labels --gt {cohort}/gt/p000_labels --min-volume nan",
-     EXIT_DATA),
+     EXIT_CONFIG),
     ("manifest-directory", {"m.json": DIR},
      "froc --gt-dir {cohort}/gt --pred-dir {cohort}/pred --manifest {tmp}/m.json", EXIT_DATA),
     ("manifest-infinite-fold",
@@ -363,7 +374,7 @@ MALFORMED_INPUTS = [
     ("volume-header-too-deep", {"v.vol.json": DEEP_JSON}, "dice --a {tmp}/v --b {tmp}/v",
      EXIT_DATA),
     ("preprocess-zero-spacing", {"i.vol.json": INTENSITY_HEADER, "i.vol.raw": bytes(32)},
-     "preprocess --in {tmp}/i --out {tmp}/o --spacing 0 1 3 --crop 1 1", EXIT_DATA),
+     "preprocess --in {tmp}/i --out {tmp}/o --spacing 0 1 3 --crop 1 1", EXIT_CONFIG),
     ("evaluate-out-under-file", {"f": "x"},
      "evaluate --cohort {cohort} --out {tmp}/f/o --bootstrap 5", EXIT_DATA),
     ("froc-out-under-file", {"f": "x"}, "froc --cohort {cohort} --out {tmp}/f/froc.csv",
@@ -510,6 +521,39 @@ class TestSmallCommands:
         assert payload["fp"] == 0 and payload["fn"] == 0
         assert payload["sensitivity"] == 1.0
         assert all(m["dice"] == 1.0 for m in payload["matches"])
+
+    def test_config_volume_filter_reaches_cluster(self, cohort, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"evaluation": {"min_volume_mm3": 100000}}))
+        code, payload = run(capsys, "--config", str(cfg), "cluster",
+                            "--labels", str(cohort / "gt" / "p000_labels"))
+        assert code == EXIT_OK
+        assert payload["n_clusters"] == 0 and payload["clusters"] == []
+
+    @pytest.mark.parametrize("flag, tp", [([], 0), (["--overlap", "0.5"], 1)])
+    def test_config_overlap_reaches_match_unless_flag_given(self, tmp_path, capsys, flag, tp):
+        # a 4x4x2 GS3+4 lesion, and a prediction shifted by half its width
+        gt, pred = np.zeros((2, 4, 8), dtype=np.uint8), np.zeros((2, 4, 8), dtype=np.uint8)
+        gt[:, :, 0:4] = 3
+        pred[:, :, 2:6] = 3
+        for name, values in (("gt", gt), ("pred", pred)):
+            write_volume(Volume(values, (1.0, 1.0, 3.0), KIND_LABEL), tmp_path / name)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"evaluation": {"overlap_frac": 0.6}}))
+        code, payload = run(capsys, "--config", str(cfg), "match", *flag,
+                            "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"))
+        assert code == EXIT_OK
+        assert (payload["tp"], payload["fn"]) == (tp, 1 - tp)
+
+    def test_config_bootstrap_reaches_kappa(self, tmp_path, capsys):
+        detections = tmp_path / "d.csv"
+        detections.write_text(DETECTIONS_HEADER + DETECTION_ROW
+                              + "p001,0,PZ,GS3+4,GS4+3,0.8,0.6,0.5\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"evaluation": {"bootstrap_iterations": 7}}))
+        code, payload = run(capsys, "--config", str(cfg), "kappa", "--detections", str(detections))
+        assert code == EXIT_OK
+        assert payload["n_iterations"] == 7
 
     @pytest.mark.parametrize("flag, expected", [([], 2), (["--threads", "1"], 1)])
     def test_config_threads_apply_unless_flag_given(self, cohort, tmp_path, capsys,

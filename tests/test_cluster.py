@@ -493,6 +493,18 @@ class TestScoring:
         got = lesion_probability_score(c, self._stack(data))
         assert got == pytest.approx(0.6, abs=1e-6)
 
+    def test_cs_score_is_clamped_at_one_by_map_and_rescoring(self):
+        # CS channels summing to about 1 + 2e-6, inside the stack's 1e-5 tolerance
+        data = np.zeros((6, 1, 2, 2), dtype=np.float32)
+        data[3], data[4], data[5] = 0.5, 0.25, 0.250002
+        stack = self._stack(data)
+        assert data[3:].sum(axis=0, dtype=np.float64).min() > 1.0
+        lab = np.full((1, 2, 2), int(Grade.GS34), dtype=np.uint8)
+        lab[0, 1, :] = int(Grade.GS43)
+        (c,) = cs_lesion_maps(label_volume(lab), stack).clusters
+        assert c.score == 1.0
+        assert lesion_probability_score(c, stack) == 1.0
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_matches_loop_oracle(self, seed):

@@ -1,10 +1,15 @@
 """Static checks on the package source: every module of src/lesionkit
-uses each name it imports."""
+uses each name it imports, and README's CLI table lists each subcommand."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
+from lesionkit import cli
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lesionkit"
+README = PACKAGE.parents[1] / "README.md"
 
 #: (module file, name) imports kept although the module never reads them
 PINNED = {
@@ -46,3 +51,15 @@ def test_no_unused_imports_in_the_package():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert found == PINNED
+
+
+def readme_commands(text: str) -> list[str]:
+    """The first column of the command table in README's CLI section."""
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([^`]+)`\s*\|", section, flags=re.MULTILINE)
+
+
+def test_readme_command_table_names_every_subcommand():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(readme_commands(README.read_text(encoding="utf-8"))) == sorted(subparsers.choices)
