@@ -14,6 +14,7 @@ from .cluster import (
     filter_by_volume,
     filter_by_zone,
     gs_lesion_maps,
+    lesion_maps,
     lesion_probability_score,
 )
 from .evaluation import (

@@ -137,9 +137,9 @@ def _build_dataclass(cls, section: dict, overrides: dict):
 
 def cmd_preprocess(args, file_cfg) -> int:
     try:
-        spacing = _check_spacing(args.spacing)
+        spacing = _check_spacing(args.spacing, "--spacing")
     except ValueError as e:
-        raise ConfigError(f"--spacing: {e}") from e
+        raise ConfigError(str(e)) from e
     if min(args.crop) < 1:
         raise ConfigError(f"--crop must be two positive integers, got {args.crop}")
     v = read_volume(args.input)

@@ -19,8 +19,10 @@ MAP_CS = "cs"
 MIN_LESION_VOLUME_MM3 = 45.0
 DEFAULT_CONNECTIVITY = 26
 
-_CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
-CONNECTIVITIES = tuple(_CONNECTIVITY_RANK)
+# neighborhood -> structuring element, built once rather than per labelling
+_STRUCTURES = {c: ndimage.generate_binary_structure(3, r) for c, r in ((6, 1), (18, 2), (26, 3))}
+CONNECTIVITIES = tuple(_STRUCTURES)
+_PAIRS_PER_BLOCK = 1 << 20  # box pairs per broadcast compare of the disjointness check
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,20 +103,21 @@ def overlapping(clusters, others) -> list[list[tuple[int, int]]]:
 
 
 def _check_disjoint(clusters) -> None:
-    """Raise ValueError when two clusters share a voxel: each mask is painted
-    in turn over the clusters' union box, and must find its voxels unpainted."""
-    if len(clusters) < 2:
-        return
-    lo = [min(c.box[a].start for c in clusters) for a in range(3)]
-    hi = [max(c.box[a].stop for c in clusters) for a in range(3)]
-    painted = np.zeros([h - l for l, h in zip(lo, hi)], dtype=bool)
-    for c in clusters:
-        region = painted[tuple(slice(s.start - l, s.stop - l) for s, l in zip(c.box, lo))]
-        if region[c.mask].any():
-            other = next(o for o in clusters if o is not c and shared_voxels(o, c))
-            raise ValueError(f"clusters at voxels {other.first_voxel} and "
-                             f"{c.first_voxel} overlap")
-        region[c.mask] = True
+    """Raise ValueError naming the earliest cluster that shares a voxel with
+    one before it, and the earliest such one.  Only the pairs whose boxes
+    meet, by a broadcast compare a block of rows at a time, reach shared_voxels."""
+    lo = np.array([[c.box[a].start for c in clusters] for a in range(3)], dtype=np.intp)
+    hi = np.array([[c.box[a].stop for c in clusters] for a in range(3)], dtype=np.intp)
+    rows = _PAIRS_PER_BLOCK // (len(clusters) + 1) + 1
+    for top in range(1, len(clusters), rows):  # clusters top..end-1 against those before them
+        end = min(top + rows, len(clusters))
+        # axis first: all() over 3 slabs is several times faster than over a last axis of 3
+        meet = ((lo[:, top:end, None] < hi[:, None, :end - 1])
+                & (hi[:, top:end, None] > lo[:, None, :end - 1])).all(axis=0)
+        later, earlier = np.nonzero(meet)  # by row, then column
+        for j, i in zip((later + top).tolist(), earlier.tolist()):
+            if i < j and shared_voxels(a := clusters[i], b := clusters[j]):
+                raise ValueError(f"clusters at voxels {a.first_voxel} and {b.first_voxel} overlap")
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,9 @@ class LesionMap:
 
 
 def _structure(connectivity: int) -> np.ndarray:
-    if connectivity not in _CONNECTIVITY_RANK:
+    if connectivity not in _STRUCTURES:
         raise ValueError(f"connectivity must be one of 6, 18, 26, got {connectivity}")
-    return ndimage.generate_binary_structure(3, _CONNECTIVITY_RANK[connectivity])
+    return _STRUCTURES[connectivity]
 
 
 def _bounds(projections):
@@ -169,8 +172,8 @@ def _components(mask: np.ndarray, structure: np.ndarray):
     """(box, component mask within the box) per connected component of the
     mask, in the order ndimage.label numbers them.  Only the mask's bounding
     box is labelled; each box is in the mask's coordinates."""
-    axes = range(mask.ndim)
-    crop = _bounds(mask.any(axis=tuple(a for a in axes if a != axis)) for axis in axes)
+    yx = mask.max(axis=0)  # max projections: several times faster than any() over two axes
+    crop = _bounds((mask.max(axis=(1, 2)), yx.max(axis=1), yx.max(axis=0)))
     if crop is None:
         return
     labeled, _ = ndimage.label(mask[crop], structure=structure)
@@ -198,54 +201,62 @@ def _score(probs: ProbStack, grade, box, mask) -> float:
     return min(float(channel[mask].mean(dtype=np.float64)), 1.0)
 
 
-def _build_map(labels: Volume, probs, connectivity: int, map_kind: str) -> LesionMap:
+def lesion_maps(
+    labels: Volume, probs: ProbStack | None, connectivity: int = DEFAULT_CONNECTIVITY
+) -> tuple[LesionMap, LesionMap]:
+    """The GS map and the CS map of a label volume, from one labelling of its
+    lesion voxels.  A one-grade component is that grade's cluster, and a CS
+    cluster if the grade is CS; only a mixed-grade component is labelled
+    again in its box, per grade and over its CS voxels (GS6 voxels may join
+    CS lesions that are apart).  Without probabilities every score is 1.0."""
     if probs is not None and (probs.dims, probs.spacing_mm) != (labels.dims, labels.spacing_mm):
-        raise ValueError(
-            f"probability grid {probs.dims} at {probs.spacing_mm} mm does not match "
-            f"the label grid {labels.dims} at {labels.spacing_mm} mm"
-        )
+        raise ValueError(f"probability grid {probs.dims} at {probs.spacing_mm} mm does not match "
+                         f"the label grid {labels.dims} at {labels.spacing_mm} mm")
     structure = _structure(connectivity)
-    # the map's grade codes are the top of the label range, so one threshold
-    # finds all their voxels, and uint8 max projections give their box
-    lowest = min(int(g) for g in (GRADE_ORDER if map_kind == MAP_GS else CS_GRADES))
     lab = np.asarray(labels.values)
-    yx = lab.max(axis=0)
-    crop = _bounds((lab.max(axis=(1, 2)) >= lowest, yx.max(axis=1) >= lowest,
-                    yx.max(axis=0) >= lowest))
-    if crop is None:
-        return LesionMap((), labels.dims, labels.spacing_mm, map_kind)
-    sub = lab[crop]
-    if map_kind == MAP_GS:
-        groups = [(grade, sub == int(grade)) for grade in GRADE_ORDER]
-    else:
-        groups = [(CS_BINARY, sub >= lowest)]
-    clusters = []
-    for grade, mask in groups:
-        for sub_box, comp in _components(mask, structure):
-            box = _shift(sub_box, crop)
-            score = 1.0 if probs is None else _score(probs, grade, box, comp)
-            volume = int(np.count_nonzero(comp)) * labels.voxel_volume_mm3
-            clusters.append(LesionCluster(box, comp, grade, volume, score))
-    clusters.sort(key=lambda c: c.first_voxel[::-1])
-    return LesionMap(tuple(clusters), labels.dims, labels.spacing_mm, map_kind)
+    lowest_cs = min(int(g) for g in CS_GRADES)
+    gs, cs = [], []
+
+    def cluster(grade, box, mask):
+        score = 1.0 if probs is None else _score(probs, grade, box, mask)
+        volume = int(np.count_nonzero(mask)) * labels.voxel_volume_mm3
+        return LesionCluster(box, mask, grade, volume, score)
+
+    # the grade codes are the top of the label range: one threshold finds every lesion voxel
+    for box, comp in _components(lab >= min(int(g) for g in GRADE_ORDER), structure):
+        present = np.flatnonzero(np.bincount(lab[box][comp]))  # the component's codes
+        if len(present) == 1:
+            gs.append(cluster(Grade(present[0]), box, comp))
+        else:  # labelled again inside its box: per grade, and over its CS voxels
+            codes = np.where(comp, lab[box], 0)
+            for grade in present:
+                gs += [cluster(Grade(grade), _shift(b, box), m)
+                       for b, m in _components(codes == grade, structure)]
+            if present[0] < lowest_cs:  # GS6 voxels may join CS voxels that are apart
+                cs += [cluster(CS_BINARY, _shift(b, box), m)
+                       for b, m in _components(codes >= lowest_cs, structure)]
+        if present[0] >= lowest_cs:  # no GS6 voxel: the component is one CS cluster
+            cs.append(cluster(CS_BINARY, box, comp))
+    return tuple(LesionMap(tuple(sorted(found, key=lambda c: c.first_voxel[::-1])),
+                           labels.dims, labels.spacing_mm, kind)
+                 for found, kind in ((gs, MAP_GS), (cs, MAP_CS)))
 
 
 def gs_lesion_maps(
     labels: Volume, probs: ProbStack | None, connectivity: int = DEFAULT_CONNECTIVITY
 ) -> LesionMap:
     """Cluster each lesion grade independently; adjacent voxels of different
-    grades never merge.  Without probabilities every score is 1.0 (ground
-    truth maps)."""
-    return _build_map(labels, probs, connectivity, MAP_GS)
+    grades never merge (the GS map of lesion_maps)."""
+    return lesion_maps(labels, probs, connectivity)[0]
 
 
 def cs_lesion_maps(
     labels: Volume, probs: ProbStack | None, connectivity: int = DEFAULT_CONNECTIVITY
 ) -> LesionMap:
     """Cluster the binary union of the three CS grades; touching lesions of
-    different CS grades merge into one cluster.  The scoring channel is the
-    per-voxel sum of the three CS probability channels."""
-    return _build_map(labels, probs, connectivity, MAP_CS)
+    different CS grades merge into one cluster, scored by the per-voxel sum
+    of the three CS probability channels (the CS map of lesion_maps)."""
+    return lesion_maps(labels, probs, connectivity)[1]
 
 
 def lesion_probability_score(c: LesionCluster, probs: ProbStack) -> float:

@@ -35,7 +35,9 @@ from .cluster import (
     cs_lesion_maps,
     filter_by_volume,
     filter_by_zone,
+    # unused here; perfbench/tracer.py wraps it in this module and fails if it is missing
     gs_lesion_maps,
+    lesion_maps,
     overlapping,
 )
 from .grades import GRADE_ORDER, Grade, MISSED, parse_grade
@@ -300,10 +302,10 @@ def _stage_patient(patient: PatientEval, cfg: EvaluationConfig) -> PatientStage:
     pred_labels = label_from_probs(patient.probs)
     conn = cfg.connectivity
 
-    gs_pred = filter_by_volume(gs_lesion_maps(pred_labels, patient.probs, conn), cfg.min_volume_mm3)
-    gs_gt = filter_by_volume(gs_lesion_maps(patient.labels, None, conn), cfg.min_volume_mm3)
-    cs_pred = filter_by_volume(cs_lesion_maps(pred_labels, patient.probs, conn), cfg.min_volume_mm3)
-    cs_gt = filter_by_volume(cs_lesion_maps(patient.labels, None, conn), cfg.min_volume_mm3)
+    gs_pred, cs_pred = (filter_by_volume(m, cfg.min_volume_mm3)
+                        for m in lesion_maps(pred_labels, patient.probs, conn))
+    gs_gt, cs_gt = (filter_by_volume(m, cfg.min_volume_mm3)
+                    for m in lesion_maps(patient.labels, None, conn))
 
     if cfg.zone is not None:
         if patient.zones is None:

@@ -77,12 +77,12 @@ def _require(cfg, names, sequences, accepts, noun) -> None:
         object.__setattr__(cfg, name, type(value)(map(_plain, value)))
 
 
-def _check_spacing(spacing) -> tuple[float, float, float]:
-    """spacing as three floats; ValueError unless it holds three positive
-    finite numbers."""
+def _check_spacing(spacing, name: str = "spacing_mm") -> tuple[float, float, float]:
+    """spacing as three floats; ValueError, naming the field, unless it holds
+    three positive finite numbers."""
     sp = tuple(float(s) for s in spacing)
     if len(sp) != 3 or not all(0.0 < s < float("inf") for s in sp):
-        raise ValueError(f"spacing_mm must be three positive finite numbers, got {spacing}")
+        raise ValueError(f"{name} must be three positive finite numbers, got {spacing}")
     return sp
 
 
@@ -592,7 +592,7 @@ def resample_inplane(v: Volume, target_spacing, method: str | None = None) -> Vo
     round(n * src / dst) per in-plane axis.  Intensities and probabilities
     resample bilinearly, labels nearest-neighbour, unless overridden.
     """
-    tx, ty, tz = _check_spacing(target_spacing)
+    tx, ty, tz = _check_spacing(target_spacing, "target_spacing")
     sx, sy, sz = v.spacing_mm
     if abs(tz - sz) > 1e-9:
         raise ValueError(f"in-plane resampling only: target z spacing {tz} != source {sz}")

@@ -114,6 +114,13 @@ class TestExitCodes:
         assert err.startswith("config error:") and self.BAD_FLAGS[argv] in err
         assert not (tmp_path / "missing").exists()
 
+    def test_spacing_flag_error_names_the_flag_once(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        code = main(["preprocess", "--spacing", "0", "1", "3", "--in", missing, "--out", missing])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --spacing must be three positive finite numbers, got [0.0, 1.0, 3.0]\n")
+
     def test_missing_volume_is_data_error(self, tmp_path, capsys):
         code, _ = run(capsys, "dice", "--a", str(tmp_path / "nope"), "--b", str(tmp_path / "nope"))
         assert code == EXIT_DATA

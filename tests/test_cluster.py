@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from lesionkit import cluster as cluster_module
 from lesionkit.cluster import (
     LesionCluster,
     LesionMap,
@@ -18,6 +19,7 @@ from lesionkit.cluster import (
     filter_by_volume,
     filter_by_zone,
     gs_lesion_maps,
+    lesion_maps,
     lesion_probability_score,
 )
 from lesionkit.grades import CS_BINARY, CS_GRADES, GRADE_ORDER, Grade
@@ -277,22 +279,20 @@ def sparse_labels(rng):
 
 class TestReferenceMaps:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**6), conn=st.sampled_from([6, 18, 26]),
-           cs=st.booleans(), scored=st.booleans())
-    def test_maps_equal_slow_reference(self, seed, conn, cs, scored):
+    @given(seed=st.integers(0, 10**6), conn=st.sampled_from([6, 18, 26]), scored=st.booleans())
+    def test_maps_equal_slow_reference(self, seed, conn, scored):
         rng = np.random.default_rng(seed)
         shape = tuple(int(n) for n in rng.integers(1, (4, 6, 6), endpoint=True))
         lab = rng.choice(6, size=shape, p=[0.2, 0.2, 0.15, 0.15, 0.15, 0.15])
-        self._check(rng, lab, conn, cs, scored)
+        self._check(rng, lab, conn, scored)
 
     @settings(max_examples=120, deadline=None)
-    @given(seed=st.integers(0, 10**6), conn=st.sampled_from([6, 18, 26]),
-           cs=st.booleans(), scored=st.booleans())
-    def test_sparse_maps_equal_slow_reference(self, seed, conn, cs, scored):
+    @given(seed=st.integers(0, 10**6), conn=st.sampled_from([6, 18, 26]), scored=st.booleans())
+    def test_sparse_maps_equal_slow_reference(self, seed, conn, scored):
         rng = np.random.default_rng(seed)
-        self._check(rng, sparse_labels(rng), conn, cs, scored)
+        self._check(rng, sparse_labels(rng), conn, scored)
 
-    def _check(self, rng, lab, conn, cs, scored):
+    def _check(self, rng, lab, conn, scored):
         shape = lab.shape
         labels = label_volume(lab)
         probs = None
@@ -300,10 +300,14 @@ class TestReferenceMaps:
             raw = rng.uniform(0.0, 1.0, size=(6, *shape))
             raw[:3, rng.random(shape) < 0.3] = 0.0  # all mass on CS channels: sums reach 1
             probs = ProbStack((raw / raw.sum(axis=0)).astype(np.float32), labels.spacing_mm)
-        build = cs_lesion_maps if cs else gs_lesion_maps
-        clusters = build(labels, probs, conn).clusters
+        gs_map, cs_map = lesion_maps(labels, probs, conn)
+        assert (gs_map.map_kind, cs_map.map_kind) == ("gs", "cs")
+        self._compare(lab, gs_map.clusters, reference_map(labels, probs, conn, False))
+        self._compare(lab, cs_map.clusters, reference_map(labels, probs, conn, True))
+
+    @staticmethod
+    def _compare(lab, clusters, want):
         got = [(c.voxels, c.grade, c.volume_mm3, c.score) for c in clusters]
-        want = reference_map(labels, probs, conn, cs)
         assert [g[:3] for g in got] == [w[:3] for w in want]
         assert np.array([g[3] for g in got]).tobytes() == np.array([w[3] for w in want]).tobytes()
         # what each cluster derives from its box and mask, against the reference's tuples
@@ -377,6 +381,24 @@ def one_slice_lesions():
     return lab
 
 
+def touching_gs6_lesions():
+    """A GS6 blob and a GS3+4 blob that touch along x, in a 2x4x6 grid."""
+    lab = np.ones((2, 4, 6), dtype=np.uint8)
+    lab[:, :2, :3] = 2
+    lab[:, 1:3, 3:] = 3
+    return lab
+
+
+def gs6_bridge_lesions():
+    """GS3+4 and GS4+3 blobs of 18 voxels joined only through a row of GS6
+    voxels, in a 2x3x9 grid."""
+    lab = np.ones((2, 3, 9), dtype=np.uint8)
+    lab[:, :, 0:3] = 3
+    lab[0, 1, 3:6] = 2
+    lab[:, :, 6:9] = 4
+    return lab
+
+
 class TestBfsOracleMaps:
     GRIDS = {
         "faces": faces_lesions(),
@@ -386,6 +408,9 @@ class TestBfsOracleMaps:
         "single_slice_grid": np.array([[[0, 2, 2, 1], [3, 0, 5, 5], [1, 1, 4, 3]]],
                                       dtype=np.uint8),
         "whole_grid_lesion": np.full((2, 3, 4), 4, dtype=np.uint8),
+        "touching_gs6": touching_gs6_lesions(),
+        "gs6_bridge": gs6_bridge_lesions(),
+        "gs6_only": np.pad(np.full((2, 2, 2), 2, dtype=np.uint8), 1, constant_values=1),
     }
 
     @pytest.mark.parametrize("grid", list(GRIDS))
@@ -405,6 +430,15 @@ class TestBfsOracleMaps:
             assert all(c.score == 1.0 for c in m.clusters)  # one-hot: the cluster's own channel
             assert [c.voxels[0][::-1] for c in m.clusters] == sorted(
                 c.voxels[0][::-1] for c in m.clusters)
+
+    @pytest.mark.parametrize("conn", [6, 18, 26])
+    def test_gs6_joins_cs_lesions_that_stay_apart(self, conn):
+        # one lesion component: GS3+4, a GS6 bridge, GS4+3
+        lab = self.GRIDS["gs6_bridge"]
+        assert ndimage.label(lab >= 2, ndimage.generate_binary_structure(3, 1))[1] == 1
+        gs_map, cs_map = lesion_maps(label_volume(lab), None, conn)
+        assert [c.grade for c in gs_map.clusters] == [Grade.GS34, Grade.GS43, Grade.GS6]
+        assert [(c.grade, c.n_voxels) for c in cs_map.clusters] == [(CS_BINARY, 18)] * 2
 
 
 class TestFilters:
@@ -557,6 +591,38 @@ class TestModelValidation:
         for order in itertools.permutations((even, odd, tall, mid, late)):
             with pytest.raises(ValueError, match="overlap"):
                 LesionMap(order, dims, spacing, "gs")
+
+    def test_interlocking_boxes_with_disjoint_masks_pass(self):
+        # two L shapes in one 3x3 slice: the boxes share four voxels, the masks none
+        first = from_voxels(((0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 2, 0), (2, 2, 0)),
+                            Grade.GS6, 5.0, 0.5)
+        second = from_voxels(((1, 0, 0), (2, 0, 0), (2, 1, 0)), Grade.GS34, 3.0, 0.5)
+        for pair in ((first, second), (second, first)):
+            m = LesionMap(pair, (3, 3, 1), (1.0, 1.0, 1.0), "gs")
+            assert m.clusters == pair and len(m.select(lambda c: True)) == 2
+
+    @pytest.mark.parametrize("pairs_per_block", [1, 6, 1 << 20])
+    def test_overlap_message_names_the_first_overlap_in_order(self, monkeypatch, pairs_per_block):
+        monkeypatch.setattr(cluster_module, "_PAIRS_PER_BLOCK", pairs_per_block)
+
+        def mk(xs):
+            return from_voxels(tuple((x, 0, 0) for x in xs), Grade.GS6, float(len(xs)), 0.5)
+
+        left, right, middle = mk((0, 1)), mk((3, 4)), mk((1, 2, 3))  # middle overlaps both
+        with pytest.raises(ValueError) as err:
+            LesionMap((left, right, middle), (5, 1, 1), (1.0, 1.0, 1.0), "gs")
+        assert str(err.value) == "clusters at voxels (0, 0, 0) and (1, 0, 0) overlap"
+        with pytest.raises(ValueError) as err:
+            LesionMap((middle, right, left), (5, 1, 1), (1.0, 1.0, 1.0), "gs")
+        assert str(err.value) == "clusters at voxels (1, 0, 0) and (3, 0, 0) overlap"
+
+    def test_select_of_an_overlapping_map_raises(self):
+        a = from_voxels(((0, 0, 0), (1, 0, 0)), Grade.GS6, 6.0, 0.5)
+        b = from_voxels(((1, 0, 0),), Grade.GS34, 3.0, 0.5)
+        m = LesionMap((a,), (2, 1, 1), (1, 1, 3), "gs")
+        object.__setattr__(m, "clusters", (a, b))  # bypasses the constructor's check
+        with pytest.raises(ValueError, match="overlap"):
+            m.select(lambda c: True)
 
     def test_mask_must_fill_the_box_and_is_read_only(self):
         mask = np.ones((1, 2, 2), dtype=bool)

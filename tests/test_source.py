@@ -17,6 +17,9 @@ PINNED = {
     # and stops with an error when either is missing
     ("evaluation.py", "froc_by_grade"),
     ("evaluation.py", "froc_curve"),
+    # perfbench/tracer.py wraps gs_lesion_maps and cs_lesion_maps the same way; the
+    # stage builds both maps with lesion_maps, and only evaluate_points reads cs_lesion_maps
+    ("evaluation.py", "gs_lesion_maps"),
 }
 
 

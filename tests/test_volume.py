@@ -541,6 +541,11 @@ class TestResample:
         with pytest.raises(ValueError):
             resample_inplane(v, (1.0, 1.0, 1.5))
 
+    def test_bad_target_spacing_names_the_argument(self):
+        v = make_intensity(np.zeros((1, 4, 4)))
+        with pytest.raises(ValueError, match="^target_spacing must be three positive finite"):
+            resample_inplane(v, (0.0, 1.0, 3.0))
+
     def test_bilinear_midpoint_average(self):
         # Downsampling a 2-pixel axis to 1 pixel lands on the midpoint.
         plane = np.array([[[0.0, 1.0]]], dtype=np.float32)
