@@ -22,7 +22,8 @@ DEFAULT_CONNECTIVITY = 26
 # neighborhood -> structuring element, built once rather than per labelling
 _STRUCTURES = {c: ndimage.generate_binary_structure(3, r) for c, r in ((6, 1), (18, 2), (26, 3))}
 CONNECTIVITIES = tuple(_STRUCTURES)
-_PAIRS_PER_BLOCK = 1 << 20  # box pairs per broadcast compare of the disjointness check
+_LOWEST_GRADE = min(int(g) for g in GRADE_ORDER)  # the grade codes top the label range
+_LOWEST_CS = min(int(g) for g in CS_GRADES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,22 +103,23 @@ def overlapping(clusters, others) -> list[list[tuple[int, int]]]:
     return table
 
 
-def _check_disjoint(clusters) -> None:
-    """Raise ValueError naming the earliest cluster that shares a voxel with
-    one before it, and the earliest such one.  Only the pairs whose boxes
-    meet, by a broadcast compare a block of rows at a time, reach shared_voxels."""
-    lo = np.array([[c.box[a].start for c in clusters] for a in range(3)], dtype=np.intp)
-    hi = np.array([[c.box[a].stop for c in clusters] for a in range(3)], dtype=np.intp)
-    rows = _PAIRS_PER_BLOCK // (len(clusters) + 1) + 1
-    for top in range(1, len(clusters), rows):  # clusters top..end-1 against those before them
-        end = min(top + rows, len(clusters))
-        # axis first: all() over 3 slabs is several times faster than over a last axis of 3
-        meet = ((lo[:, top:end, None] < hi[:, None, :end - 1])
-                & (hi[:, top:end, None] > lo[:, None, :end - 1])).all(axis=0)
-        later, earlier = np.nonzero(meet)  # by row, then column
-        for j, i in zip((later + top).tolist(), earlier.tolist()):
-            if i < j and shared_voxels(a := clusters[i], b := clusters[j]):
-                raise ValueError(f"clusters at voxels {a.first_voxel} and {b.first_voxel} overlap")
+def _check_disjoint(clusters, dims) -> None:
+    """Raise ValueError when a cluster leaves the (x, y, z) grid, or when the
+    masks, painted over the grid, cover fewer voxels than they hold: then
+    name the earliest cluster to overlap an earlier one, and the earliest."""
+    if not clusters:
+        return
+    painted = np.zeros(dims[::-1], dtype=bool)
+    for c in clusters:
+        region = painted[c.box]
+        if region.shape != c.mask.shape:
+            raise ValueError(f"cluster at voxel {c.first_voxel} leaves the grid {dims}")
+        region[c.mask] = True
+    slab = painted[min(c.box[0].start for c in clusters):max(c.box[0].stop for c in clusters)]
+    if np.count_nonzero(slab) < sum(c.n_voxels for c in clusters):
+        b, a = next((b, a) for j, b in enumerate(clusters) for a in clusters[:j]
+                    if shared_voxels(a, b))
+        raise ValueError(f"clusters at voxels {a.first_voxel} and {b.first_voxel} overlap")
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,8 @@ class LesionMap:
         if self.map_kind not in (MAP_GS, MAP_CS):
             raise ValueError(f"map_kind must be {MAP_GS!r} or {MAP_CS!r}")
         object.__setattr__(self, "clusters", tuple(self.clusters))
-        _check_disjoint(self.clusters)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        _check_disjoint(self.clusters, self.dims)
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
 
     def __len__(self) -> int:
@@ -201,62 +203,60 @@ def _score(probs: ProbStack, grade, box, mask) -> float:
     return min(float(channel[mask].mean(dtype=np.float64)), 1.0)
 
 
+def _lesion_map(labels: Volume, probs: ProbStack | None, kind: str, parts) -> LesionMap:
+    """The map of (grade, box, mask) parts, scored and in scan order."""
+    if probs is not None and (probs.dims, probs.spacing_mm) != (labels.dims, labels.spacing_mm):
+        raise ValueError(f"probability grid {probs.dims} at {probs.spacing_mm} mm does not match "
+                         f"the label grid {labels.dims} at {labels.spacing_mm} mm")
+    found = [LesionCluster(box, mask, grade, int(np.count_nonzero(mask)) * labels.voxel_volume_mm3,
+                           1.0 if probs is None else _score(probs, grade, box, mask))
+             for grade, box, mask in parts]
+    found.sort(key=lambda c: c.first_voxel[::-1])
+    return LesionMap(tuple(found), labels.dims, labels.spacing_mm, kind)
+
+
 def lesion_maps(
     labels: Volume, probs: ProbStack | None, connectivity: int = DEFAULT_CONNECTIVITY
 ) -> tuple[LesionMap, LesionMap]:
     """The GS map and the CS map of a label volume, from one labelling of its
-    lesion voxels.  A one-grade component is that grade's cluster, and a CS
-    cluster if the grade is CS; only a mixed-grade component is labelled
-    again in its box, per grade and over its CS voxels (GS6 voxels may join
-    CS lesions that are apart).  Without probabilities every score is 1.0."""
-    if probs is not None and (probs.dims, probs.spacing_mm) != (labels.dims, labels.spacing_mm):
-        raise ValueError(f"probability grid {probs.dims} at {probs.spacing_mm} mm does not match "
-                         f"the label grid {labels.dims} at {labels.spacing_mm} mm")
-    structure = _structure(connectivity)
-    lab = np.asarray(labels.values)
-    lowest_cs = min(int(g) for g in CS_GRADES)
-    gs, cs = [], []
-
-    def cluster(grade, box, mask):
-        score = 1.0 if probs is None else _score(probs, grade, box, mask)
-        volume = int(np.count_nonzero(mask)) * labels.voxel_volume_mm3
-        return LesionCluster(box, mask, grade, volume, score)
-
-    # the grade codes are the top of the label range: one threshold finds every lesion voxel
-    for box, comp in _components(lab >= min(int(g) for g in GRADE_ORDER), structure):
-        present = np.flatnonzero(np.bincount(lab[box][comp]))  # the component's codes
+    lesion voxels: only a component of mixed grades is labelled again, in its
+    box.  Without probabilities every score is 1.0."""
+    lab, structure = np.asarray(labels.values), _structure(connectivity)
+    gs, cs = [], []  # (grade, box, mask) per cluster
+    for box, comp in _components(lab >= _LOWEST_GRADE, structure):
+        codes, present = lab[box], np.flatnonzero(np.bincount(lab[box][comp]))
         if len(present) == 1:
-            gs.append(cluster(Grade(present[0]), box, comp))
+            gs.append((Grade(present[0]), box, comp))
         else:  # labelled again inside its box: per grade, and over its CS voxels
-            codes = np.where(comp, lab[box], 0)
             for grade in present:
-                gs += [cluster(Grade(grade), _shift(b, box), m)
-                       for b, m in _components(codes == grade, structure)]
-            if present[0] < lowest_cs:  # GS6 voxels may join CS voxels that are apart
-                cs += [cluster(CS_BINARY, _shift(b, box), m)
-                       for b, m in _components(codes >= lowest_cs, structure)]
-        if present[0] >= lowest_cs:  # no GS6 voxel: the component is one CS cluster
-            cs.append(cluster(CS_BINARY, box, comp))
-    return tuple(LesionMap(tuple(sorted(found, key=lambda c: c.first_voxel[::-1])),
-                           labels.dims, labels.spacing_mm, kind)
-                 for found, kind in ((gs, MAP_GS), (cs, MAP_CS)))
+                gs += [(Grade(grade), _shift(b, box), m)
+                       for b, m in _components(comp & (codes == grade), structure)]
+            if present[0] < _LOWEST_CS:  # GS6 voxels may join CS voxels that are apart
+                cs += [(CS_BINARY, _shift(b, box), m)
+                       for b, m in _components(comp & (codes >= _LOWEST_CS), structure)]
+        if present[0] >= _LOWEST_CS:  # no GS6 voxel: the component is one CS cluster
+            cs.append((CS_BINARY, box, comp))
+    return _lesion_map(labels, probs, MAP_GS, gs), _lesion_map(labels, probs, MAP_CS, cs)
 
 
 def gs_lesion_maps(
     labels: Volume, probs: ProbStack | None, connectivity: int = DEFAULT_CONNECTIVITY
 ) -> LesionMap:
-    """Cluster each lesion grade independently; adjacent voxels of different
-    grades never merge (the GS map of lesion_maps)."""
-    return lesion_maps(labels, probs, connectivity)[0]
+    """Cluster each lesion grade alone, so touching grades never merge: the
+    GS map of lesion_maps, built without a CS map, one labelling per grade."""
+    lab, structure = np.asarray(labels.values), _structure(connectivity)
+    parts = ((g, b, m) for g in GRADE_ORDER for b, m in _components(lab == int(g), structure))
+    return _lesion_map(labels, probs, MAP_GS, parts)
 
 
 def cs_lesion_maps(
     labels: Volume, probs: ProbStack | None, connectivity: int = DEFAULT_CONNECTIVITY
 ) -> LesionMap:
-    """Cluster the binary union of the three CS grades; touching lesions of
-    different CS grades merge into one cluster, scored by the per-voxel sum
-    of the three CS probability channels (the CS map of lesion_maps)."""
-    return lesion_maps(labels, probs, connectivity)[1]
+    """Cluster the union of the CS grades, scored by the summed CS channels:
+    the CS map of lesion_maps, built without a GS map, in one labelling."""
+    lab, structure = np.asarray(labels.values), _structure(connectivity)
+    parts = ((CS_BINARY, b, m) for b, m in _components(lab >= _LOWEST_CS, structure))
+    return _lesion_map(labels, probs, MAP_CS, parts)
 
 
 def lesion_probability_score(c: LesionCluster, probs: ProbStack) -> float:

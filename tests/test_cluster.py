@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from lesionkit import cluster as cluster_module
 from lesionkit.cluster import (
     LesionCluster,
     LesionMap,
@@ -302,8 +301,11 @@ class TestReferenceMaps:
             probs = ProbStack((raw / raw.sum(axis=0)).astype(np.float32), labels.spacing_mm)
         gs_map, cs_map = lesion_maps(labels, probs, conn)
         assert (gs_map.map_kind, cs_map.map_kind) == ("gs", "cs")
-        self._compare(lab, gs_map.clusters, reference_map(labels, probs, conn, False))
-        self._compare(lab, cs_map.clusters, reference_map(labels, probs, conn, True))
+        # each map, from the pair and built alone
+        for build, m, cs in ((gs_lesion_maps, gs_map, False), (cs_lesion_maps, cs_map, True)):
+            want = reference_map(labels, probs, conn, cs)
+            self._compare(lab, m.clusters, want)
+            self._compare(lab, build(labels, probs, conn).clusters, want)
 
     @staticmethod
     def _compare(lab, clusters, want):
@@ -601,10 +603,7 @@ class TestModelValidation:
             m = LesionMap(pair, (3, 3, 1), (1.0, 1.0, 1.0), "gs")
             assert m.clusters == pair and len(m.select(lambda c: True)) == 2
 
-    @pytest.mark.parametrize("pairs_per_block", [1, 6, 1 << 20])
-    def test_overlap_message_names_the_first_overlap_in_order(self, monkeypatch, pairs_per_block):
-        monkeypatch.setattr(cluster_module, "_PAIRS_PER_BLOCK", pairs_per_block)
-
+    def test_overlap_message_names_the_first_overlap_in_order(self):
         def mk(xs):
             return from_voxels(tuple((x, 0, 0) for x in xs), Grade.GS6, float(len(xs)), 0.5)
 
@@ -623,6 +622,13 @@ class TestModelValidation:
         object.__setattr__(m, "clusters", (a, b))  # bypasses the constructor's check
         with pytest.raises(ValueError, match="overlap"):
             m.select(lambda c: True)
+
+    def test_cluster_leaving_the_grid_rejected(self):
+        a = from_voxels(((0, 0, 0), (2, 0, 0)), Grade.GS6, 6.0, 0.5)
+        assert len(LesionMap((a,), (3, 1, 1), (1, 1, 3), "gs")) == 1
+        for dims in ((2, 1, 1), (3, 1, 0)):
+            with pytest.raises(ValueError, match="leaves the grid"):
+                LesionMap((a,), dims, (1, 1, 3), "gs")
 
     def test_mask_must_fill_the_box_and_is_read_only(self):
         mask = np.ones((1, 2, 2), dtype=bool)
