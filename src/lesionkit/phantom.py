@@ -39,7 +39,6 @@ from .volume import (
     mask_voxels,
     require_ints,
     require_reals,
-    voxel_indices,
     write_json,
     write_volume,
 )
@@ -91,6 +90,10 @@ class PhantomConfig:
                       sequences=("lesion_radius_mm", "score_range", "spacing_mm"))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.fp_per_patient < 0:
+            raise ValueError("fp_per_patient must be nonnegative")
+        if self.max_place_retries < 1:
+            raise ValueError("max_place_retries must be at least 1")
         if self.n_patients < 1:
             raise ValueError("need at least one patient")
         if len(self.dims) != 3 or min(self.dims) < 1:
@@ -130,34 +133,55 @@ class PhantomConfig:
             )
 
 
-@dataclass(frozen=True)
-class LesionEntry:
+class _Blob:
+    """A ledger entry's blob, held as a LesionCluster holds its voxels: box, a
+    (z, y, x) slice tuple, and mask, a read-only bool copy of the box's shape.
+    Entries compare by value, through their ledger.json form."""
+
+    def __post_init__(self):
+        mask = np.array(self.mask, dtype=bool)  # a copy: the caller's array may change
+        if mask.shape != tuple(s.stop - s.start for s in self.box):
+            raise ValueError(f"mask of shape {mask.shape} does not fill the box {self.box}")
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+
+    @property
+    def voxels(self) -> tuple[tuple[int, int, int], ...]:
+        """(x, y, z) tuples of the blob's voxels, in scan order."""
+        return mask_voxels(self.mask, self.box)
+
+    @property
+    def n_voxels(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _entry_dict(self) == _entry_dict(other)
+
+
+@dataclass(frozen=True, eq=False)
+class LesionEntry(_Blob):
     """One injected ground-truth lesion and its scripted prediction."""
 
     grade: Grade
     zone: str
-    voxels: tuple[tuple[int, int, int], ...]
+    box: tuple[slice, slice, slice]
+    mask: np.ndarray
     detected: bool
     pred_grade: Grade | None  # None iff missed
     score: float | None  # realized float32 value; None iff missed
 
-    @property
-    def n_voxels(self) -> int:
-        return len(self.voxels)
 
-
-@dataclass(frozen=True)
-class FpEntry:
+@dataclass(frozen=True, eq=False)
+class FpEntry(_Blob):
     """One injected false-positive blob (always a CS grade)."""
 
     grade: Grade
     zone: str
-    voxels: tuple[tuple[int, int, int], ...]
+    box: tuple[slice, slice, slice]
+    mask: np.ndarray
     score: float
-
-    @property
-    def n_voxels(self) -> int:
-        return len(self.voxels)
 
 
 @dataclass(frozen=True)
@@ -192,34 +216,30 @@ class PhantomPatient:
 # Geometry
 
 
-def _ellipsoid_mask(dims, center, semi_axes) -> np.ndarray:
-    nx, ny, nz = dims
-    cx, cy, cz = center
-    ax, ay, az = semi_axes
-    z, y, x = np.ogrid[0:nz, 0:ny, 0:nx]
-    return ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2 <= 1.0
-
-
 def _anatomy(cfg: PhantomConfig):
-    """(prostate mask, {zone: mask}, {zone: (x, y, z) voxels in scan order},
-    ZoneMask): the gland and its zones are the same for every patient of a
-    cohort, so they are built once."""
+    """(prostate mask, {zone: mask}, {zone: [x, y, z] lists of its voxels in
+    scan order}, ZoneMask): the gland and its zones are the same for every
+    patient of a cohort, so they are built once."""
     nx, ny, nz = cfg.dims
     center = ((nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0)
     axes = tuple(f * n for f, n in zip(PROSTATE_AXIS_FRACTIONS, cfg.dims))
-    prostate = _ellipsoid_mask(cfg.dims, center, axes)
-    tz = _ellipsoid_mask(cfg.dims, center, tuple(a * cfg.tz_scale for a in axes)) & prostate
+    prostate, tz = np.zeros((2, nz, ny, nx), dtype=bool)
+    for grid, semi in ((prostate, axes), (tz, tuple(a * cfg.tz_scale for a in axes))):
+        box, inside = _blob_mask(cfg.dims, center, semi)
+        grid[box] = inside
+    tz &= prostate
     masks = {ZONE_PZ: prostate & ~tz, ZONE_TZ: tz}
     zones = ZoneMask(
         pz=Volume(masks[ZONE_PZ].astype(np.uint8), cfg.spacing_mm, KIND_LABEL),
         tz=Volume(tz.astype(np.uint8), cfg.spacing_mm, KIND_LABEL),
     )
-    return prostate, masks, {name: mask_voxels(m) for name, m in masks.items()}, zones
+    centres = {name: np.argwhere(m)[:, ::-1].tolist() for name, m in masks.items()}
+    return prostate, masks, centres, zones
 
 
 def _blob_mask(dims, center, semi_axes):
-    """(box, mask within the box) of an axis-aligned ellipsoid around a grid
-    voxel, clipped to the grid; box is a (z, y, x) slice tuple."""
+    """(box, mask within the box) of an axis-aligned ellipsoid around an
+    (x, y, z) point, clipped to the grid; box is a (z, y, x) slice tuple."""
     nx, ny, nz = dims
     cx, cy, cz = center
     ax, ay, az = semi_axes
@@ -245,7 +265,7 @@ def _mark_forbidden(forbidden: np.ndarray, box, blob, margin: int = 2) -> None:
 def _place_blob(cfg: PhantomConfig, rng, zone_voxels, forbidden, zone_masks):
     """One blob wholly inside a single zone, clear of the forbidden region.
 
-    Returns (zone name, voxels); raises PlacementError after bounded retries.
+    Returns (zone name, box, mask); raises PlacementError after bounded retries.
     """
     sx, sy, sz = cfg.spacing_mm
     lo, hi = cfg.lesion_radius_mm
@@ -266,7 +286,7 @@ def _place_blob(cfg: PhantomConfig, rng, zone_voxels, forbidden, zone_masks):
         if not zone_masks[zone][box][blob].all() or forbidden[box][blob].any():
             continue
         _mark_forbidden(forbidden, box, blob)
-        return zone, mask_voxels(blob, box)
+        return zone, box, blob
     raise PlacementError(
         f"could not place a lesion blob after {cfg.max_place_retries} retries; "
         "reduce lesion count or radius"
@@ -289,46 +309,27 @@ def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int, anato
     for gi in order:
         grade = GRADE_ORDER[gi]
         for _ in range(cfg.lesions_per_grade[gi]):
-            zone, vox = _place_blob(cfg, rng, zone_voxels, forbidden, zone_masks)
-            lab[voxel_indices(vox)] = int(grade)
+            zone, box, blob = _place_blob(cfg, rng, zone_voxels, forbidden, zone_masks)
+            lab[box][blob] = int(grade)
+            pred_grade = score = None
             detected = bool(rng.random() >= cfg.miss_fraction)
             if detected:
                 row = np.asarray(cfg.misgrade[gi], dtype=np.float64)
-                pred_gi = int(rng.choice(4, p=row / row.sum()))
-                pred_grade = GRADE_ORDER[pred_gi]
+                pred_grade = GRADE_ORDER[int(rng.choice(4, p=row / row.sum()))]
                 score = _realized_score(rng, slo, shi)
-            else:
-                pred_grade = None
-                score = None
-            lesions.append(
-                LesionEntry(
-                    grade=grade,
-                    zone=zone,
-                    voxels=vox,
-                    detected=detected,
-                    pred_grade=pred_grade,
-                    score=score,
-                )
-            )
+            lesions.append(LesionEntry(grade=grade, zone=zone, box=box, mask=blob,
+                                       detected=detected, pred_grade=pred_grade, score=score))
 
     fps = []
     for _ in range(cfg.fp_per_patient):
-        zone, vox = _place_blob(cfg, rng, zone_voxels, forbidden, zone_masks)
+        zone, box, blob = _place_blob(cfg, rng, zone_voxels, forbidden, zone_masks)
         grade = CS_GRADES[int(rng.integers(0, len(CS_GRADES)))]
-        fps.append(
-            FpEntry(
-                grade=grade,
-                zone=zone,
-                voxels=vox,
-                score=float(np.float32(cfg.fp_score)),
-            )
-        )
+        fps.append(FpEntry(grade=grade, zone=zone, box=box, mask=blob,
+                           score=float(np.float32(cfg.fp_score))))
 
     labels = Volume(lab, cfg.spacing_mm, KIND_LABEL)
     patient = PhantomPatient(patient_id=patient_id, labels=labels, zones=zones)
-    script = PatientScript(
-        patient_id=patient_id, fold=fold, lesions=tuple(lesions), fps=tuple(fps)
-    )
+    script = PatientScript(patient_id, fold, tuple(lesions), tuple(fps))
     return patient, script
 
 
@@ -370,16 +371,11 @@ def degrade_prediction(patients, ledger: PhantomLedger):
         gland = lab >= 1
         data[0] = ~gland
         data[1] = gland
-        events = [
-            (e.pred_grade, e.voxels, e.score)
-            for e in script.lesions
-            if e.detected
-        ] + [(f.grade, f.voxels, f.score) for f in script.fps]
-        for grade, voxels, score in events:
-            s = np.float32(score)
-            idx = voxel_indices(voxels)
-            data[int(grade)][idx] = s
-            data[1][idx] = np.float32(1.0) - s  # exact for s in [0.5, 1]
+        events = [(e.pred_grade, e) for e in script.lesions if e.detected]
+        for grade, e in events + [(f.grade, f) for f in script.fps]:
+            s = np.float32(e.score)
+            data[int(grade)][e.box][e.mask] = s
+            data[1][e.box][e.mask] = np.float32(1.0) - s  # exact for s in [0.5, 1]
         stacks.append(ProbStack(data, patient.labels.spacing_mm))
     return stacks
 
@@ -509,17 +505,11 @@ def ledger_confusion(ledger: PhantomLedger, include_fn_as_gs6: bool = False, fol
 
 
 def _entry_dict(e) -> dict:
-    d = {
-        "grade": e.grade.display,
-        "zone": e.zone,
-        "voxels": [list(v) for v in e.voxels],
-    }
+    d = {"grade": e.grade.display, "zone": e.zone, "voxels": [list(v) for v in e.voxels],
+         "score": e.score}
     if isinstance(e, LesionEntry):
         d["detected"] = e.detected
         d["pred_grade"] = None if e.pred_grade is None else e.pred_grade.display
-        d["score"] = e.score
-    else:
-        d["score"] = e.score
     return d
 
 
@@ -539,6 +529,17 @@ def ledger_to_dict(ledger: PhantomLedger) -> dict:
     }
 
 
+def _blob_from_voxels(voxels) -> dict:
+    """The box and mask of an entry from its (x, y, z) voxel list: the
+    tightest box, and the mask painted within it."""
+    xyz = np.array(voxels, dtype=np.intp).reshape(-1, 3)
+    lo, hi = xyz.min(axis=0)[::-1], xyz.max(axis=0)[::-1] + 1  # (z, y, x)
+    mask = np.zeros(hi - lo, dtype=bool)
+    x, y, z = (xyz - lo[::-1]).T
+    mask[z, y, x] = True
+    return {"box": tuple(map(slice, lo.tolist(), hi.tolist())), "mask": mask}
+
+
 def ledger_from_dict(d: dict) -> PhantomLedger:
     patients = []
     for p in d["patients"]:
@@ -546,7 +547,7 @@ def ledger_from_dict(d: dict) -> PhantomLedger:
             LesionEntry(
                 grade=parse_grade(e["grade"]),
                 zone=e["zone"],
-                voxels=tuple(tuple(v) for v in e["voxels"]),
+                **_blob_from_voxels(e["voxels"]),
                 detected=e["detected"],
                 pred_grade=None if e["pred_grade"] is None else parse_grade(e["pred_grade"]),
                 score=e["score"],
@@ -557,7 +558,7 @@ def ledger_from_dict(d: dict) -> PhantomLedger:
             FpEntry(
                 grade=parse_grade(f["grade"]),
                 zone=f["zone"],
-                voxels=tuple(tuple(v) for v in f["voxels"]),
+                **_blob_from_voxels(f["voxels"]),
                 score=f["score"],
             )
             for f in p["fps"]

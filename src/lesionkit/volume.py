@@ -4,7 +4,7 @@ and in-plane resample/crop/normalize preprocessing.
 Storage convention: arrays are indexed ``values[z, y, x]`` (C order), so the
 raw memory layout is x-fastest / z-slowest.  ``dims`` is reported as
 ``(nx, ny, nz)``, and single voxels as ``(x, y, z)`` tuples; ``mask_voxels``
-and ``voxel_indices`` are the only conversions between the two.  Files come
+lists those of a mask cut from a box.  Files come
 in pairs: a ``<name>.vol.json`` header and a ``<name>.vol.raw`` little-endian
 payload in the same x-fastest order.
 """
@@ -214,22 +214,13 @@ class ZoneMask:
             raise ValueError("pz and tz masks overlap")
 
 
-def mask_voxels(mask: np.ndarray, box=None) -> tuple:
+def mask_voxels(mask: np.ndarray, box) -> tuple:
     """(x, y, z) tuples of the nonzero voxels of a [z, y, x] mask, in scan
     order (z slowest, x fastest).  box is the (z, y, x) slice tuple the mask
-    was cut from, as ndimage.find_objects returns it; None for a whole grid."""
+    was cut from, as ndimage.find_objects returns it."""
     zs, ys, xs = np.nonzero(mask)
-    if box is not None:
-        zs, ys, xs = zs + box[0].start, ys + box[1].start, xs + box[2].start
-    return tuple(zip(xs.tolist(), ys.tolist(), zs.tolist()))
-
-
-def voxel_indices(voxels):
-    """(zs, ys, xs) index arrays of (x, y, z) voxel tuples, for
-    ``values[zs, ys, xs]`` fancy indexing."""
-    flat = np.fromiter(chain.from_iterable(voxels), dtype=np.intp, count=3 * len(voxels))
-    xs, ys, zs = flat.reshape(-1, 3).T
-    return zs, ys, xs
+    z0, y0, x0 = (s.start for s in box)
+    return tuple(zip((xs + x0).tolist(), (ys + y0).tolist(), (zs + z0).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -76,16 +76,19 @@ class TestExitCodes:
         {"dims": [16, 16]},
         {"lesions_per_grade": [1, 1, 1.0, 1]},
         {"fp_per_patient": 1.5},
+        {"fp_per_patient": -1},
         {"min_lesion_voxels": 15.5},
         {"max_place_retries": 2.5},
+        {"max_place_retries": 0},
         {"n_folds": 2.5},
     ], ids=lambda section: "-".join(f"{k}={v}" for k, v in section.items()))
     def test_invalid_config_value(self, tmp_path, capsys, section):
         cfg = tmp_path / "cfg.json"
         base = {"n_patients": 3, "n_folds": 3, "dims": [48, 48, 12]}
         cfg.write_text(json.dumps({"phantom": {**base, **section}}))
-        code, _ = run(capsys, "--config", str(cfg), "phantom", "--out", str(tmp_path / "x"))
+        code = main(["--config", str(cfg), "phantom", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+        assert next(iter(section)) in capsys.readouterr().err  # the message names the field
         assert not (tmp_path / "x").exists()
 
     #: argv -> the setting its config error must name

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lesionkit import phantom
 from lesionkit.cluster import (
@@ -45,7 +47,7 @@ from lesionkit.phantom import (
     ledger_zone_subset,
     write_cohort,
 )
-from lesionkit.volume import read_volume
+from lesionkit.volume import json_chunks, read_volume
 
 
 SMALL = PhantomConfig(
@@ -201,22 +203,23 @@ class TestPrediction:
 
 def _handmade_ledger():
     def vox(base):
+        # box and mask of three voxels in a row along x, from (x, y, z) base
         x, y, z = base
-        return tuple(sorted(((x + i, y, z) for i in range(3)), key=lambda v: (v[2], v[1], v[0])))
+        return np.s_[z : z + 1, y : y + 1, x : x + 3], np.ones((1, 1, 3), dtype=bool)
 
     p0 = PatientScript(
         patient_id="p000",
         fold=0,
         lesions=(
-            LesionEntry(Grade.GS34, ZONE_PZ, vox((0, 0, 0)), True, Grade.GS34, 0.8),
-            LesionEntry(Grade.GS6, ZONE_TZ, vox((10, 0, 0)), True, Grade.GS43, 0.7),
+            LesionEntry(Grade.GS34, ZONE_PZ, *vox((0, 0, 0)), True, Grade.GS34, 0.8),
+            LesionEntry(Grade.GS6, ZONE_TZ, *vox((10, 0, 0)), True, Grade.GS43, 0.7),
         ),
-        fps=(FpEntry(Grade.GS8, ZONE_PZ, vox((20, 0, 0)), 0.9),),
+        fps=(FpEntry(Grade.GS8, ZONE_PZ, *vox((20, 0, 0)), 0.9),),
     )
     p1 = PatientScript(
         patient_id="p001",
         fold=1,
-        lesions=(LesionEntry(Grade.GS43, ZONE_PZ, vox((0, 10, 0)), False, None, None),),
+        lesions=(LesionEntry(Grade.GS43, ZONE_PZ, *vox((0, 10, 0)), False, None, None),),
         fps=(),
     )
     return PhantomLedger((p0, p1), (32, 32, 4), (1.0, 1.0, 3.0))
@@ -267,6 +270,75 @@ class TestLedgerOracles:
         pats, ledger = generate_cohort(SMALL)
         blob = json.dumps(ledger_to_dict(ledger), sort_keys=True)
         assert ledger_from_dict(json.loads(blob)) == ledger
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_voxel_lists_round_trip(self, data):
+        def voxel_list():
+            # a random non-empty mask of a small grid, optionally hollowed and
+            # with two opposite corners set so it touches every grid face
+            nz, ny, nx = (data.draw(st.integers(1, 6)) for _ in range(3))
+            cells = data.draw(st.lists(st.booleans(), min_size=nz * ny * nx,
+                                       max_size=nz * ny * nx))
+            mask = np.array(cells, dtype=bool).reshape(nz, ny, nx)
+            if data.draw(st.booleans()):
+                mask[1:-1, 1:-1, 1:-1] = False
+            if data.draw(st.booleans()):
+                mask[0, 0, 0] = mask[-1, -1, -1] = True
+            mask.flat[data.draw(st.integers(0, mask.size - 1))] = True
+            ox, oy, oz = (data.draw(st.integers(0, 4)) for _ in range(3))
+            return [[int(x) + ox, int(y) + oy, int(z) + oz] for z, y, x in np.argwhere(mask)]
+
+        lesion, fp = voxel_list(), voxel_list()
+        d = {
+            "dims": [10, 10, 10],
+            "spacing_mm": [1.0, 1.0, 3.0],
+            "patients": [{
+                "patient_id": "p000",
+                "fold": 0,
+                "lesions": [{"grade": "GS3+4", "zone": ZONE_PZ, "voxels": lesion,
+                             "detected": True, "pred_grade": "GS4+3", "score": 0.75}],
+                "fps": [{"grade": "GS>=8", "zone": ZONE_TZ, "voxels": fp, "score": 0.9}],
+            }],
+        }
+        ledger = ledger_from_dict(d)
+        assert "".join(json_chunks(ledger_to_dict(ledger))) == "".join(json_chunks(d))
+        (script,) = ledger.patients
+        assert script.lesions[0].n_voxels == len(lesion)
+        assert script.fps[0].n_voxels == len(fp)
+
+    def test_entries_compare_by_ledger_form(self):
+        # the cohort benchmark's check compares written ledgers with !=
+        _, ledger = generate_cohort(SMALL)
+        d = ledger_to_dict(ledger)
+        same = ledger_from_dict(json.loads(json.dumps(d)))
+        assert same == ledger and not (same != ledger)
+
+        def move_voxel(p):  # to the empty low corner of its box: box and count stay
+            vox = p["lesions"][0]["voxels"]
+            corner = [min(v[i] for v in vox) for i in range(3)]
+            assert corner not in vox
+            vox[len(vox) // 2] = corner
+
+        def nudge_score(p):
+            p["fps"][0]["score"] = 0.75
+
+        def flip_zone(p):
+            e = p["lesions"][0]
+            e["zone"] = ZONE_TZ if e["zone"] == ZONE_PZ else ZONE_PZ
+
+        def regrade(p):
+            e = next(e for e in p["lesions"] if e["detected"])
+            e["pred_grade"] = "GS6" if e["pred_grade"] != "GS6" else "GS>=8"
+
+        for edit in (move_voxel, nudge_score, flip_zone, regrade):
+            changed = json.loads(json.dumps(d))
+            edit(changed["patients"][0])
+            edited = ledger_from_dict(changed)
+            assert edited != ledger and not (edited == ledger), edit.__name__
+            if edit is move_voxel:
+                a, b = same.patients[0].lesions[0], edited.patients[0].lesions[0]
+                assert (a.box, a.n_voxels) == (b.box, b.n_voxels)
 
 
 class TestPipelineAgreement:
