@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .cluster import MIN_LESION_VOLUME_MM3
 from .grades import CS_GRADES, GRADE_ORDER, Grade, parse_grade
@@ -237,60 +236,81 @@ def _anatomy(cfg: PhantomConfig):
     return prostate, masks, centres, zones
 
 
-def _blob_mask(dims, center, semi_axes):
+def _axis_terms(lo: int, hi: int, c, a, margin: int) -> list[float]:
+    """((j - c) / a) squared in float64 for each i in lo..hi, where j is the
+    voxel of i - margin..i + margin nearest c (so j is i at margin 0)."""
+    if margin:
+        k = round(c)
+        return [((j - c) / a) * ((j - c) / a)
+                for j in (min(max(k, i - margin), i + margin) for i in range(lo, hi + 1))]
+    return [((i - c) / a) * ((i - c) / a) for i in range(lo, hi + 1)]
+
+
+def _blob_mask(dims, center, semi_axes, margin: int = 0):
     """(box, mask within the box) of an axis-aligned ellipsoid around an
-    (x, y, z) point, clipped to the grid; box is a (z, y, x) slice tuple."""
+    (x, y, z) point of the grid, grown by margin voxels of Chebyshev
+    distance and clipped to the grid; box is a (z, y, x) slice tuple.
+
+    A voxel is in the ellipsoid when (x term + y term) + z term <= 1.  A
+    term grows with the distance to the centre and float addition is
+    monotone, so over a cube of voxels the smallest sum is the sum of each
+    axis's smallest term, taken at the voxel nearest the centre.  A voxel
+    is within margin of the ellipsoid when that smallest sum is <= 1."""
     nx, ny, nz = dims
     cx, cy, cz = center
     ax, ay, az = semi_axes
-    x0, x1 = max(0, math.floor(cx - ax)), min(nx - 1, math.ceil(cx + ax))
-    y0, y1 = max(0, math.floor(cy - ay)), min(ny - 1, math.ceil(cy + ay))
-    z0, z1 = max(0, math.floor(cz - az)), min(nz - 1, math.ceil(cz + az))
-    z = np.arange(z0, z1 + 1)[:, None, None]
-    y = np.arange(y0, y1 + 1)[:, None]
-    x = np.arange(x0, x1 + 1)
-    inside = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2 <= 1.0
-    return np.s_[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1], inside
+    x0, x1 = max(0, math.floor(cx - ax) - margin), min(nx - 1, math.ceil(cx + ax) + margin)
+    y0, y1 = max(0, math.floor(cy - ay) - margin), min(ny - 1, math.ceil(cy + ay) + margin)
+    z0, z1 = max(0, math.floor(cz - az) - margin), min(nz - 1, math.ceil(cz + az) + margin)
+    tx = np.array(_axis_terms(x0, x1, cx, ax, margin))
+    ty = np.array(_axis_terms(y0, y1, cy, ay, margin))[:, None]
+    tz = np.array(_axis_terms(z0, z1, cz, az, margin))[:, None, None]
+    return np.s_[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1], tx + ty + tz <= 1.0
 
 
-def _mark_forbidden(forbidden: np.ndarray, box, blob, margin: int = 2) -> None:
-    """Set every voxel within Chebyshev distance margin of the blob mask cut
-    from box."""
-    grown = tuple(slice(max(0, b.start - margin), b.stop + margin) for b in box)
-    near = np.zeros(forbidden[grown].shape, dtype=bool)
-    near[tuple(slice(b.start - g.start, b.stop - g.start) for b, g in zip(box, grown))] = blob
-    forbidden[grown] |= ndimage.maximum_filter(near, size=2 * margin + 1, mode="constant")
+def _place_blob(cfg: PhantomConfig, rng, zone_voxels, free, kind: str):
+    """One blob of the given kind ("a lesion" or "an FP") wholly inside a single
+    zone, clear of the blobs placed before: each voxel lies in free[zone],
+    the zone's mask minus the margin around those blobs.
 
-
-def _place_blob(cfg: PhantomConfig, rng, zone_voxels, forbidden, zone_masks):
-    """One blob wholly inside a single zone, clear of the forbidden region.
-
-    Returns (zone name, box, mask); raises PlacementError after bounded retries.
+    Every try draws the zone and then, unless the zone is empty, the centre
+    and three semi-axes, before any test.  The blob holds its centre voxel,
+    so a try whose centre is not free is rejected before its mask is built.
+    A placed blob grown by 2 voxels is cleared from both free grids.
+    Returns (zone name, box, mask); raises PlacementError after bounded
+    retries.
     """
     sx, sy, sz = cfg.spacing_mm
     lo, hi = cfg.lesion_radius_mm
+    empty = set()
     for _ in range(cfg.max_place_retries):
         zone = ZONE_PZ if rng.random() < cfg.pz_fraction else ZONE_TZ
         zvox = zone_voxels[zone]
         if not zvox:
+            empty.add(zone)
             continue
         center = zvox[int(rng.integers(0, len(zvox)))]
-        semi = (
-            float(rng.uniform(lo, hi)) / sx,
-            float(rng.uniform(lo, hi)) / sy,
-            float(rng.uniform(lo, hi)) / sz,
-        )
+        rx, ry, rz = rng.uniform(lo, hi, 3).tolist()  # the values of three scalar draws
+        semi = (rx / sx, ry / sy, rz / sz)
+        grid = free[zone]
+        x, y, z = center
+        if not grid[z, y, x]:
+            continue
         box, blob = _blob_mask(cfg.dims, center, semi)
-        if np.count_nonzero(blob) < cfg.min_lesion_voxels:
+        if np.count_nonzero(blob) < cfg.min_lesion_voxels or not grid[box][blob].all():
             continue
-        if not zone_masks[zone][box][blob].all() or forbidden[box][blob].any():
-            continue
-        _mark_forbidden(forbidden, box, blob)
+        near_box, near = _blob_mask(cfg.dims, center, semi, margin=2)
+        clear = ~near
+        for g in free.values():
+            g[near_box] &= clear
         return zone, box, blob
-    raise PlacementError(
-        f"could not place a lesion blob after {cfg.max_place_retries} retries; "
-        "reduce lesion count or radius"
-    )
+    failed = f"could not place {kind} blob after {cfg.max_place_retries} retries"
+    if empty:
+        raise PlacementError(
+            f"{failed}: drawn zone {' and '.join(sorted(empty))} holds no voxels; "
+            "change dims, tz_scale or pz_fraction"
+        )
+    raise PlacementError(f"{failed}; reduce lesion count or radius")
 
 
 def _realized_score(rng, lo: float, hi: float) -> float:
@@ -300,7 +320,7 @@ def _realized_score(rng, lo: float, hi: float) -> float:
 
 def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int, anatomy):
     prostate, zone_masks, zone_voxels, zones = anatomy
-    forbidden = np.zeros(prostate.shape, dtype=bool)
+    free = {name: m.copy() for name, m in zone_masks.items()}
     lab = prostate.astype(np.uint8)
 
     slo, shi = cfg.score_range
@@ -309,7 +329,7 @@ def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int, anato
     for gi in order:
         grade = GRADE_ORDER[gi]
         for _ in range(cfg.lesions_per_grade[gi]):
-            zone, box, blob = _place_blob(cfg, rng, zone_voxels, forbidden, zone_masks)
+            zone, box, blob = _place_blob(cfg, rng, zone_voxels, free, "a lesion")
             lab[box][blob] = int(grade)
             pred_grade = score = None
             detected = bool(rng.random() >= cfg.miss_fraction)
@@ -322,7 +342,7 @@ def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int, anato
 
     fps = []
     for _ in range(cfg.fp_per_patient):
-        zone, box, blob = _place_blob(cfg, rng, zone_voxels, forbidden, zone_masks)
+        zone, box, blob = _place_blob(cfg, rng, zone_voxels, free, "an FP")
         grade = CS_GRADES[int(rng.integers(0, len(CS_GRADES)))]
         fps.append(FpEntry(grade=grade, zone=zone, box=box, mask=blob,
                            score=float(np.float32(cfg.fp_score))))
@@ -529,42 +549,60 @@ def ledger_to_dict(ledger: PhantomLedger) -> dict:
     }
 
 
-def _blob_from_voxels(voxels) -> dict:
+def _blob_from_voxels(voxels, dims, where: str) -> dict:
     """The box and mask of an entry from its (x, y, z) voxel list: the
-    tightest box, and the mask painted within it."""
-    xyz = np.array(voxels, dtype=np.intp).reshape(-1, 3)
+    tightest box, and the mask painted within it.  A list that is empty,
+    holds anything but integer triples, leaves the (nx, ny, nz) grid or
+    names a voxel twice raises ValueError naming where the entry is."""
+    triples = ValueError(f"{where}: voxels must be a list of [x, y, z] integer triples")
+    try:
+        xyz = np.array(voxels)
+    except ValueError:  # ragged lists
+        raise triples from None
+    if xyz.size == 0:
+        raise ValueError(f"{where}: voxels is empty")
+    if xyz.ndim != 2 or xyz.shape[1] != 3 or xyz.dtype.kind not in "iu":
+        raise triples
+    if (xyz < 0).any() or (xyz >= np.array(dims)).any():
+        raise ValueError(f"{where}: a voxel lies outside the grid of dims {list(dims)}")
     lo, hi = xyz.min(axis=0)[::-1], xyz.max(axis=0)[::-1] + 1  # (z, y, x)
     mask = np.zeros(hi - lo, dtype=bool)
     x, y, z = (xyz - lo[::-1]).T
     mask[z, y, x] = True
+    if np.count_nonzero(mask) != len(xyz):
+        raise ValueError(f"{where}: voxels names a voxel twice")
     return {"box": tuple(map(slice, lo.tolist(), hi.tolist())), "mask": mask}
 
 
 def ledger_from_dict(d: dict) -> PhantomLedger:
+    """The ledger a ledger_to_dict dict describes; a bad voxel list raises
+    ValueError naming the patient, "lesions" or "fps", and the entry index."""
+    dims = tuple(d["dims"])
     patients = []
     for p in d["patients"]:
+        pid = p["patient_id"]
         lesions = tuple(
             LesionEntry(
                 grade=parse_grade(e["grade"]),
                 zone=e["zone"],
-                **_blob_from_voxels(e["voxels"]),
+                **_blob_from_voxels(e["voxels"], dims, f"patient {pid} lesions[{i}]"),
                 detected=e["detected"],
                 pred_grade=None if e["pred_grade"] is None else parse_grade(e["pred_grade"]),
                 score=e["score"],
             )
-            for e in p["lesions"]
+            for i, e in enumerate(p["lesions"])
         )
         fps = tuple(
             FpEntry(
                 grade=parse_grade(f["grade"]),
                 zone=f["zone"],
-                **_blob_from_voxels(f["voxels"]),
+                **_blob_from_voxels(f["voxels"], dims, f"patient {pid} fps[{i}]"),
                 score=f["score"],
             )
-            for f in p["fps"]
+            for i, f in enumerate(p["fps"])
         )
-        patients.append(PatientScript(p["patient_id"], p["fold"], lesions, fps))
-    return PhantomLedger(tuple(patients), tuple(d["dims"]), tuple(d["spacing_mm"]))
+        patients.append(PatientScript(pid, p["fold"], lesions, fps))
+    return PhantomLedger(tuple(patients), dims, tuple(d["spacing_mm"]))
 
 
 def write_cohort(cfg: PhantomConfig, out_dir) -> PhantomLedger:

@@ -373,6 +373,24 @@ def _create(path, mode="wb", **kwargs):
         return open(path, mode, **kwargs)
 
 
+def _write_bytes(path, data) -> None:
+    """Write data (bytes or a C-contiguous buffer) to path through a bare
+    descriptor: open, write until every byte is taken, close.  The parent
+    directories are made only when the open finds them missing."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def write_json(path, payload) -> None:
     """Write payload as sorted, 2-space-indented JSON plus a trailing
     newline, one chunk at a time."""
@@ -527,9 +545,8 @@ def write_volume(v: Volume, path) -> None:
         "kind": v.kind,
         "data": os.path.basename(data_path),
     }
-    write_json(header_path, header)
-    with open(data_path, "wb") as f:
-        f.write(memoryview(v.values))
+    _write_bytes(header_path, ("".join(json_chunks(header)) + "\n").encode())
+    _write_bytes(data_path, v.values)
 
 
 # ---------------------------------------------------------------------------

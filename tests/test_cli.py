@@ -91,6 +91,16 @@ class TestExitCodes:
         assert next(iter(section)) in capsys.readouterr().err  # the message names the field
         assert not (tmp_path / "x").exists()
 
+    def test_placement_failure_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phantom": {
+            "n_patients": 2, "n_folds": 1, "dims": [8, 8, 2], "tz_scale": 0.1,
+            "pz_fraction": 0.0, "max_place_retries": 20}}))
+        code = main(["--config", str(cfg), "phantom", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert "drawn zone TZ holds no voxels" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     #: argv -> the setting its config error must name
     BAD_FLAGS = {
         "kappa --bootstrap 0 --detections MISSING": "bootstrap_iterations",

@@ -151,6 +151,17 @@ class TestGeneration:
         with pytest.raises(PlacementError):
             generate_cohort(cfg)
 
+    @pytest.mark.parametrize("kind, counts, fps", [("a lesion", (0, 1, 0, 0), 0),
+                                                   ("an FP", (0, 0, 0, 0), 1)])
+    def test_empty_zone_named_when_placement_fails(self, kind, counts, fps):
+        # the TZ of an 8x8x2 grid at tz_scale 0.1 holds no voxel centre
+        cfg = PhantomConfig(seed=0, n_patients=1, dims=(8, 8, 2), tz_scale=0.1,
+                            pz_fraction=0.0, lesions_per_grade=counts, fp_per_patient=fps,
+                            max_place_retries=40, n_folds=1)
+        with pytest.raises(PlacementError, match=f"could not place {kind} blob after 40 "
+                                                 "retries: drawn zone TZ holds no voxels"):
+            generate_cohort(cfg)
+
     def test_config_rejects_sub_filter_blobs(self):
         with pytest.raises(ValueError, match="volume"):
             PhantomConfig(spacing_mm=(0.5, 0.5, 3.0), min_lesion_voxels=15)
@@ -306,6 +317,18 @@ class TestLedgerOracles:
         (script,) = ledger.patients
         assert script.lesions[0].n_voxels == len(lesion)
         assert script.fps[0].n_voxels == len(fp)
+
+    @pytest.mark.parametrize("key, index, voxels, message", [
+        ("lesions", 1, [], "voxels is empty"),
+        ("fps", 0, [[1, 2]], "integer triples"),
+        ("lesions", 0, [[1, 2, 3], [1, 2, 4]], "outside the grid of dims"),
+        ("fps", 0, [[1, 2, 0], [3, 2, 0], [1, 2, 0]], "names a voxel twice"),
+    ], ids=["empty", "non-triple", "out-of-grid", "repeated"])
+    def test_bad_voxel_lists_raise(self, key, index, voxels, message):
+        d = ledger_to_dict(_handmade_ledger())  # dims (32, 32, 4)
+        d["patients"][0][key][index]["voxels"] = voxels
+        with pytest.raises(ValueError, match=rf"patient p000 {key}\[{index}\]: .*{message}"):
+            ledger_from_dict(d)
 
     def test_entries_compare_by_ledger_form(self):
         # the cohort benchmark's check compares written ledgers with !=

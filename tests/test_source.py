@@ -1,5 +1,6 @@
 """Static checks on the package source: every module of src/lesionkit
-uses each name it imports, and README's CLI table lists each subcommand."""
+uses each name it imports, only two volume helpers create files, and
+README's CLI table lists each subcommand."""
 
 import argparse
 import ast
@@ -54,6 +55,55 @@ def test_no_unused_imports_in_the_package():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert found == PINNED
+
+
+#: (module file, function) allowed to create files: every write goes through one of them
+FILE_CREATORS = {("volume.py", "_create"), ("volume.py", "_write_bytes")}
+
+
+def file_creations(source: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each os.open call and each
+    open call whose mode is not a literal read mode."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Call) and _creates_file(child):
+                found.append((func, child.lineno))
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def _creates_file(call: ast.Call) -> bool:
+    f = call.func
+    if isinstance(f, ast.Attribute) and f.attr == "open" and isinstance(f.value, ast.Name):
+        return f.value.id == "os"
+    if not (isinstance(f, ast.Name) and f.id == "open"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_checker_finds_file_creations():
+    source = ("import os\nopen('a')\nopen('b', 'rb')\nopen('c', mode='r', encoding='utf-8')\n"
+              "def f(m):\n    open('d', 'wb')\n    def g():\n        os.open('e', 0)\n"
+              "    open('f', m)\nopen('g', mode='a')\nopen('h', 'r+')\n")
+    assert file_creations(source) == [("f", 6), ("g", 8), ("f", 9), ("<module>", 10),
+                                      ("<module>", 11)]
+
+
+def test_files_are_created_in_one_place():
+    found = {
+        (path.name, func)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func, _ in file_creations(path.read_text(encoding="utf-8"))
+    }
+    assert found == FILE_CREATORS
 
 
 def readme_commands(text: str) -> list[str]:

@@ -3,6 +3,7 @@
 import enum
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -287,6 +288,60 @@ class TestFileIO:
         write_volume(v, tmp_path / "a" / "b" / "c" / "vol")
         back = read_volume(tmp_path / "a" / "b" / "c" / "vol")
         assert back.values.tobytes() == v.values.tobytes()
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+class TestWriteBytes:
+    """volume._write_bytes writes through a bare descriptor, which raises no
+    ResourceWarning if left open, so these tests count descriptors."""
+
+    def test_success_leaves_no_descriptor_open(self, tmp_path):
+        before = open_descriptors()
+        volume._write_bytes(tmp_path / "f", b"abc")
+        assert open_descriptors() == before
+        assert (tmp_path / "f").read_bytes() == b"abc"
+
+    def test_failed_write_closes_the_descriptor(self, tmp_path, monkeypatch):
+        def failing_write(fd, data):
+            raise OSError(28, "No space left on device")
+
+        before = open_descriptors()
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", failing_write)
+            with pytest.raises(OSError, match="No space"):
+                volume._write_bytes(tmp_path / "f", b"abc")
+        assert open_descriptors() == before
+
+    def test_create_with_makedirs_leaves_no_descriptor_open(self, tmp_path):
+        path = tmp_path / "a" / "b" / "f"
+        before = open_descriptors()
+        volume._write_bytes(path, b"abc")
+        assert open_descriptors() == before
+        assert path.read_bytes() == b"abc"
+
+    def test_partial_writes_are_resumed(self, tmp_path, monkeypatch):
+        v = Volume(np.random.default_rng(3).random((3, 4, 5), dtype=np.float32),
+                   (0.5, 0.625, 3.0), KIND_PROBABILITY)
+        write_volume(v, tmp_path / "whole" / "v")
+        real_write = os.write
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:1])))
+            write_volume(v, tmp_path / "bytewise" / "v")
+        for name in ("v.vol.json", "v.vol.raw"):
+            whole = (tmp_path / "whole" / name).read_bytes()
+            assert (tmp_path / "bytewise" / name).read_bytes() == whole
+        text = (tmp_path / "whole" / "v.vol.json").read_text()
+        assert text == stdlib_json(json.loads(text)) + "\n"
+        assert read_volume(tmp_path / "bytewise" / "v").values.tobytes() == v.values.tobytes()
+
+    def test_truncates_an_existing_file(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"a longer old content")
+        volume._write_bytes(tmp_path / "f", b"new")
+        assert (tmp_path / "f").read_bytes() == b"new"
 
 
 def stdlib_json(obj) -> str:
