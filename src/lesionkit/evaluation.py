@@ -720,7 +720,9 @@ def load_patient_eval(cfg: EvaluationConfig, patient_id: str, fold: int) -> Pati
     if cfg.zones_dir is not None:
         pz_path = Path(cfg.zones_dir) / f"{patient_id}_pz.vol.json"
         tz_path = Path(cfg.zones_dir) / f"{patient_id}_tz.vol.json"
-        if pz_path.exists() and tz_path.exists():
+        # zone masks come in pairs: with one file present, reading the other
+        # names it as missing
+        if pz_path.exists() or tz_path.exists():
             zones = ZoneMask(pz=read_volume(pz_path), tz=read_volume(tz_path))
     return PatientEval(patient_id=patient_id, fold=fold, labels=labels, probs=probs, zones=zones)
 

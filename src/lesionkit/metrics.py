@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.stats import norm, rankdata
 
 from .cluster import LesionMap
 from .grades import GRADE_ORDER, MISSED, Grade
@@ -122,18 +122,6 @@ class AggregatePoint:
 # FROC
 
 
-def _sweep_thresholds(matches) -> list[float]:
-    scores = set()
-    for m in matches:
-        for t in m.tp:
-            scores.add(t.pred.score)
-        for c in m.fp:
-            scores.add(c.score)
-        for c in m.duplicates:
-            scores.add(c.score)
-    return sorted(scores | {0.0, ABOVE_MAX_SCORE})
-
-
 def froc_from_matches(matches, n_patients: int) -> FrocCurve:
     """Build the curve from per-patient full matches (score threshold 0).
 
@@ -150,8 +138,10 @@ def froc_from_matches(matches, n_patients: int) -> FrocCurve:
         raise ValueError("sensitivity is undefined without ground-truth lesions")
     tp_scores = sorted(t.pred.score for m in matches for t in m.tp)
     fp_scores = sorted(c.score for m in matches for c in m.fp)
+    dup_scores = [c.score for m in matches for c in m.duplicates]
+    thresholds = sorted({*tp_scores, *fp_scores, *dup_scores, 0.0, ABOVE_MAX_SCORE})
     points = []
-    for thr in _sweep_thresholds(matches):
+    for thr in thresholds:
         tp = len(tp_scores) - bisect_left(tp_scores, thr)
         fp = len(fp_scores) - bisect_left(fp_scores, thr)
         points.append(
@@ -299,24 +289,19 @@ def _kappa_from_sums(n: int, obs: int, exp: int) -> tuple[float, bool]:
 # Iteration i of a bootstrap over U units draws
 #     Generator(Philox(SeedSequence(seed).spawn(n_iter)[i])).integers(0, U, size=U)
 # The helpers below compute those draws for many iterations at once, bit for
-# bit: numpy's SeedSequence mixing gives each child's Philox key, Philox4x64-10
-# runs on counters 1, 2, ... under each key, and each 64-bit output word gives
-# two 32-bit draws, low half first, which Lemire's method maps to [0, U).
+# bit: numpy's SeedSequence mixing gives each child's Philox key, numpy's own
+# Philox, re-keyed per child, gives the words for counters 1, 2, ..., and each
+# 64-bit output word gives two 32-bit draws, low half first, which Lemire's
+# method maps to [0, U).
 
 _MASK32 = 0xFFFFFFFF
 _U32_SHIFT = np.uint64(32)
-_U32_MASK = np.uint64(_MASK32)
 
 # numpy.random.SeedSequence: pool size and hash constants
 _SS_POOL_SIZE = 4
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-# Philox4x64: round multipliers and key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_PHILOX_ROUNDS = 10
 
 #: Draws computed per block of iterations.  A block holds
 #: max(1, _BLOCK_DRAWS // U) iterations, so the working arrays stay near
@@ -383,31 +368,20 @@ def _spawn_keys(seed, n_iter: int) -> np.ndarray:
     )
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product m * x, the high
-    word from 32-bit limbs."""
-    m0, m1 = np.uint64(m & _MASK32), np.uint64(m >> 32)
-    x0, x1 = x & _U32_MASK, x >> _U32_SHIFT
-    p01 = x0 * m1
-    # the middle column: below 2**64, as (2**32 - 1)**2 + 2 * (2**32 - 1) is
-    mid = x1 * m0 + ((x0 * m0) >> _U32_SHIFT) + (p01 & _U32_MASK)
-    hi = x1 * m1 + (p01 >> _U32_SHIFT) + (mid >> _U32_SHIFT)
-    return hi, x * np.uint64(m)
-
-
 def _philox_words(keys: np.ndarray, n_ctr: int) -> np.ndarray:
     """Philox4x64-10 output for counters 1..n_ctr under each key: shape
     (len(keys), n_ctr, 4), words in the order the generator returns them."""
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    zero = np.zeros((1, n_ctr), dtype=np.uint64)
-    v = (np.arange(1, n_ctr + 1, dtype=np.uint64)[None, :], zero, zero, zero)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], v[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], v[2])
-        v = (hi1 ^ v[1] ^ k0, lo1, hi0 ^ v[3] ^ k1, lo0)
-    return np.stack(v, axis=-1)
+    bitgen = np.random.Philox(0)
+    # counter 0 and an empty buffer: the first raw word comes from counter 1
+    state = bitgen.state
+    state["state"]["counter"][:] = 0
+    state["buffer_pos"] = 4
+    out = np.empty((len(keys), n_ctr * 4), dtype=np.uint64)
+    for row, key in zip(out, keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        row[:] = bitgen.random_raw(n_ctr * 4)
+    return out.reshape(len(keys), n_ctr, 4)
 
 
 def _lemire(words: np.ndarray, n_units: int) -> tuple[np.ndarray, np.ndarray]:
@@ -524,19 +498,7 @@ def dice_coefficient(a, b) -> float:
 
 def _signed_ranks(diffs: np.ndarray):
     """Doubled average ranks of |d| (doubling keeps tied ranks integral)."""
-    mags = np.abs(diffs)
-    order = np.argsort(mags, kind="stable")
-    doubled = np.empty(len(diffs), dtype=np.int64)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and mags[order[j + 1]] == mags[order[i]]:
-            j += 1
-        # positions i+1 .. j+1 share the average rank; doubled it is exact
-        for k in range(i, j + 1):
-            doubled[order[k]] = (i + 1) + (j + 1)
-        i = j + 1
-    return doubled
+    return (2 * rankdata(np.abs(diffs))).astype(np.int64)
 
 
 def _exact_tail_prob(doubled_ranks, doubled_obs: int) -> float:

@@ -574,33 +574,63 @@ def _blob_from_voxels(voxels, dims, where: str) -> dict:
     return {"box": tuple(map(slice, lo.tolist(), hi.tolist())), "mask": mask}
 
 
+def _grade_field(e: dict, key: str, where: str) -> Grade:
+    try:
+        return parse_grade(e[key])
+    except (AttributeError, ValueError):  # AttributeError: not a string
+        raise ValueError(f"{where}: unknown {key} {e[key]!r}") from None
+
+
+def _score_field(e: dict, where: str) -> float:
+    score = e["score"]
+    if not (is_real(score) and 0.0 <= score <= 1.0):
+        raise ValueError(f"{where}: score must be a number in [0, 1], got {score!r}")
+    return score
+
+
+def _entry_from_dict(e: dict, dims, where: str, lesion: bool):
+    """The LesionEntry (or, with lesion false, FpEntry) an entry dict
+    describes; a field the generator could not have written raises
+    ValueError naming where the entry is."""
+    grade = _grade_field(e, "grade", where)
+    zone = e["zone"]
+    if zone not in (ZONE_PZ, ZONE_TZ):
+        raise ValueError(f"{where}: zone must be {ZONE_PZ!r} or {ZONE_TZ!r}, got {zone!r}")
+    blob = _blob_from_voxels(e["voxels"], dims, where)
+    if not lesion:
+        if grade not in CS_GRADES:
+            raise ValueError(f"{where}: a false positive must have a CS grade, got {e['grade']!r}")
+        return FpEntry(grade, zone, **blob, score=_score_field(e, where))
+    detected = e["detected"]
+    if type(detected) is not bool:
+        raise ValueError(f"{where}: detected must be true or false, got {detected!r}")
+    if not detected:
+        if e["pred_grade"] is not None or e["score"] is not None:
+            raise ValueError(f"{where}: a missed lesion's pred_grade and score must be null")
+        return LesionEntry(grade, zone, **blob, detected=False, pred_grade=None, score=None)
+    if e["pred_grade"] is None:
+        raise ValueError(f"{where}: a detected lesion needs a pred_grade")
+    return LesionEntry(grade, zone, **blob, detected=True,
+                       pred_grade=_grade_field(e, "pred_grade", where),
+                       score=_score_field(e, where))
+
+
 def ledger_from_dict(d: dict) -> PhantomLedger:
-    """The ledger a ledger_to_dict dict describes; a bad voxel list raises
-    ValueError naming the patient, "lesions" or "fps", and the entry index."""
+    """The ledger a ledger_to_dict dict describes.  An entry field the
+    generator could not have written (see _entry_from_dict and
+    _blob_from_voxels) raises ValueError naming the patient, "lesions" or
+    "fps", and the entry index; a fold that is not an int names the
+    patient."""
     dims = tuple(d["dims"])
     patients = []
     for p in d["patients"]:
         pid = p["patient_id"]
-        lesions = tuple(
-            LesionEntry(
-                grade=parse_grade(e["grade"]),
-                zone=e["zone"],
-                **_blob_from_voxels(e["voxels"], dims, f"patient {pid} lesions[{i}]"),
-                detected=e["detected"],
-                pred_grade=None if e["pred_grade"] is None else parse_grade(e["pred_grade"]),
-                score=e["score"],
-            )
-            for i, e in enumerate(p["lesions"])
-        )
-        fps = tuple(
-            FpEntry(
-                grade=parse_grade(f["grade"]),
-                zone=f["zone"],
-                **_blob_from_voxels(f["voxels"], dims, f"patient {pid} fps[{i}]"),
-                score=f["score"],
-            )
-            for i, f in enumerate(p["fps"])
-        )
+        if type(p["fold"]) is not int:
+            raise ValueError(f"patient {pid}: fold must be an integer, got {p['fold']!r}")
+        lesions = tuple(_entry_from_dict(e, dims, f"patient {pid} lesions[{i}]", True)
+                        for i, e in enumerate(p["lesions"]))
+        fps = tuple(_entry_from_dict(f, dims, f"patient {pid} fps[{i}]", False)
+                    for i, f in enumerate(p["fps"]))
         patients.append(PatientScript(pid, p["fold"], lesions, fps))
     return PhantomLedger(tuple(patients), dims, tuple(d["spacing_mm"]))
 

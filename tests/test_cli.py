@@ -428,6 +428,10 @@ MALFORMED_INPUTS = [
     ("manifest-fold-float", fold_manifest(1.7), EVALUATE_MANIFEST, EXIT_DATA),
     ("manifest-fold-text", fold_manifest("2"), EVALUATE_MANIFEST, EXIT_DATA),
     ("manifest-fold-bool", fold_manifest(True), EVALUATE_MANIFEST, EXIT_DATA),
+    # half a zone pair: the TZ header is missing, so the PZ one is never read
+    ("zones-pz-without-tz", {"z": DIR, "z/p000_pz.vol.json": "{}"},
+     "evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred --zones-dir {tmp}/z "
+     "--manifest {cohort}/cohort.json --out {tmp}/o --bootstrap 5", EXIT_DATA),
 ]
 
 

@@ -19,6 +19,7 @@ from lesionkit.grades import GRADE_ORDER
 from lesionkit.metrics import ConfusionMatrix, quadratic_weighted_kappa
 from lesionkit.phantom import (
     ZONE_PZ,
+    ZONE_TZ,
     ledger_confusion,
     ledger_from_dict,
     ledger_froc_cs,
@@ -144,7 +145,7 @@ def test_bundle_digests(cohort, tmp_path, capsys, zone, threads):
     assert _digests(out) == GOLDEN[zone]
 
 
-@pytest.mark.parametrize("zone", ["all", "pz"])
+@pytest.mark.parametrize("zone", ["all", "pz", "tz"])
 def test_report_matches_ledger(cohort, tmp_path, capsys, zone):
     """The on-disk CLI path, read back from report.json, against the ledger
     the generator wrote: every FROC point and confusion count exactly, and
@@ -152,9 +153,9 @@ def test_report_matches_ledger(cohort, tmp_path, capsys, zone):
     out = tmp_path / "bundle"
     argv = ["evaluate", "--cohort", str(cohort), "--out", str(out), "--bootstrap", "20"]
     ledger = ledger_from_dict(json.loads((cohort / "ledger.json").read_text()))
-    if zone == "pz":
-        argv += ["--zone", "pz"]
-        ledger = ledger_zone_subset(ledger, ZONE_PZ)
+    if zone != "all":
+        argv += ["--zone", zone]
+        ledger = ledger_zone_subset(ledger, {"pz": ZONE_PZ, "tz": ZONE_TZ}[zone])
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     report = json.loads((out / "report.json").read_text())

@@ -330,6 +330,50 @@ class TestLedgerOracles:
         with pytest.raises(ValueError, match=rf"patient p000 {key}\[{index}\]: .*{message}"):
             ledger_from_dict(d)
 
+    # p000 lesions[0] and [1] are detected, p001 lesions[0] is missed, p000 fps[0] is GS>=8;
+    # key None edits the patient itself
+    @pytest.mark.parametrize("patient, key, index, fields, message", [
+        (0, "lesions", 0, {"zone": "XX"}, "zone must be"),
+        (0, "fps", 0, {"zone": "pz"}, "zone must be"),
+        (0, "lesions", 1, {"grade": "GS7"}, "unknown grade"),
+        (0, "lesions", 0, {"grade": 3}, "unknown grade"),
+        (0, "lesions", 0, {"pred_grade": "GS9"}, "unknown pred_grade"),
+        (0, "lesions", 0, {"score": "high"}, "score must be a number"),
+        (0, "lesions", 1, {"score": None}, "score must be a number"),
+        (0, "lesions", 0, {"score": float("nan")}, "score must be a number"),
+        (0, "fps", 0, {"score": 7}, "score must be a number"),
+        (0, "fps", 0, {"score": True}, "score must be a number"),
+        (0, "fps", 0, {"score": -0.5}, "score must be a number"),
+        (1, "lesions", 0, {"score": 0.5}, "must be null"),
+        (0, "lesions", 0, {"detected": 1}, "detected must be"),
+        (1, "lesions", 0, {"detected": "false"}, "detected must be"),
+        (0, "lesions", 0, {"detected": False}, "must be null"),
+        (1, "lesions", 0, {"pred_grade": "GS6"}, "must be null"),
+        (1, "lesions", 0, {"detected": True, "pred_grade": None, "score": 0.6},
+         "needs a pred_grade"),
+        (0, "fps", 0, {"grade": "GS6"}, "must have a CS grade"),
+        (1, None, None, {"fold": "1"}, "fold must be an integer"),
+        (1, None, None, {"fold": 1.0}, "fold must be an integer"),
+        (1, None, None, {"fold": True}, "fold must be an integer"),
+        (1, None, None, {"fold": None}, "fold must be an integer"),
+    ], ids=["lesion-zone", "fp-zone-lowercase", "unknown-grade", "grade-not-text",
+            "unknown-pred-grade", "score-text", "detected-score-null", "score-nan",
+            "fp-score-above-one", "fp-score-bool", "fp-score-negative", "missed-score",
+            "detected-int", "detected-text", "missed-with-pred-grade",
+            "missed-pred-grade-only", "detected-without-pred-grade", "fp-not-cs",
+            "fold-text", "fold-float", "fold-bool", "fold-null"])
+    def test_bad_fields_raise(self, patient, key, index, fields, message):
+        d = ledger_to_dict(_handmade_ledger())
+        p = d["patients"][patient]
+        where = f"patient {p['patient_id']}"
+        if key is None:
+            p.update(fields)
+        else:
+            p[key][index].update(fields)
+            where += rf" {key}\[{index}\]"
+        with pytest.raises(ValueError, match=rf"^{where}: .*{message}"):
+            ledger_from_dict(d)
+
     def test_entries_compare_by_ledger_form(self):
         # the cohort benchmark's check compares written ledgers with !=
         _, ledger = generate_cohort(SMALL)

@@ -1,16 +1,23 @@
 """Static checks on the package source: every module of src/lesionkit
-uses each name it imports, only two volume helpers create files, and
-README's CLI table lists each subcommand."""
+uses each name it imports, imports nothing outside the standard library but
+its declared dependencies, and has only two volume helpers that create
+files; pyproject's console script is cli.main; README's CLI table lists
+each subcommand."""
 
 import argparse
 import ast
+import importlib
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 from lesionkit import cli
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lesionkit"
 README = PACKAGE.parents[1] / "README.md"
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
 #: (module file, name) imports kept although the module never reads them
 PINNED = {
@@ -55,6 +62,45 @@ def test_no_unused_imports_in_the_package():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert found == PINNED
+
+
+def _project() -> dict:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    return tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level package names of the module's absolute imports, at any
+    depth, that are neither standard library nor lesionkit itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"lesionkit"}
+
+
+def test_checker_finds_third_party_imports():
+    source = ("from __future__ import annotations\nimport os.path, numpy.linalg as la\n"
+              "from . import volume\nfrom lesionkit.grades import Grade\n"
+              "def f():\n    from scipy import ndimage\n    import yaml\n")
+    assert third_party_imports(source) == {"numpy", "scipy", "yaml"}
+
+
+def test_imports_are_the_declared_dependencies():
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+                for d in _project()["dependencies"]}
+    imported = set().union(*(third_party_imports(path.read_text(encoding="utf-8"))
+                             for path in PACKAGE.glob("*.py")))
+    assert imported == declared == {"numpy", "scipy"}
+
+
+def test_console_script_is_cli_main():
+    target = _project()["scripts"]["lesionkit"]
+    assert target == "lesionkit.cli:main"
+    module, func = target.split(":")
+    assert getattr(importlib.import_module(module), func) is cli.main
 
 
 #: (module file, function) allowed to create files: every write goes through one of them
