@@ -1,6 +1,8 @@
 """Training-side math: class-weighted Dice and cross-entropy losses with
 analytic gradients, the scheduled two-branch global loss, the attention-gate
-op with its backward pass, and softmax-to-label conversion.
+op with its backward pass, and softmax-to-label conversion.  The argmax
+itself is found by ProbStack in the same scan over z-slabs that validates
+the stack; label_from_probs only wraps it as a label volume.
 
 Losses operate on (N voxels, C classes) arrays, matching per-slice 2D
 training batches.  All functions are pure.
@@ -288,12 +290,6 @@ def attention_gate_backward(
 def label_from_probs(p: ProbStack) -> Volume:
     """Per-voxel argmax over the 6 channels; ties go to the lowest index.
 
-    One running compare per channel over contiguous planes, instead of a
-    strided argmax across the channel axis: a channel takes a voxel only
-    when it is strictly above the best so far."""
-    best = p.data[0].copy()
-    labels = np.zeros(best.shape, dtype=np.uint8)
-    for c in range(1, p.data.shape[0]):
-        labels[p.data[c] > best] = c
-        np.maximum(best, p.data[c], out=best)
-    return Volume(labels, p.spacing_mm, KIND_LABEL)
+    The stack found it while validating its values, so this only wraps
+    p.labels as a label volume."""
+    return Volume._validated(p.labels, p.spacing_mm, KIND_LABEL)

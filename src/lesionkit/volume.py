@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import INFINITY, c_make_encoder, encode_basestring_ascii
 
@@ -151,9 +151,50 @@ class Volume:
         return self.dims == other.dims and self.spacing_mm == other.spacing_mm
 
 
-def _sums_near_one(total: np.ndarray, tol: float) -> bool:
-    """Every channel total lies within tol of 1."""
-    return float(total.max()) - 1.0 <= tol and 1.0 - float(total.min()) <= tol
+def _sums_near_one(lo, hi, tol: float) -> bool:
+    """Every channel total, lo the least and hi the greatest, lies within
+    tol of 1."""
+    return float(hi) - 1.0 <= tol and 1.0 - float(lo) <= tol
+
+
+#: bytes of one slab of ProbStack's validation scan: all channels of as many
+#: z-slices as fit, and at least one, so each slab's passes run in cache
+_SLAB_BYTES = 1 << 20
+
+
+def _scan(arr: np.ndarray):
+    """One pass over the z-slabs of a (6, nz, ny, nx) stack: the per-voxel
+    argmax as uint8 codes, the least and the greatest value, and the least
+    and the greatest float32 channel total.  A NaN anywhere makes both value
+    extremes NaN.
+
+    A channel wins a voxel when it is strictly above the best of the
+    channels before it, so ties go to the lowest channel.  Channels are
+    compared in increasing order, so the last channel to win a voxel is the
+    largest that wins it: each slab's codes are the running maximum of
+    c * wins, which needs no masked store."""
+    _, nz, ny, nx = arr.shape
+    step = max(1, _SLAB_BYTES // arr[:, 0].nbytes)
+    labels = np.zeros(arr.shape[1:], dtype=np.uint8)
+    shape = (min(step, nz), ny, nx)
+    best, total = np.empty((2,) + shape, dtype=np.float32)
+    wins, codes = np.empty((2,) + shape, dtype=np.uint8)
+    extremes = []
+    for z0 in range(0, nz, step):
+        s = arr[:, z0 : z0 + step]
+        n = s.shape[1]
+        b, t, w, k, lab = best[:n], total[:n], wins[:n], codes[:n], labels[z0 : z0 + n]
+        np.copyto(b, s[0])
+        for c in range(1, N_LABELS):
+            np.greater(s[c], b, out=w)
+            np.multiply(w, c, out=k)
+            np.maximum(lab, k, out=lab)
+            np.maximum(b, s[c], out=b)
+        np.sum(s, axis=0, dtype=np.float32, out=t)
+        extremes.append((s.min(), b.max(), t.min(), t.max()))
+    # array reductions propagate NaN, where Python's min and max would not
+    lo, hi, t_lo, t_hi = np.array(extremes, dtype=np.float32).T
+    return labels, lo.min(), hi.max(), t_lo.min(), t_hi.max()
 
 
 @dataclass(frozen=True)
@@ -162,17 +203,26 @@ class ProbStack:
 
     Channel order matches the label codes: (background, prostate, GS6,
     GS3+4, GS4+3, GS>=8).  Per voxel the channels must sum to 1 within 1e-5.
+    labels is the per-voxel argmax, ties to the lowest channel, found by
+    the same scan that validates the stack.  A stack owns its memory: an
+    array that owns its own is frozen and kept, any other input is copied.
     """
 
     data: np.ndarray  # (6, nz, ny, nx) float32
     spacing_mm: tuple[float, float, float]
+    labels: np.ndarray = field(init=False, compare=False)  # (nz, ny, nx) uint8
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
-        if arr.ndim != 4 or arr.shape[0] != N_LABELS:
-            raise ValueError(f"expected ({N_LABELS}, nz, ny, nx) data, got shape {arr.shape}")
-        # NaN propagates through min and max, so this also rejects NaN and inf
-        lo, hi = arr.min(), arr.max()
+        if arr.ndim != 4 or arr.shape[0] != N_LABELS or min(arr.shape) < 1:
+            raise ValueError(
+                f"expected non-empty ({N_LABELS}, nz, ny, nx) data, got shape {arr.shape}"
+            )
+        if not arr.flags.owndata:
+            # a view: its base could still be written after the validation
+            arr = arr.copy()
+        labels, lo, hi, t_lo, t_hi = _scan(arr)
+        # NaN propagates through the extremes, so this also rejects NaN and inf
         if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError("probabilities must be finite and in [0, 1]")
         # A float32 sum of six nonnegative terms is off by at most
@@ -181,13 +231,16 @@ class ProbStack:
         # only a stack outside that margin pays for the float64 sum, which
         # decides.  t - 1 and 1 - t round monotonically in t, so the extreme
         # totals give the largest deviation exactly.
-        if not (_sums_near_one(arr.sum(axis=0, dtype=np.float32), 1e-5 - 1e-6)
-                or _sums_near_one(arr.sum(axis=0, dtype=np.float64), 1e-5)):
-            raise ValueError("per-voxel channel sums deviate from 1 by more than 1e-5")
+        if not _sums_near_one(t_lo, t_hi, 1e-5 - 1e-6):
+            total = arr.sum(axis=0, dtype=np.float64)
+            if not _sums_near_one(total.min(), total.max(), 1e-5):
+                raise ValueError("per-voxel channel sums deviate from 1 by more than 1e-5")
         sp = _check_spacing(self.spacing_mm)
         arr.flags.writeable = False
+        labels.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing_mm", sp)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -443,12 +496,15 @@ def _read_header(path):
     the length the header implies, which is checked before any buffer is
     allocated for it."""
     header_path, _ = _paths(path)
-    if not os.path.exists(header_path):
-        raise FileNotFoundError(f"missing volume header {header_path}")
     try:
-        header = read_json(header_path)
-    except ValueError as e:
-        raise VolumeFormatError(str(e)) from e
+        with open(header_path, "rb") as f:
+            raw = f.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"missing volume header {header_path}") from None
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise VolumeFormatError(f"{header_path}: not valid JSON: {e}") from e
     try:
         dims, spacing = header["dims"], header["spacing_mm"]
         dtype_name = str(header["dtype"])
@@ -476,10 +532,12 @@ def _read_header(path):
     if _DTYPE_FROM_NAME[dtype_name] != _DTYPES[kind]:
         raise VolumeFormatError(f"{header_path}: dtype {dtype_name} does not match kind {kind}")
     data_path = os.path.join(os.path.dirname(header_path), data_name)
-    if not os.path.exists(data_path):
-        raise FileNotFoundError(f"missing volume payload {data_path}")
+    try:
+        size = os.stat(data_path).st_size
+    except FileNotFoundError:
+        raise FileNotFoundError(f"missing volume payload {data_path}") from None
     expected = dims[0] * dims[1] * dims[2] * _DTYPES[kind].itemsize
-    if os.stat(data_path).st_size != expected:
+    if size != expected:
         raise _payload_error(data_path, expected)
     return header_path, data_path, dims, spacing, kind
 

@@ -162,3 +162,23 @@ def test_readme_command_table_names_every_subcommand():
     subparsers = next(a for a in cli._build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     assert sorted(readme_commands(README.read_text(encoding="utf-8"))) == sorted(subparsers.choices)
+
+
+def attribute_reads(source: str, func: str) -> set[str]:
+    """Names of the attributes the module-level function func reads."""
+    tree = ast.parse(source)
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func)
+    return {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+
+
+def test_checker_finds_attribute_reads():
+    source = "def f(p):\n    return g(p.data[0], p.a.b)\ndef g(q):\n    return q.c\n"
+    assert attribute_reads(source, "f") == {"data", "a", "b"}
+
+
+def test_label_from_probs_wraps_the_stack_labels():
+    # ProbStack finds the argmax while it validates the stack; a label_from_probs
+    # that read the stack's data would be a second scan over every voxel
+    reads = attribute_reads((PACKAGE / "netmath.py").read_text(encoding="utf-8"),
+                            "label_from_probs")
+    assert "labels" in reads and "data" not in reads

@@ -166,6 +166,24 @@ class TestProbStack:
             with pytest.raises(ValueError, match=_SUM_MSG):
                 ProbStack(data, (1, 1, 3))
 
+    @pytest.mark.parametrize("shape", [(6, 0, 2, 2), (6, 2, 0, 2), (6, 2, 2, 0)])
+    def test_empty_grid_names_the_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}, "):
+            ProbStack(np.zeros(shape, dtype=np.float32), (1, 1, 3))
+
+    def test_a_view_is_copied_and_an_owning_array_frozen(self):
+        base = np.zeros((2, 6, 1, 1, 2), dtype=np.float32)
+        base[:, 1] = 1.0
+        stack = ProbStack(base[0], (1, 1, 3))
+        assert not np.shares_memory(stack.data, base)
+        base[0, 0, 0, 0, 0] = np.nan
+        assert np.array_equal(stack.data, base[1])
+        assert np.array_equal(stack.labels, [[[1, 1]]])
+        owner = base[1].copy()
+        stack = ProbStack(owner, (1, 1, 3))
+        assert stack.data is owner and not owner.flags.writeable
+        assert not stack.labels.flags.writeable
+
     def test_channel_is_a_read_only_view(self):
         data = np.zeros((6, 2, 3, 4), dtype=np.float32)
         data[1] = 0.25
@@ -252,8 +270,18 @@ class TestFileIO:
             read_volume(tmp_path / "oor.vol.json")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError, match="^missing volume header .*nope.vol.json$"):
             read_volume(tmp_path / "nope.vol.json")
+        write_volume(make_intensity(np.zeros((1, 1, 1))), tmp_path / "v")
+        os.remove(tmp_path / "v.vol.raw")
+        with pytest.raises(FileNotFoundError, match="^missing volume payload .*v.vol.raw$"):
+            read_volume(tmp_path / "v")
+
+    def test_header_that_is_not_utf8_json(self, tmp_path):
+        write_volume(make_intensity(np.zeros((1, 1, 1))), tmp_path / "v")
+        (tmp_path / "v.vol.json").write_bytes(b'{"dims": "\xff"}')
+        with pytest.raises(VolumeFormatError, match="v.vol.json: not valid JSON: 'utf-8' codec"):
+            read_volume(tmp_path / "v")
 
     @settings(
         max_examples=25,
