@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .grades import CS_BINARY, CS_GRADES, GRADE_ORDER, Grade
 from .volume import ProbStack, Volume, mask_voxels
@@ -19,8 +18,11 @@ MAP_CS = "cs"
 MIN_LESION_VOLUME_MM3 = 45.0
 DEFAULT_CONNECTIVITY = 26
 
-# neighborhood -> structuring element, built once rather than per labelling
-_STRUCTURES = {c: ndimage.generate_binary_structure(3, r) for c, r in ((6, 1), (18, 2), (26, 3))}
+# neighborhood -> structuring element, built once rather than per labelling:
+# scipy's generate_binary_structure(3, r) formula, in numpy so that importing
+# the package does not load scipy.ndimage
+_STRUCTURES = {c: np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= r
+               for c, r in ((6, 1), (18, 2), (26, 3))}
 CONNECTIVITIES = tuple(_STRUCTURES)
 _LOWEST_GRADE = min(int(g) for g in GRADE_ORDER)  # the grade codes top the label range
 _LOWEST_CS = min(int(g) for g in CS_GRADES)
@@ -174,6 +176,8 @@ def _components(mask: np.ndarray, structure: np.ndarray):
     """(box, component mask within the box) per connected component of the
     mask, in the order ndimage.label numbers them.  Only the mask's bounding
     box is labelled; each box is in the mask's coordinates."""
+    from scipy import ndimage  # on first use, so commands that never cluster skip its import
+
     yx = mask.max(axis=0)  # max projections: several times faster than any() over two axes
     crop = _bounds((mask.max(axis=(1, 2)), yx.max(axis=1), yx.max(axis=0)))
     if crop is None:

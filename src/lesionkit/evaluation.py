@@ -319,16 +319,6 @@ def _stage_patient(patient: PatientEval, cfg: EvaluationConfig) -> PatientStage:
         cs_pred = filter_by_zone(cs_pred, mask)
         cs_gt = filter_by_zone(cs_gt, mask)
 
-    gt_gland = Volume(
-        (np.asarray(patient.labels.values) >= 1).astype(np.uint8),
-        patient.labels.spacing_mm,
-        KIND_LABEL,
-    )
-    pred_gland = Volume(
-        (np.asarray(pred_labels.values) >= 1).astype(np.uint8),
-        patient.labels.spacing_mm,
-        KIND_LABEL,
-    )
     rule = {"overlap_frac": cfg.overlap_frac, "denom": cfg.overlap_denom,
             "strict_duplicates": cfg.strict_duplicates}
     return PatientStage(
@@ -338,10 +328,12 @@ def _stage_patient(patient: PatientEval, cfg: EvaluationConfig) -> PatientStage:
         gs_gt=gs_gt,
         cs_pred=cs_pred,
         cs_gt=cs_gt,
-        prostate_dice=dice_coefficient(gt_gland, pred_gland),
         records=_patient_records(patient, gs_pred, gs_gt, cfg),
         cs_match=match_detections(cs_pred, cs_gt, **rule),
         grade_matches={g: match_grade(gs_pred, gs_gt, g, **rule) for g in GRADE_ORDER},
+        # the gland is every nonzero label; the Dice comes after the matches,
+        # so a grid mismatch reports match_detections' message
+        prostate_dice=dice_coefficient(patient.labels, pred_labels),
     )
 
 

@@ -11,7 +11,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from .cluster import LesionMap
 from .grades import GRADE_ORDER, MISSED, Grade
@@ -451,6 +450,11 @@ def bootstrap_kappa(
         unit = np.arange(len(recs))
         n_units = len(recs)
     cells = _unit_tables(recs, include_fn_as_gs6, unit, n_units).reshape(n_units, _N_CELLS)
+    # the product runs in float64, which has a BLAS path where int64 has
+    # none; every sum is an integer of at most n_units * cells.max(), exact
+    # in float64 below 2**53, and storing into tables casts it back to int64
+    assert n_units * int(cells.max()) < 2**53
+    cells = cells.astype(np.float64)
     tables = np.empty((n_iter, _N_CELLS), dtype=np.int64)
     for start, idx in _bootstrap_draws(seed, n_iter, n_units):
         rows = len(idx)
@@ -498,6 +502,10 @@ def dice_coefficient(a, b) -> float:
 
 def _signed_ranks(diffs: np.ndarray):
     """Doubled average ranks of |d| (doubling keeps tied ranks integral)."""
+    # scipy.stats is imported on first use, here and for norm below: it is
+    # slow to import, and only the Wilcoxon test needs it
+    from scipy.stats import rankdata
+
     return (2 * rankdata(np.abs(diffs))).astype(np.int64)
 
 
@@ -546,6 +554,8 @@ def wilcoxon_one_sided(x, y) -> float:
     if var <= 0:
         raise ValueError("zero variance under ties; test undefined")
     z = (w_plus - mean - 0.5) / np.sqrt(var)
+    from scipy.stats import norm
+
     return float(norm.sf(z))
 
 

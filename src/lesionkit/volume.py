@@ -206,6 +206,10 @@ class ProbStack:
     labels is the per-voxel argmax, ties to the lowest channel, found by
     the same scan that validates the stack.  A stack owns its memory: an
     array that owns its own is frozen and kept, any other input is copied.
+    Freezing does not reach a view of that array taken before the stack was
+    built: the view stays writable, and a write through it changes data
+    after validation while labels keeps the old argmax.  Do not keep such a
+    view, or pass a copy.
     """
 
     data: np.ndarray  # (6, nz, ny, nx) float32

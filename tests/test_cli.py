@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON outputs, config-file merging,
 and the full phantom -> evaluate round trip through main()."""
 
+import hashlib
 import json
 import shutil
 
@@ -17,6 +18,13 @@ from lesionkit.volume import (
     read_volume,
     write_volume,
 )
+from test_metrics import WILCOXON_PINNED
+
+#: sha256 of `lesionkit wilcoxon` stdout on the WILCOXON_PINNED samples
+WILCOXON_STDOUT_SHA256 = {
+    "24-pairs": "187a7b06c91264ba55f73723a5436f2ba3542dbd124dc5bb76dd3917a86c1215",
+    "30-pairs-tied": "4c173af293a6cdda0fd532dfc78a3270d3b4515999facd30003494a9ddbadbc2",
+}
 
 
 def run(capsys, *argv):
@@ -637,6 +645,15 @@ class TestSmallCommands:
         assert code == EXIT_OK
         assert payload["p_value"] == 0.03125
         assert payload["mode"] == "exact"
+
+    @pytest.mark.parametrize("name", sorted(WILCOXON_STDOUT_SHA256))
+    def test_wilcoxon_normal_approximation_stdout(self, tmp_path, capsys, name):
+        x, y, _ = WILCOXON_PINNED[name]
+        f = tmp_path / "w.csv"
+        f.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x, y)))
+        assert main(["wilcoxon", "--csv", str(f), "--x", "a", "--y", "b"]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == WILCOXON_STDOUT_SHA256[name]
 
     def test_wilcoxon_degenerate_is_data_error(self, tmp_path, capsys):
         f = tmp_path / "w.csv"

@@ -196,6 +196,29 @@ class TestReportShape:
                 "px", 0, evals[0].labels, ProbStack(wrong, evals[0].labels.spacing_mm)
             )
 
+    def test_prostate_dice_counts_nonzero_labels(self):
+        pats, ledger = generate_cohort(PERFECT)
+        e = phantom_patient_evals(pats, ledger)[0]
+        data = np.array(e.probs.data)
+        data[:, :, :, :24] = 0.0
+        data[0, :, :, :24] = 1.0  # the left half predicted background
+        e = PatientEval(e.patient_id, e.fold, e.labels,
+                        ProbStack(data, e.probs.spacing_mm), e.zones)
+        stage = evaluation._stage_patient(e, EvaluationConfig(**FAST))
+        gt, pred = np.asarray(e.labels.values) >= 1, e.probs.labels >= 1
+        expected = 2.0 * int((gt & pred).sum()) / (int(gt.sum()) + int(pred.sum()))
+        assert 0.0 < stage.prostate_dice < 1.0
+        assert stage.prostate_dice == expected
+
+    def test_spacing_mismatch_reaches_the_matcher_message(self):
+        pats, ledger = generate_cohort(PERFECT)
+        e = phantom_patient_evals(pats, ledger)[0]
+        # bypass PatientEval's own grid check to reach the stage with a mismatch
+        object.__setattr__(e, "probs", ProbStack(np.array(e.probs.data), (1.0, 1.0, 2.0)))
+        with pytest.raises(ValueError,
+                           match="^prediction and ground truth must share the voxel grid$"):
+            evaluation._stage_patient(e, EvaluationConfig(**FAST))
+
     def test_threads_do_not_change_results(self):
         pats, ledger = generate_cohort(SCRIPTED)
         evals = phantom_patient_evals(pats, ledger)

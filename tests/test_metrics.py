@@ -765,6 +765,29 @@ class TestDice:
             dice_coefficient(a, b)
 
 
+#: (x, y, float.hex of the one-sided p-value) for two samples that take the
+#: normal approximation: 24 pairs with continuous scores, and 30 pairs of
+#: eighths with 4 zero differences and heavily tied |d| (tie correction)
+WILCOXON_PINNED = {
+    "24-pairs": (
+        [0.702, 0.751, 0.712, 0.542, 0.509, 0.625, 0.689, 0.661, 0.765, 0.68, 0.671, 0.561,
+         0.531, 0.739, 0.624, 0.685, 0.51, 0.585, 0.517, 0.558, 0.692, 0.502, 0.577, 0.633],
+        [0.527, 0.56, 0.562, 0.613, 0.545, 0.602, 0.585, 0.614, 0.598, 0.713, 0.527, 0.676,
+         0.548, 0.503, 0.677, 0.545, 0.549, 0.469, 0.412, 0.631, 0.487, 0.642, 0.728, 0.571],
+        "0x1.2648229e5ded4p-5",
+    ),
+    "30-pairs-tied": (
+        [0.25, 0.375, 0.75, 0.5, 0.5, 0.25, 0.625, 0.625, 0.375, 0.75, 0.375, 0.875, 0.25,
+         0.375, 0.75, 0.25, 0.25, 0.5, 0.75, 0.625, 0.375, 0.375, 0.375, 0.625, 0.75, 0.875,
+         0.625, 0.5, 0.375, 0.5],
+        [0.375, 0.625, 0.625, 0.5, 0.25, 0.625, 0.25, 0.5, 0.625, 0.75, 0.5, 0.125, 0.5, 0.5,
+         0.5, 0.125, 0.25, 0.75, 0.125, 0.375, 0.125, 0.125, 0.125, 0.75, 0.375, 0.75, 0.5,
+         0.25, 0.375, 0.25],
+        "0x1.213519566a44dp-5",
+    ),
+}
+
+
 class TestWilcoxon:
     def test_all_positive_n5_is_one_thirtysecond(self):
         x = [2.0, 3.0, 4.0, 5.0, 6.0]
@@ -818,6 +841,11 @@ class TestWilcoxon:
         exact = _exact_tail_prob(doubled, int(doubled[d > 0].sum()))
         approx = wilcoxon_one_sided(x, y)
         assert abs(approx - exact) < 0.01
+
+    @pytest.mark.parametrize("name", sorted(WILCOXON_PINNED))
+    def test_normal_approximation_bits(self, name):
+        x, y, expected = WILCOXON_PINNED[name]
+        assert wilcoxon_one_sided(x, y).hex() == expected
 
     def test_negative_shift_gives_large_p(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0]
