@@ -4,7 +4,7 @@ Subcommands expose each stage of the pipeline (preprocess, phantom,
 cluster, match, froc, kappa, dice, wilcoxon, px2, evaluate, losscheck).
 Global flags come before the subcommand:
 
-    lesionkit [--config FILE] [--seed N] [--threads N] [--strict] CMD ...
+    lesionkit [--config FILE] [--seed N] [--strict] CMD ...
 
 --config points at a JSON file with optional "phantom" and "evaluation"
 sections whose keys override the corresponding config defaults; explicit
@@ -232,7 +232,7 @@ def cmd_match(args, file_cfg) -> int:
 
 
 def _eval_config(args, file_cfg, **extra) -> EvaluationConfig:
-    overrides = {**extra, "threads": args.threads, "bootstrap_seed": args.seed}
+    overrides = {**extra, "bootstrap_seed": args.seed}
     return _build_dataclass(EvaluationConfig, file_cfg.get("evaluation", {}), overrides)
 
 
@@ -456,8 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None,
                    help="override phantom/bootstrap seeds")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel patient map (default: config file, else 1)")
     p.add_argument("--strict", action="store_true",
                    help="escalate degenerate-statistics warnings to exit code 4")
     sub = p.add_subparsers(dest="command", required=True)

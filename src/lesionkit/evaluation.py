@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import csv
 import os
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,10 +127,15 @@ class EvaluationConfig:
     bootstrap_resample: str = "lesion"
     fp_targets: tuple[float, ...] = (1.0, 1.5)
     fp_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 1.5, 2.0)
-    threads: int = 1
+
+    @property
+    def threads(self) -> int:
+        # not a field: perfbench/workloads.py (aggregate_dense describe) reads
+        # it; ROADMAP item 2's benchmark change deletes it
+        return 1
 
     def __post_init__(self):
-        require_ints(self, "connectivity", "bootstrap_iterations", "bootstrap_seed", "threads")
+        require_ints(self, "connectivity", "bootstrap_iterations", "bootstrap_seed")
         require_reals(self, "min_volume_mm3", "overlap_frac", sequences=("fp_targets", "fp_grid"))
         for name in ("gt_dir", "pred_dir", "zones_dir", "fold_manifest", "output_dir"):
             if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
@@ -157,8 +160,6 @@ class EvaluationConfig:
             raise ValueError("bootstrap_iterations must be positive")
         if self.bootstrap_seed < 0:
             raise ValueError("bootstrap_seed must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
         if not self.fp_targets or not all(t >= 0 for t in self.fp_targets):
             raise ValueError("fp_targets must be nonnegative")
         if not self.fp_grid or not all(t >= 0 for t in self.fp_grid):
@@ -363,27 +364,15 @@ def stage_cohort(patients, cfg: EvaluationConfig) -> list[PatientStage]:
 
     patients may be any iterable.  It is consumed one patient at a time and
     only each PatientStage is kept, so from a lazy iterable such as
-    load_cohort's one patient's inputs are alive at a time.  With
-    threads > 1 the next patient loads while the ones before it stage in a
-    pool, and the oldest is waited for once `threads` are in flight: at
-    most threads + 1 patients' inputs are alive."""
+    load_cohort's one patient's inputs are alive at a time."""
     stages = []
     seen = set()
-    window = deque()  # futures of the patients in the pool, oldest first
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    with pool or nullcontext():
-        for patient in patients:
-            if patient.patient_id in seen:
-                raise ValueError("duplicate patient ids in cohort")
-            seen.add(patient.patient_id)
-            if pool is None:
-                stages.append(_stage_patient(patient, cfg))
-            else:
-                window.append(pool.submit(_stage_patient, patient, cfg))
-                if len(window) == cfg.threads:
-                    stages.append(window.popleft().result())
-            del patient  # released before the next patient loads
-        stages.extend(f.result() for f in window)
+    for patient in patients:
+        if patient.patient_id in seen:
+            raise ValueError("duplicate patient ids in cohort")
+        seen.add(patient.patient_id)
+        stages.append(_stage_patient(patient, cfg))
+        del patient  # released before the next patient loads
     if not stages:
         raise ValueError("cohort is empty")
     return stages
@@ -688,16 +677,17 @@ def load_fold_manifest(path) -> list[tuple[str, int]]:
     manifest = read_json(path)
     try:
         pairs = [(p["patient_id"], p["fold"]) for p in manifest["patients"]]
-        counts = Counter(pid for pid, _ in pairs)
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed fold manifest {path}: {e}") from e
     for pid, fold in pairs:
+        if type(pid) is not str:
+            raise ValueError(f"fold manifest {path}: patient_id must be a string, got {pid!r}")
         if type(fold) is not int:
             raise ValueError(f"fold manifest {path}: fold of {pid!r} must be an integer, "
                              f"got {fold!r}")
     if not pairs:
         raise ValueError(f"fold manifest {path} lists no patients")
-    for pid, n in counts.items():
+    for pid, n in Counter(pid for pid, _ in pairs).items():
         if n > 1:
             raise ValueError(f"fold manifest {path} lists patient {pid!r} {n} times")
     return pairs

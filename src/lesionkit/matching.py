@@ -147,7 +147,7 @@ def match_detections(
     for p, hits in zip(order, overlapping(order, gt.clusters)):
         qualifying = [(inter, gi) for gi, inter in hits
                       if _qualifies(inter, p, gt.clusters[gi], denom, overlap_frac)]
-        # the largest intersection; on ties the first lesion
+        # the largest intersection; on a tie, the lesion first in scan order
         best = max(qualifying, key=lambda ig: ig[0], default=None)
         if best is None:
             fp.append(p)

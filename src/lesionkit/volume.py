@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import INFINITY, c_make_encoder, encode_basestring_ascii
@@ -567,13 +568,32 @@ def read_volume(path) -> Volume:
         raise VolumeFormatError(f"{data_path}: {e}") from e
 
 
+#: the buffer read_prob_stack read into last; see _stack_buffer
+_last_stack_buffer = []
+
+
+def _stack_buffer(shape) -> np.ndarray:
+    """The last stack buffer, writable again, when its shape matches and
+    nothing refers to it any more (numpy's own test before a resize), else
+    a new one.  A new 5 MB buffer per patient lands wherever the heap has
+    room; once small allocations split the gap the last one left, it takes
+    new memory and the peak RSS grows by a whole buffer."""
+    data = _last_stack_buffer.pop() if _last_stack_buffer else None
+    # 2 references: `data` and getrefcount's argument
+    if data is None or data.shape != shape or sys.getrefcount(data) > 2:
+        data = np.empty(shape, dtype=_DTYPES[KIND_PROBABILITY])
+    data.flags.writeable = True
+    _last_stack_buffer.append(data)
+    return data
+
+
 def read_prob_stack(base) -> ProbStack:
     """The channel volumes <base>_c0 .. <base>_c5 as one probability stack.
 
     Each header is checked as read_volume checks it, must be of kind
     probability and must match channel 0's dims and spacing.  The payloads
     are read straight into one (6, nz, ny, nx) buffer, which ProbStack then
-    validates once."""
+    validates once; the buffer is reused as _stack_buffer says."""
     data = None
     for c in range(N_LABELS):
         header_path, data_path, dims, spacing, kind = _read_header(f"{base}_c{c}")
@@ -582,7 +602,7 @@ def read_prob_stack(base) -> ProbStack:
         if data is None:
             grid = (dims, spacing)
             nx, ny, nz = dims
-            data = np.empty((N_LABELS, nz, ny, nx), dtype=_DTYPES[KIND_PROBABILITY])
+            data = _stack_buffer((N_LABELS, nz, ny, nx))
         elif (dims, spacing) != grid:
             raise VolumeFormatError(
                 f"{header_path}: grid {dims} at {spacing} mm differs from channel 0's "

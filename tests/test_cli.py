@@ -8,7 +8,6 @@ import shutil
 import numpy as np
 import pytest
 
-from lesionkit import evaluation
 from lesionkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, main
 from lesionkit.volume import (
     KIND_INTENSITY,
@@ -135,6 +134,15 @@ class TestExitCodes:
         assert err.startswith("config error:") and self.BAD_FLAGS[argv] in err
         assert not (tmp_path / "missing").exists()
 
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "evaluate", "--cohort", missing, "--out", missing])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lesionkit") and "--threads" not in err
+        assert not (tmp_path / "missing").exists()
+
     def test_spacing_flag_error_names_the_flag_once(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         code = main(["preprocess", "--spacing", "0", "1", "3", "--in", missing, "--out", missing])
@@ -211,7 +219,7 @@ class TestExitCodes:
         {"bootstrap_iterations": True},
         {"bootstrap_seed": 1.5},
         {"bootstrap_seed": -1},
-        {"threads": True},
+        {"connectivity": True},
         {"connectivity": 26.0},
         # a bool is not a real number, nor is text
         {"overlap_frac": True, "min_volume_mm3": False, "fp_targets": [True, 1.5]},
@@ -231,7 +239,9 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("section, command, field", [
-        pytest.param({"evaluation": {"threads": []}}, "evaluate", "threads", id="threads-list"),
+        # not an option: staging is one loop
+        pytest.param({"evaluation": {"threads": 2}}, "evaluate", "unknown EvaluationConfig keys: "
+                     "['threads']", id="threads-unknown"),
         pytest.param({"evaluation": {"connectivity": [26]}}, "evaluate", "connectivity",
                      id="connectivity-list"),
         pytest.param({"evaluation": {"bootstrap_seed": [1, 2]}}, "evaluate", "bootstrap_seed",
@@ -322,6 +332,11 @@ def label_volume(dims, spacing_mm=(1.0, 1.0, 3.0), n_bytes=24):
 
 def fold_manifest(fold):
     return {"m.json": json.dumps({"patients": [{"patient_id": "p000", "fold": fold}]})}
+
+
+def manifest_ids(*ids):
+    return {"m.json": json.dumps({"patients": [{"patient_id": p, "fold": i}
+                                               for i, p in enumerate(ids)]})}
 
 
 EVALUATE_MANIFEST = ("evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred "
@@ -423,7 +438,7 @@ MALFORMED_INPUTS = [
      EXIT_DATA),
     ("phantom-spacing-negative", {"c.json": '{"phantom": {"spacing_mm": [-1, -1, 3]}}'},
      "--config {tmp}/c.json phantom --patients 3 --out {tmp}/o", EXIT_CONFIG),
-    ("config-threads-list", {"c.json": '{"evaluation": {"threads": []}}'},
+    ("config-threads-unknown", {"c.json": '{"evaluation": {"threads": 2}}'},
      "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
     ("config-connectivity-list", {"c.json": '{"evaluation": {"connectivity": [26]}}'},
      "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
@@ -436,6 +451,8 @@ MALFORMED_INPUTS = [
     ("manifest-fold-float", fold_manifest(1.7), EVALUATE_MANIFEST, EXIT_DATA),
     ("manifest-fold-text", fold_manifest("2"), EVALUATE_MANIFEST, EXIT_DATA),
     ("manifest-fold-bool", fold_manifest(True), EVALUATE_MANIFEST, EXIT_DATA),
+    ("manifest-id-mixed", manifest_ids(1, "p001"), EVALUATE_MANIFEST, EXIT_DATA),
+    ("manifest-id-int", manifest_ids(0, 1), EVALUATE_MANIFEST, EXIT_DATA),
     # half a zone pair: the TZ header is missing, so the PZ one is never read
     ("zones-pz-without-tz", {"z": DIR, "z/p000_pz.vol.json": "{}"},
      "evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred --zones-dir {tmp}/z "
@@ -586,23 +603,6 @@ class TestSmallCommands:
         code, payload = run(capsys, "--config", str(cfg), "kappa", "--detections", str(detections))
         assert code == EXIT_OK
         assert payload["n_iterations"] == 7
-
-    @pytest.mark.parametrize("flag, expected", [([], 2), (["--threads", "1"], 1)])
-    def test_config_threads_apply_unless_flag_given(self, cohort, tmp_path, capsys,
-                                                    monkeypatch, flag, expected):
-        seen = []
-        original = evaluation.stage_cohort
-
-        def recording(patients, cfg):
-            seen.append(cfg.threads)
-            return original(patients, cfg)
-
-        monkeypatch.setattr(evaluation, "stage_cohort", recording)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"evaluation": {"threads": 2}}))
-        code, _ = run(capsys, "--config", str(cfg), *flag, "froc", "--cohort", str(cohort))
-        assert code == EXIT_OK
-        assert seen == [expected]
 
     @pytest.mark.parametrize("grade, bundle_csv", [
         (None, "froc_cs.csv"), ("GS6", "froc_gs6.csv"), ("GS3+4", "froc_gs34.csv"),

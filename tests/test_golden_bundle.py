@@ -130,14 +130,10 @@ def _digests(out_dir) -> dict:
     }
 
 
-@pytest.mark.parametrize("zone,threads", [
-    pytest.param(zone, threads, id=zone if threads == 1 else f"{zone}-threads{threads}")
-    for threads in (1, 2) for zone in ("all", "pz")
-])
-def test_bundle_digests(cohort, tmp_path, capsys, zone, threads):
+@pytest.mark.parametrize("zone", ["all", "pz"])
+def test_bundle_digests(cohort, tmp_path, capsys, zone):
     out = tmp_path / "bundle"
-    argv = ["--threads", str(threads), "evaluate", "--cohort", str(cohort), "--out", str(out),
-            "--bootstrap", "200"]
+    argv = ["evaluate", "--cohort", str(cohort), "--out", str(out), "--bootstrap", "200"]
     if zone != "all":
         argv += ["--zone", zone]
     assert main(argv) == EXIT_OK

@@ -159,6 +159,23 @@ class TestMatchDetections:
         with pytest.raises(ValueError):
             match_detections(mk_map([]), gt, overlap_frac=0.0)
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_equal_intersections_credit_the_lesion_first_in_scan_order(self, mirror):
+        gt = np.zeros((4, 12, 12), dtype=np.uint8)
+        gt[0, 0:2, 0:2] = int(Grade.GS34)
+        gt[0, 0:2, 4:6] = int(Grade.GS43)
+        pred = np.zeros_like(gt)
+        pred[0, 0:2, 1:5] = int(Grade.GS43)  # 2 voxels in each lesion
+        if mirror:  # the GS4+3 lesion now comes first in scan order
+            gt, pred = gt[:, :, ::-1], pred[:, :, ::-1]
+        gt_map, pred_map = (gs_lesion_maps(Volume(np.ascontiguousarray(a), SPACING, KIND_LABEL),
+                                           None) for a in (gt, pred))
+        res = match_detections(pred_map, gt_map)
+        first, second = (Grade.GS43, Grade.GS34) if mirror else (Grade.GS34, Grade.GS43)
+        assert [t.intersection for t in res.tp] == [2]
+        assert res.tp[0].gt.grade == first and res.tp[0].gt is gt_map.clusters[0]
+        assert [c.grade for c in res.fn] == [second]
+
 
 def random_maps(rng):
     """Small random disjoint GT and prediction cluster sets on DIMS."""

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +543,29 @@ class TestReadProbStack:
         (tmp_path / "x.vol.raw").write_bytes(bytes(8))
         with pytest.raises(VolumeFormatError, match="payload has 8 bytes"):
             volume._read_payload(tmp_path / "x.vol.raw", np.empty(size, dtype=np.uint8))
+
+    def test_buffer_reused_only_once_nothing_refers_to_it(self, tmp_path):
+        rng = np.random.default_rng(3)
+        first, second = valid_stack((2, 3, 4), rng), valid_stack((2, 3, 4), rng)
+        write_channels(tmp_path / "a", first, (1.0, 1.0, 3.0))
+        write_channels(tmp_path / "b", second, (1.0, 1.0, 3.0))
+        stack = read_prob_stack(tmp_path / "a")
+        kept = stack.channel(2).values
+        del stack
+        # a channel view outlives its stack: the next read takes new memory
+        other = read_prob_stack(tmp_path / "b")
+        assert not np.shares_memory(other.data, kept)
+        assert np.array_equal(kept, first[2]) and np.array_equal(other.data, second)
+        address = other.data.ctypes.data
+        # while a stack lives, its buffer is not reused either
+        again = read_prob_stack(tmp_path / "a")
+        assert again.data.ctypes.data != address
+        del other, again
+        last = weakref.ref(read_prob_stack(tmp_path / "b").data)
+        stack = read_prob_stack(tmp_path / "a")
+        assert stack.data is last()
+        assert np.array_equal(stack.data, first) and not stack.data.flags.writeable
+        assert np.array_equal(stack.labels, np.argmax(first, axis=0))
 
     def test_missing_channel(self, tmp_path):
         write_channels(tmp_path / "p", np.full((6, 1, 1, 1), 1 / 6, dtype=np.float32),
