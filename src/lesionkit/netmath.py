@@ -4,6 +4,9 @@ op with its backward pass, and softmax-to-label conversion.  The argmax
 itself is found by ProbStack in the same scan over z-slabs that validates
 the stack; label_from_probs only wraps it as a label volume.
 
+The gate resamples its plane by volume's per-axis taps, x then y; its
+backward pass scatters through the same taps, y then x.
+
 Losses operate on (N voxels, C classes) arrays, matching per-slice 2D
 training batches.  All functions are pure.
 """
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grades import N_LABELS
-from .volume import KIND_LABEL, ProbStack, Volume, bilinear_coeffs, resize_bilinear
+from .volume import KIND_LABEL, ProbStack, Volume, require_ints, require_reals
+from .volume import axis_taps, resample_axis, resample_axis_adjoint
 
 CE_CLAMP = 1e-7
 
@@ -37,8 +41,8 @@ class ClassWeights:
         w = tuple(float(x) for x in self.w)
         if len(w) not in (2, N_LABELS):
             raise ValueError(f"expected 2 or {N_LABELS} weights, got {len(w)}")
-        if any(x < 0 for x in w) or not any(x > 0 for x in w):
-            raise ValueError("weights must be nonnegative with at least one positive")
+        if not all(0 <= x < np.inf for x in w) or not any(x > 0 for x in w):
+            raise ValueError(f"weights must be finite and nonnegative, one positive, got {w}")
         object.__setattr__(self, "w", w)
 
     def as_array(self) -> np.ndarray:
@@ -62,8 +66,11 @@ class LossSchedule:
     switch_epoch: int = DEFAULT_SWITCH_EPOCH
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda weights must be nonnegative")
+        require_reals(self, "lambda1", "lambda2")
+        require_ints(self, "switch_epoch")
+        for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.switch_epoch < 0:
             raise ValueError("switch_epoch must be nonnegative")
 
@@ -95,8 +102,8 @@ class FeatureStack:
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.planes, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError(f"expected (C, h, w) planes, got shape {arr.shape}")
+        if arr.ndim != 3 or arr.size == 0:
+            raise ValueError(f"expected nonempty (C, h, w) planes, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("feature values must be finite")
         arr.flags.writeable = False
@@ -115,8 +122,8 @@ class AttentionMap:
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.plane, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected (H, W) plane, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError(f"expected nonempty (H, W) plane, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("attention values must lie in [0, 1]")
         arr.flags.writeable = False
@@ -134,8 +141,11 @@ class AttentionMap:
 def _check_pair(p: np.ndarray, y: np.ndarray, w: ClassWeights):
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape or p.ndim != 2:
-        raise ValueError(f"p and y must share (N, C) shape, got {p.shape} vs {y.shape}")
+    if p.shape != y.shape or p.ndim != 2 or len(p) == 0:
+        raise ValueError(f"p and y need one (N, C) shape, N >= 1 voxel; got {p.shape}, {y.shape}")
+    for name, arr in (("p", p), ("y", y)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
     if p.shape[1] != len(w.w):
         raise ValueError(f"{p.shape[1]} classes vs {len(w.w)} weights")
     return p, y, w.as_array()
@@ -203,61 +213,27 @@ def branch_loss_gradient(p, y, w: ClassWeights) -> np.ndarray:
 # Attention gate
 
 
-def _pool_area(a: np.ndarray, h: int, w: int) -> np.ndarray:
-    H, W = a.shape
-    rh, rw = H // h, W // w
-    return a.reshape(h, rh, w, rw).mean(axis=(1, 3))
-
-
-def _pool_area_adjoint(g: np.ndarray, H: int, W: int) -> np.ndarray:
-    h, w = g.shape
-    rh, rw = H // h, W // w
-    return np.broadcast_to(
-        g[:, None, :, None] / (rh * rw), (h, rh, w, rw)
-    ).reshape(H, W)
-
-
-def _resize_bilinear_adjoint(g: np.ndarray, H: int, W: int) -> np.ndarray:
-    h, w = g.shape
-    y0, y1, fy = bilinear_coeffs(H, h, H / h)
-    x0, x1, fx = bilinear_coeffs(W, w, W / w)
-    out = np.zeros((H, W), dtype=np.float64)
-    wy = np.stack([1 - fy, fy])  # (2, h)
-    wx = np.stack([1 - fx, fx])  # (2, w)
-    ys = np.stack([y0, y1])
-    xs = np.stack([x0, x1])
-    for iy in range(2):
-        for ix in range(2):
-            np.add.at(
-                out,
-                (ys[iy][:, None], xs[ix][None, :]),
-                g * wy[iy][:, None] * wx[ix][None, :],
-            )
-    return out
+def _gate_taps(a: AttentionMap, shape: tuple[int, int]):
+    """The (y, x) taps that resample the gate plane to a block's (h, w):
+    area pooling when both ratios are integral (the identity at ratio 1),
+    bilinear on both axes otherwise."""
+    (H, W), (h, w) = a.shape, shape
+    if not (0 < h <= H and 0 < w <= W):
+        raise ValueError(f"cannot gate ({h}, {w}) block with ({H}, {W}) map")
+    method = "area" if H % h == 0 and W % w == 0 else "bilinear"
+    return axis_taps(H, h, method, H / h), axis_taps(W, w, method, W / w)
 
 
 def resample_attention(a: AttentionMap, shape: tuple[int, int]) -> np.ndarray:
-    """Downsample the gate plane to a block's (h, w): area-average pooling
-    when both ratios are integral, bilinear otherwise."""
-    h, w = shape
-    H, W = a.shape
-    if h > H or w > W:
-        raise ValueError(f"cannot gate ({h}, {w}) block with smaller ({H}, {W}) map")
-    if (H, W) == (h, w):
-        return np.asarray(a.plane)
-    if H % h == 0 and W % w == 0:
-        return _pool_area(a.plane, h, w)
-    return resize_bilinear(a.plane, (h, w), (H / h, W / w))
+    """The gate plane resampled to a block's (h, w), x then y."""
+    ty, tx = _gate_taps(a, shape)
+    return resample_axis(resample_axis(a.plane, 1, tx), 0, ty)
 
 
 def _resample_attention_adjoint(g: np.ndarray, a: AttentionMap) -> np.ndarray:
-    H, W = a.shape
-    h, w = g.shape
-    if (H, W) == (h, w):
-        return np.asarray(g, dtype=np.float64).copy()
-    if H % h == 0 and W % w == 0:
-        return _pool_area_adjoint(g, H, W)
-    return _resize_bilinear_adjoint(g, H, W)
+    """The transpose of resample_attention: y's taps, then x's, scattered back."""
+    (H, W), (ty, tx) = a.shape, _gate_taps(a, np.shape(g))
+    return resample_axis_adjoint(resample_axis_adjoint(g, 0, ty, H), 1, tx, W)
 
 
 def attention_gate_forward(f: FeatureStack, a: AttentionMap) -> FeatureStack:

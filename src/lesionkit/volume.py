@@ -635,48 +635,53 @@ def write_volume(v: Volume, path) -> None:
 # Resampling and preprocessing
 
 
-def _axis_coords(n_dst: int, scale: float) -> np.ndarray:
-    # Pixel-center aligned source coordinates for each target index:
-    # target center (j + 0.5) * dst_spacing maps to source index u.
-    j = np.arange(n_dst, dtype=np.float64)
-    return (j + 0.5) * scale - 0.5
-
-
-def bilinear_coeffs(n_src: int, n_dst: int, scale: float):
-    """Per target index along one axis: the two source indices and the
-    weight of the second, with coordinates clipped to the source extent."""
-    u = np.clip(_axis_coords(n_dst, scale), 0.0, n_src - 1.0)
-    i0 = np.floor(u).astype(np.intp)
-    return i0, np.minimum(i0 + 1, n_src - 1), u - i0
-
-
-def resize_bilinear(plane: np.ndarray, out_shape, scale) -> np.ndarray:
-    """Pixel-center bilinear resample of a (h, w) plane to out_shape; scale
-    is the (y, x) target pixel size in source pixels.  Float64 result."""
-    (y0, y1, fy), (x0, x1, fx) = (
-        bilinear_coeffs(n, o, s) for n, o, s in zip(plane.shape, out_shape, scale)
-    )
-    p = np.asarray(plane, dtype=np.float64)
-    top = p[np.ix_(y0, x0)] * (1 - fx) + p[np.ix_(y0, x1)] * fx
-    bot = p[np.ix_(y1, x0)] * (1 - fx) + p[np.ix_(y1, x1)] * fx
-    return top * (1 - fy)[:, None] + bot * fy[:, None]
-
-
-def _resample_plane(plane: np.ndarray, src_sp, dst_sp, out_shape, method: str) -> np.ndarray:
-    ny, nx = plane.shape
-    oy, ox = out_shape
-    sx, sy = dst_sp[0] / src_sp[0], dst_sp[1] / src_sp[1]
-    if method == "bilinear":
-        return resize_bilinear(plane, out_shape, (sy, sx))
-    if method != "nearest":
+def axis_taps(n_src: int, n_dst: int, method: str, scale: float):
+    """Source indices and weights, each of shape (n_dst, k), that resample
+    one axis of n_src samples to n_dst.  Target centre j + 0.5 lies at source
+    coordinate (j + 0.5) * scale - 0.5, scale being the target spacing in
+    source samples.  nearest: 1 tap at the rounded coordinate; bilinear: 2
+    taps at the coordinate clipped to the source extent; area: the
+    r = n_src // n_dst samples of each block, weighted 1/r (scale unused)."""
+    if method == "area":
+        r = n_src // n_dst
+        return np.arange(n_dst * r).reshape(n_dst, r), np.full((n_dst, r), 1.0 / r)
+    u = (np.arange(n_dst, dtype=np.float64) + 0.5) * scale - 0.5
+    if method == "nearest":
+        return np.clip(np.rint(u).astype(np.intp), 0, n_src - 1)[:, None], np.ones((n_dst, 1))
+    if method != "bilinear":
         raise ValueError(f"unknown resample method {method!r}")
-    xi = np.clip(np.rint(_axis_coords(ox, sx)).astype(np.intp), 0, nx - 1)
-    yi = np.clip(np.rint(_axis_coords(oy, sy)).astype(np.intp), 0, ny - 1)
-    return plane[np.ix_(yi, xi)]
+    u = np.clip(u, 0.0, n_src - 1.0)
+    i0 = np.floor(u).astype(np.intp)
+    f = u - i0
+    return np.stack([i0, np.minimum(i0 + 1, n_src - 1)], axis=1), np.stack([1 - f, f], axis=1)
+
+
+def resample_axis(x: np.ndarray, axis: int, taps) -> np.ndarray:
+    """x resampled along one (nonnegative) axis by taps from axis_taps: a
+    gather per tap, weighted in float64 and summed in tap order, so two
+    bilinear taps give exactly a * (1 - f) + b * f."""
+    idx, wts = taps
+    shape = (-1,) + (1,) * (np.ndim(x) - axis - 1)
+    out = np.take(x, idx[:, 0], axis) * wts[:, 0].reshape(shape)
+    for k in range(1, idx.shape[1]):
+        out += np.take(x, idx[:, k], axis) * wts[:, k].reshape(shape)
+    return out
+
+
+def resample_axis_adjoint(g: np.ndarray, axis: int, taps, n_src: int) -> np.ndarray:
+    """The transpose of resample_axis: each value of g scattered back, by
+    the same weights, onto the n_src source samples it was gathered from."""
+    idx, wts = taps
+    g = np.asarray(g, dtype=np.float64)
+    out = np.zeros(g.shape[:axis] + (n_src,) + g.shape[axis + 1 :])
+    shape = (-1,) + (1,) * (g.ndim - axis - 1)
+    for k in range(idx.shape[1]):
+        np.add.at(out, (slice(None),) * axis + (idx[:, k],), g * wts[:, k].reshape(shape))
+    return out
 
 
 def resample_inplane(v: Volume, target_spacing, method: str | None = None) -> Volume:
-    """Resample each axial slice to the target in-plane spacing.
+    """Resample to the target in-plane spacing: x, then y, over the whole volume.
 
     The z spacing must be unchanged.  Output extent is
     round(n * src / dst) per in-plane axis.  Intensities and probabilities
@@ -688,12 +693,13 @@ def resample_inplane(v: Volume, target_spacing, method: str | None = None) -> Vo
         raise ValueError(f"in-plane resampling only: target z spacing {tz} != source {sz}")
     if method is None:
         method = "nearest" if v.kind == KIND_LABEL else "bilinear"
-    nx, ny, nz = v.dims
+    if method not in ("nearest", "bilinear"):
+        raise ValueError(f"unknown resample method {method!r}")
+    nx, ny, _ = v.dims
     ox = max(1, int(round(nx * sx / tx)))
     oy = max(1, int(round(ny * sy / ty)))
-    out = np.empty((nz, oy, ox), dtype=np.float64)
-    for z in range(nz):
-        out[z] = _resample_plane(v.values[z], (sx, sy), (tx, ty), (oy, ox), method)
+    out = resample_axis(v.values, 2, axis_taps(nx, ox, method, tx / sx))
+    out = resample_axis(out, 1, axis_taps(ny, oy, method, ty / sy))
     if v.kind == KIND_LABEL:
         out = out.astype(np.uint8)
     return Volume(out, (tx, ty, sz), v.kind)

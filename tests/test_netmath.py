@@ -5,6 +5,7 @@ direct scalar-loop transcriptions of the formulas, and central finite
 differences for every gradient.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -93,6 +94,54 @@ class TestClassWeights:
             ClassWeights((0.0, 0.0))
         with pytest.raises(ValueError):
             ClassWeights((1.0, 1.0, 1.0))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: ClassWeights((NAN, 1.0)), "weights"),
+        (lambda: ClassWeights((INF, 1.0)), "weights"),
+        (lambda: LossSchedule(lambda1=NAN), "lambda1"),
+        (lambda: LossSchedule(lambda2=INF), "lambda2"),
+        (lambda: LossSchedule(switch_epoch=2.5), "switch_epoch"),
+        (lambda: LossSchedule(switch_epoch=True), "switch_epoch"),
+    ],
+    ids=["nan-weight", "inf-weight", "nan-lambda1", "inf-lambda2", "float-switch",
+         "bool-switch"],
+)
+def test_nonfinite_or_mistyped_loss_settings_rejected(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def _pair(n=4, c=6, bad=None, where="p"):
+    rng = np.random.default_rng(5)
+    p = rng.uniform(0.1, 0.9, size=(n, c))
+    y = np.eye(c)[rng.integers(0, c, size=n)]
+    if bad is not None:
+        (p if where == "p" else y)[0, 1] = bad
+    return p, y
+
+
+@pytest.mark.parametrize("fun", [weighted_dice_loss, weighted_ce_loss, branch_loss,
+                                 branch_loss_gradient])
+@pytest.mark.parametrize(
+    "pair,field",
+    [
+        (_pair(n=0), "voxel"),
+        (_pair(bad=NAN), "p must be finite"),
+        (_pair(bad=-INF), "p must be finite"),
+        (_pair(bad=NAN, where="y"), "y must be finite"),
+        (_pair(bad=INF, where="y"), "y must be finite"),
+    ],
+    ids=["empty", "nan-p", "inf-p", "nan-y", "inf-y"],
+)
+def test_empty_or_nonfinite_loss_inputs_rejected(fun, pair, field):
+    with pytest.raises(ValueError, match=field):
+        fun(*pair, ClassWeights.lesion_default())
 
 
 class TestDiceLoss:
@@ -359,7 +408,16 @@ class TestAttentionGate:
         from lesionkit.netmath import _resample_attention_adjoint
 
         rng = np.random.default_rng(77)
-        for HW, hw in [((8, 8), (4, 4)), ((7, 9), (3, 5)), ((6, 6), (6, 6))]:
+        cases = [
+            ((8, 8), (4, 4)),  # area, equal ratios
+            ((7, 9), (3, 5)),  # bilinear
+            ((6, 6), (6, 6)),  # ratio 1: the identity
+            ((8, 12), (4, 3)),  # area, unequal ratios
+            ((8, 9), (4, 5)),  # H % h == 0 but W % w != 0: bilinear both ways
+            ((6, 8), (1, 4)),  # one-row block, area
+            ((5, 7), (1, 3)),  # one-row block, bilinear
+        ]
+        for HW, hw in cases:
             a = AttentionMap(rng.uniform(0, 1, size=HW))
             g = rng.normal(size=hw)
             lhs = float((resample_attention(a, hw) * g).sum())
@@ -371,6 +429,38 @@ class TestAttentionGate:
         a = AttentionMap(np.zeros((4, 4)))
         with pytest.raises(ValueError):
             attention_gate_forward(f, a)
+
+    @pytest.mark.parametrize("hw", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_block_rejected(self, hw):
+        a = AttentionMap(np.ones((4, 4)))
+        with pytest.raises(ValueError, match=r"cannot gate \(\d, \d\) block"):
+            resample_attention(a, hw)
+
+    def test_empty_feature_plane_rejected(self):
+        with pytest.raises(ValueError, match=r"\(1, 0, 4\)"):
+            FeatureStack(np.zeros((1, 0, 4)))
+
+    def test_empty_attention_plane_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 4\)"):
+            AttentionMap(np.zeros((0, 4)))
+
+    def test_bilinear_gate_bytes_are_pinned(self):
+        # sha256 over resample_attention's output for non-integral ratios,
+        # including one where only the rows divide evenly, a one-row block,
+        # and blocks of signed zeros in the map.
+        rng = np.random.default_rng(4242)
+        digest = hashlib.sha256()
+        for HW, hw in [((7, 9), (3, 5)), ((10, 10), (3, 7)), ((8, 9), (4, 5)),
+                       ((5, 8), (1, 3)), ((13, 17), (6, 11)), ((4, 5), (4, 4))]:
+            plane = rng.uniform(0.0, 1.0, size=HW)
+            plane[:2, :3] = -0.0
+            plane[2::3, ::2] = 0.0
+            out = resample_attention(AttentionMap(plane), hw)
+            digest.update(repr(out.shape).encode())
+            digest.update(np.ascontiguousarray(out, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == (
+            "812a3e7a5484a8f6dd257abbea99fae2a8732090542d3e6cf6ab38921e3d8ed8"
+        )
 
 
 class TestLabelFromProbs:

@@ -1,6 +1,7 @@
 """Volume data model, file round-trips, and preprocessing."""
 
 import enum
+import hashlib
 import io
 import json
 import os
@@ -668,6 +669,50 @@ class TestResample:
         out = resample_inplane(v, (2.0, 2.0, 3.0))
         assert out.values.dtype == np.uint8
         assert set(np.unique(out.values)) <= {0, 5}
+
+    def test_area_is_not_an_inplane_method(self):
+        v = make_intensity(np.zeros((1, 4, 4)))
+        with pytest.raises(ValueError, match="unknown resample method 'area'"):
+            resample_inplane(v, (2.0, 2.0, 3.0), method="area")
+
+    def test_resampled_bytes_are_pinned(self):
+        # sha256 over the output bytes of a fixed, seeded set of resamples:
+        # bilinear and nearest intensity, labels, and the whole preprocess
+        # pipeline.  The cases upsample (target coordinates clipped at both
+        # edges), downsample, mix the two, and shrink an axis to the one
+        # voxel its extent rounds to.  Blocks of signed zeros put the sign
+        # of a zero sum into the digest too.
+        rng = np.random.default_rng(20231)
+        cases = [
+            ((2, 9, 11), (0.7, 0.9), (1.0, 1.0)),
+            ((3, 17, 23), (1.3, 1.1), (0.5, 0.8)),
+            ((1, 12, 7), (0.78, 2.0), (1.0, 0.6)),
+            ((2, 5, 2), (1.0, 1.0), (0.4, 10.0)),
+            ((1, 3, 6), (1.0, 1.0), (5.0, 1.0)),
+            ((2, 24, 20), (0.6, 0.6), (1.0, 1.0)),
+        ]
+        digest = hashlib.sha256()
+        for k, ((nz, ny, nx), (sx, sy), (tx, ty)) in enumerate(cases):
+            arr = (rng.normal(size=(nz, ny, nx)) * 100).astype(np.float32)
+            arr[:, :3, :3] = -0.0
+            arr[:, 1::4, ::3] = 0.0
+            v = make_intensity(arr, spacing=(sx, sy, 3.0))
+            lab = Volume(rng.integers(0, 6, size=(nz, ny, nx)), (sx, sy, 3.0), KIND_LABEL)
+            target = (tx, ty, 3.0)
+            bilinear = resample_inplane(v, target)
+            ox, oy, _ = bilinear.dims
+            crop = ((ox + 1) // 2, (oy + 1) // 2)
+            for out in (
+                bilinear,
+                resample_inplane(v, target, method="nearest"),
+                resample_inplane(lab, target),
+                preprocess(v, target, crop=crop, per_slice_norm=k % 2 == 1),
+            ):
+                digest.update(repr(out.values.shape).encode())
+                digest.update(out.values.tobytes())
+        assert digest.hexdigest() == (
+            "01d272799259b44681e67621662d845a79b4035bd9caf40eedc8da5d050319b9"
+        )
 
 
 class TestCropNormalize:
