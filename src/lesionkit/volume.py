@@ -641,10 +641,11 @@ def axis_taps(n_src: int, n_dst: int, method: str, scale: float):
     coordinate (j + 0.5) * scale - 0.5, scale being the target spacing in
     source samples.  nearest: 1 tap at the rounded coordinate; bilinear: 2
     taps at the coordinate clipped to the source extent; area: the
-    r = n_src // n_dst samples of each block, weighted 1/r (scale unused)."""
-    if method == "area":
-        r = n_src // n_dst
-        return np.arange(n_dst * r).reshape(n_dst, r), np.full((n_dst, r), 1.0 / r)
+    r = n_src / n_dst samples of each block, weighted 1/r (n_dst must divide
+    n_src; scale unused)."""
+    if method == "area":  # reshape raises unless n_dst divides n_src
+        idx = np.arange(n_src).reshape(n_dst, -1)
+        return idx, np.full(idx.shape, 1.0 / idx.shape[1])
     u = (np.arange(n_dst, dtype=np.float64) + 0.5) * scale - 0.5
     if method == "nearest":
         return np.clip(np.rint(u).astype(np.intp), 0, n_src - 1)[:, None], np.ones((n_dst, 1))
@@ -681,7 +682,7 @@ def resample_axis_adjoint(g: np.ndarray, axis: int, taps, n_src: int) -> np.ndar
 
 
 def resample_inplane(v: Volume, target_spacing, method: str | None = None) -> Volume:
-    """Resample to the target in-plane spacing: x, then y, over the whole volume.
+    """Resample each axial slice to the target in-plane spacing: x, then y.
 
     The z spacing must be unchanged.  Output extent is
     round(n * src / dst) per in-plane axis.  Intensities and probabilities
@@ -695,11 +696,14 @@ def resample_inplane(v: Volume, target_spacing, method: str | None = None) -> Vo
         method = "nearest" if v.kind == KIND_LABEL else "bilinear"
     if method not in ("nearest", "bilinear"):
         raise ValueError(f"unknown resample method {method!r}")
-    nx, ny, _ = v.dims
+    nx, ny, nz = v.dims
     ox = max(1, int(round(nx * sx / tx)))
     oy = max(1, int(round(ny * sy / ty)))
-    out = resample_axis(v.values, 2, axis_taps(nx, ox, method, tx / sx))
-    out = resample_axis(out, 1, axis_taps(ny, oy, method, ty / sy))
+    xt = axis_taps(nx, ox, method, tx / sx)
+    yt = axis_taps(ny, oy, method, ty / sy)
+    out = np.empty((nz, oy, ox))
+    for z in range(nz):  # slice by slice: scratch stays one plane, not the volume
+        out[z] = resample_axis(resample_axis(v.values[z], 1, xt), 0, yt)
     if v.kind == KIND_LABEL:
         out = out.astype(np.uint8)
     return Volume(out, (tx, ty, sz), v.kind)

@@ -23,6 +23,7 @@ from lesionkit.volume import (
     Volume,
     VolumeFormatError,
     ZoneMask,
+    axis_taps,
     crop_center,
     json_chunks,
     normalize_minmax,
@@ -674,6 +675,13 @@ class TestResample:
         v = make_intensity(np.zeros((1, 4, 4)))
         with pytest.raises(ValueError, match="unknown resample method 'area'"):
             resample_inplane(v, (2.0, 2.0, 3.0), method="area")
+
+    def test_area_taps_cover_whole_blocks(self):
+        idx, wts = axis_taps(6, 3, "area", 0)
+        assert idx.tolist() == [[0, 1], [2, 3], [4, 5]]
+        assert wts.tolist() == [[0.5, 0.5]] * 3
+        with pytest.raises(ValueError):  # 3 does not divide 7: no sample is dropped
+            axis_taps(7, 3, "area", 0)
 
     def test_resampled_bytes_are_pinned(self):
         # sha256 over the output bytes of a fixed, seeded set of resamples:
