@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON outputs, config-file merging,
 and the full phantom -> evaluate round trip through main()."""
 
+import argparse
 import hashlib
 import json
 import shutil
@@ -8,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from lesionkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, main
+from lesionkit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, _build_parser, main
 from lesionkit.volume import (
     KIND_INTENSITY,
     KIND_LABEL,
@@ -699,3 +700,117 @@ class TestSmallCommands:
         out = read_volume(tmp_path / "out")
         assert out.dims == (48, 48, 4)
         assert float(out.values.min()) >= 0.0 and float(out.values.max()) <= 1.0
+
+
+#: Every option of the global parser ("") and of each subcommand: (default,
+#: choices, required, type, metavar as --help shows it, help text).  Shared
+#: flags may move between parsers, but no option may appear, disappear or
+#: change how it parses or reads in --help.
+CLI_OPTIONS = {
+    "": {
+        "--config": (None, None, False, None, "CONFIG", "JSON config file"),
+        "--seed": (None, None, False, "int", "SEED", "override phantom/bootstrap seeds"),
+        "--strict": (False, None, False, None, "", "escalate degenerate-statistics "
+                     "warnings to exit code 4"),
+    },
+    "preprocess": {
+        "--in": (None, None, True, None, "INPUT", None),
+        "--out": (None, None, True, None, "OUTPUT", None),
+        "--spacing": ([1.0, 1.0, 3.0], None, False, "float", "SPACING SPACING SPACING", None),
+        "--crop": ([96, 96], None, False, "int", "CROP CROP", None),
+        "--per-slice": (False, None, False, None, "", None),
+    },
+    "phantom": {
+        "--out": (None, None, True, None, "OUT", None),
+        "--patients": (None, None, False, "int", "PATIENTS", None),
+    },
+    "cluster": {
+        "--labels": (None, None, True, None, "LABELS", None),
+        "--probs": (None, None, False, None, "PROBS",
+                    "probability base path (channels _c0.._c5)"),
+        "--mode": ("gs", ("gs", "cs"), False, None, "{gs,cs}", None),
+        "--connectivity": (None, (6, 18, 26), False, "int", "{6,18,26}", None),
+        "--min-volume": (None, None, False, "float", "MIN_VOLUME", None),
+        "--out": (None, None, False, None, "OUT", None),
+    },
+    "match": {
+        "--pred": (None, None, True, None, "PRED", "predicted label volume"),
+        "--gt": (None, None, True, None, "GT", "ground-truth label volume"),
+        "--pred-probs": (None, None, False, None, "PRED_PROBS", None),
+        "--mode": ("cs", ("gs", "cs"), False, None, "{gs,cs}", None),
+        "--overlap": (None, None, False, "float", "OVERLAP", None),
+        "--denom": (None, ("pred", "gt", "union"), False, None, "{pred,gt,union}", None),
+        "--connectivity": (None, (6, 18, 26), False, "int", "{6,18,26}", None),
+        "--min-volume": (None, None, False, "float", "MIN_VOLUME", None),
+        "--strict-duplicates": (None, None, False, None, "", None),
+    },
+    "froc": {
+        "--cohort": (None, None, False, None, "COHORT", None),
+        "--gt-dir": (None, None, False, None, "GT_DIR", None),
+        "--pred-dir": (None, None, False, None, "PRED_DIR", None),
+        "--zones-dir": (None, None, False, None, "ZONES_DIR", None),
+        "--manifest": (None, None, False, None, "MANIFEST", None),
+        "--grade": (None, None, False, None, "GRADE",
+                    "per-grade curve (GS6, GS3+4, GS4+3, GS>=8); default CS binary"),
+        "--out": (None, None, False, None, "OUT", "CSV output path"),
+    },
+    "kappa": {
+        "--detections": (None, None, True, None, "DETECTIONS", None),
+        "--include-fn": (False, None, False, None, "", "book missed lesions as GS6 predictions"),
+        "--bootstrap": (None, None, False, "int", "BOOTSTRAP", None),
+        "--resample": (None, ("lesion", "patient"), False, None, "{lesion,patient}", None),
+    },
+    "dice": {
+        "--a": (None, None, True, None, "A", None),
+        "--b": (None, None, True, None, "B", None),
+    },
+    "wilcoxon": {
+        "--csv": (None, None, True, None, "CSV", None),
+        "--x": (None, None, True, None, "X", "column tested as greater"),
+        "--y": (None, None, True, None, "Y", None),
+    },
+    "px2": {
+        "--points": (None, None, True, None, "POINTS", None),
+        "--pred-dir": (None, None, True, None, "PRED_DIR", None),
+        "--out": (None, None, False, None, "OUT", None),
+    },
+    "evaluate": {
+        "--cohort": (None, None, False, None, "COHORT", None),
+        "--gt-dir": (None, None, False, None, "GT_DIR", None),
+        "--pred-dir": (None, None, False, None, "PRED_DIR", None),
+        "--zones-dir": (None, None, False, None, "ZONES_DIR", None),
+        "--manifest": (None, None, False, None, "MANIFEST", None),
+        "--out": (None, None, True, None, "OUT", None),
+        "--zone": (None, ("none", "pz", "tz"), False, None, "{none,pz,tz}", None),
+        "--min-volume": (None, None, False, "float", "MIN_VOLUME", None),
+        "--overlap": (None, None, False, "float", "OVERLAP", None),
+        "--connectivity": (None, (6, 18, 26), False, "int", "{6,18,26}", None),
+        "--bootstrap": (None, None, False, "int", "BOOTSTRAP", None),
+    },
+    "losscheck": {
+        "--instances": (10, None, False, "int", "INSTANCES", None),
+    },
+}
+
+
+def option_table(parser) -> dict:
+    """CLI_OPTIONS' row of each option of one parser, keyed by its flags."""
+    fmt = parser._get_formatter()
+    table = {}
+    for a in parser._actions:
+        if isinstance(a, (argparse._HelpAction, argparse._SubParsersAction)):
+            continue
+        metavar = fmt._format_args(a, fmt._get_default_metavar_for_optional(a))
+        table[" ".join(a.option_strings)] = (
+            a.default, a.choices and tuple(a.choices), a.required,
+            getattr(a.type, "__name__", a.type), metavar, a.help,
+        )
+    return table
+
+
+def test_every_option_keeps_its_flags_defaults_choices_and_metavar():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {"": option_table(parser)}
+    got.update((name, option_table(sp)) for name, sp in sub.choices.items())
+    assert got == CLI_OPTIONS

@@ -17,6 +17,7 @@ import pytest
 from lesionkit.cli import EXIT_OK, main
 from lesionkit.grades import GRADE_ORDER
 from lesionkit.metrics import ConfusionMatrix, quadratic_weighted_kappa
+from lesionkit.netmath import label_from_probs
 from lesionkit.phantom import (
     ZONE_PZ,
     ZONE_TZ,
@@ -27,6 +28,7 @@ from lesionkit.phantom import (
     ledger_grade_gt_count,
     ledger_zone_subset,
 )
+from lesionkit.volume import read_prob_stack, write_volume
 
 DRIFT = (
     (0.7, 0.3, 0.0, 0.0),
@@ -243,3 +245,76 @@ def test_kappa_wide_seed_digest(detections, capsys):
     assert main(argv) == EXIT_OK
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_KAPPA_WIDE_SEED
+
+
+@pytest.fixture(scope="module")
+def points_csv(cohort, tmp_path_factory):
+    """One point per ledger lesion, at the first voxel of its blob."""
+    ledger = ledger_from_dict(json.loads((cohort / "ledger.json").read_text()))
+    lines = ["patient_id,x_vox,y_vox,z_vox,zone,gs_label"]
+    for p in ledger.patients:
+        for e in p.lesions:
+            x, y, z = e.voxels[0]
+            lines.append(f"{p.patient_id},{x},{y},{z},{e.zone},{e.grade.display}")
+    path = tmp_path_factory.mktemp("px2") / "points.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+#: sha256 of `lesionkit px2` stdout and of both files its --out writes.
+GOLDEN_PX2 = {
+    "stdout": "bac20cc5366a319ce43a8a325011a23fdd3f59548bdc965ac966427456655c43",
+    "px2_records.csv": "c29307c5cce299c560a68cab232f5105ce85069824bdc8fe0051d5ea8fa768fd",
+    "px2_report.json": "bac20cc5366a319ce43a8a325011a23fdd3f59548bdc965ac966427456655c43",
+}
+
+
+def test_px2_digests(cohort, points_csv, tmp_path, capsys):
+    out = tmp_path / "px2"
+    capsys.readouterr()
+    argv = ["px2", "--points", str(points_csv), "--pred-dir", str(cohort / "pred"),
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    got = {"stdout": hashlib.sha256(stdout.encode()).hexdigest(), **_digests(out)}
+    assert got == GOLDEN_PX2
+
+
+@pytest.fixture(scope="module")
+def one_patient(cohort, tmp_path_factory):
+    """(gt labels, predicted labels, probability stack) base paths of the
+    cohort's first patient; the predicted labels are the stack's argmax."""
+    pid = json.loads((cohort / "cohort.json").read_text())["patients"][0]["patient_id"]
+    probs = cohort / "pred" / f"{pid}_prob"
+    pred = tmp_path_factory.mktemp("patient") / f"{pid}_pred"
+    write_volume(label_from_probs(read_prob_stack(probs)), pred)
+    return cohort / "gt" / f"{pid}_labels", pred, probs
+
+
+#: sha256 of `lesionkit cluster --out` JSON on the first patient's predicted
+#: labels and probabilities, and of `lesionkit match` stdout against its
+#: ground truth, per --mode.
+GOLDEN_CLUSTER = {
+    "gs": "d60fe3a0f1baf0e0b2c387184d821257c21bae27b9477891cf33822d35892c65",
+    "cs": "0e4deb091b25f18c3cd7def8d9c1aa15b0e0004da75966311a9a2c0a4278e596",
+}
+GOLDEN_MATCH = {
+    "gs": "a07db7da16dc75111593edc6947c8eda51bd0d92facfa50c759cf84c78c2b01e",
+    "cs": "42e1c24bc60c7d5f336443b71915ebe3a7f8811e97342c0f7b9d1ea05aa4816f",
+}
+
+
+@pytest.mark.parametrize("mode", ["gs", "cs"])
+def test_cluster_and_match_digests(one_patient, tmp_path, capsys, mode):
+    gt, pred, probs = one_patient
+    out = tmp_path / "clusters.json"
+    argv = ["cluster", "--labels", str(pred), "--probs", str(probs), "--mode", mode,
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    argv = ["match", "--pred", str(pred), "--gt", str(gt), "--pred-probs", str(probs),
+            "--mode", mode]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CLUSTER[mode]
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_MATCH[mode]
