@@ -32,10 +32,10 @@ import numpy as np
 
 from .cluster import CONNECTIVITIES, cs_lesion_maps, filter_by_volume, gs_lesion_maps
 from .evaluation import (
+    POINT_COLUMNS,
     EvaluationConfig,
     _cluster_summary,
     _confusion_dict,
-    _kappa_dict,
     _write_froc_csv,
     cohort_dirs,
     evaluate_points,
@@ -123,8 +123,7 @@ def _build_dataclass(cls, section: dict, overrides: dict):
     unknown = set(section) - fields
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    merged = {k: _frozen(v) for k, v in section.items()}
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged = {k: _frozen(v) for k, v in section.items()} | overrides
     try:
         return cls(**merged)
     except (TypeError, ValueError) as e:
@@ -157,7 +156,7 @@ def cmd_preprocess(args, file_cfg) -> int:
 
 def cmd_phantom(args, file_cfg) -> int:
     section = file_cfg.get("phantom", {})
-    overrides = {"seed": args.seed}
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if args.patients is not None:
         overrides["n_patients"] = args.patients
         if "n_folds" not in section:  # default folds cannot exceed patients
@@ -180,8 +179,7 @@ def cmd_phantom(args, file_cfg) -> int:
 
 
 def cmd_cluster(args, file_cfg) -> int:
-    cfg = _eval_config(args, file_cfg, connectivity=args.connectivity,
-                       min_volume_mm3=args.min_volume)
+    cfg = _eval_config(args, file_cfg)
     labels = read_volume(args.labels)
     probs = read_prob_stack(args.probs) if args.probs else None
     build = cs_lesion_maps if args.mode == "cs" else gs_lesion_maps
@@ -194,11 +192,7 @@ def cmd_cluster(args, file_cfg) -> int:
 
 
 def cmd_match(args, file_cfg) -> int:
-    cfg = _eval_config(
-        args, file_cfg, connectivity=args.connectivity, min_volume_mm3=args.min_volume,
-        overlap_frac=args.overlap, overlap_denom=args.denom,
-        strict_duplicates=args.strict_duplicates,
-    )
+    cfg = _eval_config(args, file_cfg)
     gt_labels = read_volume(args.gt)
     pred_labels = read_volume(args.pred)
     probs = read_prob_stack(args.pred_probs) if args.pred_probs else None
@@ -231,19 +225,23 @@ def cmd_match(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def _eval_config(args, file_cfg, **extra) -> EvaluationConfig:
-    overrides = {**extra, "bootstrap_seed": args.seed}
-    return _build_dataclass(EvaluationConfig, file_cfg.get("evaluation", {}), overrides)
+def _eval_config(args, file_cfg, **base) -> EvaluationConfig:
+    """The file's "evaluation" section, overridden by base, then by each
+    flag set on the command line: the field a flag sets is its dest, and
+    --seed sets bootstrap_seed."""
+    fields = {f.name for f in dataclasses.fields(EvaluationConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    if flags.get("zone") == "none":  # set, so it wins over the file's zone
+        flags["zone"] = None
+    if args.seed is not None:
+        flags["bootstrap_seed"] = args.seed
+    return _build_dataclass(EvaluationConfig, file_cfg.get("evaluation", {}), base | flags)
 
 
-def _cohort_config(args, file_cfg, **extra) -> EvaluationConfig:
-    """_eval_config of a command that reads a cohort directory layout."""
-    dirs = cohort_dirs(args.cohort) if args.cohort else {}
-    for key, path in (("gt_dir", args.gt_dir), ("pred_dir", args.pred_dir),
-                      ("zones_dir", args.zones_dir), ("fold_manifest", args.manifest)):
-        if path is not None:
-            dirs[key] = path
-    cfg = _eval_config(args, file_cfg, **dirs, **extra)
+def _cohort_config(args, file_cfg) -> EvaluationConfig:
+    """_eval_config of a command that reads a cohort directory layout: the
+    directory flags override --cohort's layout, which overrides the file."""
+    cfg = _eval_config(args, file_cfg, **(cohort_dirs(args.cohort) if args.cohort else {}))
     if cfg.fold_manifest is None or cfg.gt_dir is None or cfg.pred_dir is None:
         raise ConfigError(f"{args.command} needs --cohort or --gt-dir/--pred-dir/--manifest")
     return cfg
@@ -275,8 +273,7 @@ def cmd_froc(args, file_cfg) -> int:
 
 
 def cmd_kappa(args, file_cfg) -> int:
-    cfg = _eval_config(args, file_cfg, bootstrap_iterations=args.bootstrap,
-                       bootstrap_resample=args.resample)
+    cfg = _eval_config(args, file_cfg)
     records = read_detections_csv(args.detections)
     cm = confusion_matrix(records, include_fn_as_gs6=args.include_fn)
     if cm.total == 0:
@@ -328,15 +325,14 @@ class _StackReader(dict):
 
 
 def cmd_px2(args, file_cfg) -> int:
-    cfg = _eval_config(args, file_cfg, pred_dir=str(args.pred_dir))
+    cfg = _eval_config(args, file_cfg)
     points = read_points_csv(args.points)
     records, kappa = evaluate_points(points, _StackReader(cfg.pred_dir), cfg)
-    payload = {"n_points": len(records), **_kappa_dict(kappa)}
+    payload = {"n_points": len(records), **dataclasses.asdict(kappa)}
     if args.out:
         out = Path(args.out)
         write_json(out / "px2_report.json", payload)
-        write_csv(out / "px2_records.csv",
-                  ("patient_id", "x_vox", "y_vox", "z_vox", "zone", "gs_label", "pred_grade"),
+        write_csv(out / "px2_records.csv", POINT_COLUMNS + ("pred_grade",),
                   ((pt.patient_id, pt.x, pt.y, pt.z, pt.zone, pt.gs_label.display,
                     r.pred_grade.display) for pt, r in zip(points, records)))
     _emit(payload)
@@ -347,16 +343,10 @@ def cmd_px2(args, file_cfg) -> int:
 
 
 def cmd_evaluate(args, file_cfg) -> int:
-    # a None override keeps the config value, so --zone none is set explicitly
-    zone = {} if args.zone is None else {"zone": None if args.zone == "none" else args.zone}
-    cfg = _cohort_config(
-        args, file_cfg, **zone, output_dir=args.out, min_volume_mm3=args.min_volume,
-        overlap_frac=args.overlap, connectivity=args.connectivity,
-        bootstrap_iterations=args.bootstrap,
-    )
+    cfg = _cohort_config(args, file_cfg)
     report, _ = run_full_evaluation(cfg)
     _emit({
-        "out": str(args.out),
+        "out": str(cfg.output_dir),
         "n_patients": report.n_patients,
         "prostate_dice_mean": report.prostate_dice_mean,
         "sensitivity_at_fp": {
@@ -448,7 +438,8 @@ def cmd_losscheck(args, file_cfg) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
-    unchanged, so every main call shares it."""
+    unchanged, so every main call shares it.  A flag that sets an
+    EvaluationConfig field has that field as its dest (see _eval_config)."""
     p = argparse.ArgumentParser(
         prog="lesionkit",
         description="Lesion detection and grading evaluation toolkit.",
@@ -459,6 +450,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="escalate degenerate-statistics warnings to exit code 4")
     sub = p.add_subparsers(dest="command", required=True)
+    # shared flags, declared once: grid for cluster, match, evaluate; overlap
+    # for match, evaluate; boot for kappa, evaluate; cohort for froc, evaluate
+    grid, overlap, boot, cohort = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    grid.add_argument("--connectivity", type=int, choices=CONNECTIVITIES)
+    grid.add_argument("--min-volume", dest="min_volume_mm3", metavar="MIN_VOLUME", type=float)
+    overlap.add_argument("--overlap", dest="overlap_frac", metavar="OVERLAP", type=float)
+    boot.add_argument("--bootstrap", dest="bootstrap_iterations", metavar="BOOTSTRAP", type=int)
+    for flag in ("--cohort", "--gt-dir", "--pred-dir", "--zones-dir"):
+        cohort.add_argument(flag)
+    cohort.add_argument("--manifest", dest="fold_manifest", metavar="MANIFEST")
 
     sp = sub.add_parser("preprocess", help="resample, crop, normalize an intensity volume")
     sp.add_argument("--in", dest="input", required=True)
@@ -473,44 +474,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--patients", type=int, default=None)
     sp.set_defaults(func=cmd_phantom)
 
-    sp = sub.add_parser("cluster", help="connected components of a label volume")
+    sp = sub.add_parser("cluster", parents=[grid], help="connected components of a label volume")
     sp.add_argument("--labels", required=True)
     sp.add_argument("--probs", default=None, help="probability base path (channels _c0.._c5)")
     sp.add_argument("--mode", choices=("gs", "cs"), default="gs")
-    sp.add_argument("--connectivity", type=int, default=None, choices=CONNECTIVITIES)
-    sp.add_argument("--min-volume", type=float, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_cluster)
 
-    sp = sub.add_parser("match", help="match predicted clusters to ground truth")
+    sp = sub.add_parser("match", parents=[grid, overlap],
+                        help="match predicted clusters to ground truth")
     sp.add_argument("--pred", required=True, help="predicted label volume")
     sp.add_argument("--gt", required=True, help="ground-truth label volume")
     sp.add_argument("--pred-probs", default=None)
     sp.add_argument("--mode", choices=("gs", "cs"), default="cs")
-    sp.add_argument("--overlap", type=float, default=None)
-    sp.add_argument("--denom", choices=OVERLAP_DENOMS, default=None)
-    sp.add_argument("--connectivity", type=int, default=None, choices=CONNECTIVITIES)
-    sp.add_argument("--min-volume", type=float, default=None)
+    sp.add_argument("--denom", dest="overlap_denom", choices=OVERLAP_DENOMS, default=None)
     sp.add_argument("--strict-duplicates", action="store_true", default=None)
     sp.set_defaults(func=cmd_match)
 
-    sp = sub.add_parser("froc", help="FROC curve over a cohort directory")
-    sp.add_argument("--cohort", default=None)
-    sp.add_argument("--gt-dir", default=None)
-    sp.add_argument("--pred-dir", default=None)
-    sp.add_argument("--zones-dir", default=None)
-    sp.add_argument("--manifest", default=None)
+    sp = sub.add_parser("froc", parents=[cohort], help="FROC curve over a cohort directory")
     sp.add_argument("--grade", default=None,
                     help="per-grade curve (GS6, GS3+4, GS4+3, GS>=8); default CS binary")
     sp.add_argument("--out", default=None, help="CSV output path")
     sp.set_defaults(func=cmd_froc)
 
-    sp = sub.add_parser("kappa", help="confusion matrix and weighted kappa from detections CSV")
+    sp = sub.add_parser("kappa", parents=[boot],
+                        help="confusion matrix and weighted kappa from detections CSV")
     sp.add_argument("--detections", required=True)
     sp.add_argument("--include-fn", action="store_true",
                     help="book missed lesions as GS6 predictions")
-    sp.add_argument("--bootstrap", type=int, default=None)
-    sp.add_argument("--resample", choices=RESAMPLE_UNITS, default=None)
+    sp.add_argument("--resample", dest="bootstrap_resample", choices=RESAMPLE_UNITS, default=None)
     sp.set_defaults(func=cmd_kappa)
 
     sp = sub.add_parser("dice", help="Dice coefficient of two binary volumes")
@@ -530,18 +522,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_px2)
 
-    sp = sub.add_parser("evaluate", help="full evaluation over a cohort directory")
-    sp.add_argument("--cohort", default=None)
-    sp.add_argument("--gt-dir", default=None)
-    sp.add_argument("--pred-dir", default=None)
-    sp.add_argument("--zones-dir", default=None)
-    sp.add_argument("--manifest", default=None)
-    sp.add_argument("--out", required=True)
+    sp = sub.add_parser("evaluate", parents=[cohort, grid, overlap, boot],
+                        help="full evaluation over a cohort directory")
+    sp.add_argument("--out", dest="output_dir", metavar="OUT", required=True)
     sp.add_argument("--zone", choices=("none", "pz", "tz"), default=None)
-    sp.add_argument("--min-volume", type=float, default=None)
-    sp.add_argument("--overlap", type=float, default=None)
-    sp.add_argument("--connectivity", type=int, default=None, choices=CONNECTIVITIES)
-    sp.add_argument("--bootstrap", type=int, default=None)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("losscheck", help="finite-difference check of analytic gradients")

@@ -19,7 +19,8 @@ import csv
 import os
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,7 @@ from .metrics import (
     AggregatePoint,
     ConfusionMatrix,
     FrocCurve,
+    FrocPoint,
     KappaResult,
     aggregate_folds,
     bootstrap_kappa,
@@ -86,12 +88,17 @@ from .volume import (
 
 ZONE_CHOICES = (None, "pz", "tz")
 
-#: safe file-name stems for the per-grade FROC CSVs
-GRADE_STEMS = {Grade.GS6: "gs6", Grade.GS34: "gs34", Grade.GS43: "gs43", Grade.GS8: "gs8"}
+#: EvaluationConfig's directory fields, which stay out of report.json
+PATH_FIELDS = ("gt_dir", "pred_dir", "zones_dir", "fold_manifest", "output_dir")
 
-#: columns of detections.csv, one row per ground-truth lesion
-DETECTION_COLUMNS = ("patient_id", "fold", "zone", "gt_grade", "pred_grade", "score", "dice",
-                     "overlap_frac")
+#: the columns of each bundle CSV are the fields of the record in its rows:
+#: detections.csv one DetectionRecord per ground-truth lesion, the FROC CSVs
+#: one FrocPoint per threshold and froc_cs_aggregate.csv one AggregatePoint;
+#: each row is the attrgetter of those fields
+DETECTION_COLUMNS, FROC_COLUMNS, BAND_COLUMNS = (
+    tuple(f.name for f in fields(c)) for c in (DetectionRecord, FrocPoint, AggregatePoint))
+_detection_fields, _froc_row, _band_row = (
+    attrgetter(*c) for c in (DETECTION_COLUMNS, FROC_COLUMNS, BAND_COLUMNS))
 
 
 def cohort_dirs(root) -> dict[str, str]:
@@ -137,7 +144,7 @@ class EvaluationConfig:
     def __post_init__(self):
         require_ints(self, "connectivity", "bootstrap_iterations", "bootstrap_seed")
         require_reals(self, "min_volume_mm3", "overlap_frac", sequences=("fp_targets", "fp_grid"))
-        for name in ("gt_dir", "pred_dir", "zones_dir", "fold_manifest", "output_dir"):
+        for name in PATH_FIELDS:
             if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
                 raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
         if type(self.strict_duplicates) is not bool:
@@ -175,20 +182,9 @@ class EvaluationConfig:
         return cls(**fields)
 
     def to_dict(self) -> dict:
-        # protocol knobs only; directory paths stay out of the report
-        return {
-            "connectivity": self.connectivity,
-            "min_volume_mm3": self.min_volume_mm3,
-            "overlap_frac": self.overlap_frac,
-            "overlap_denom": self.overlap_denom,
-            "zone": self.zone,
-            "strict_duplicates": self.strict_duplicates,
-            "bootstrap_iterations": self.bootstrap_iterations,
-            "bootstrap_seed": self.bootstrap_seed,
-            "bootstrap_resample": self.bootstrap_resample,
-            "fp_targets": list(self.fp_targets),
-            "fp_grid": list(self.fp_grid),
-        }
+        """Every protocol field, sequences as lists; PATH_FIELDS stay out."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in PATH_FIELDS}
+        return {k: list(v) if isinstance(v, (tuple, list)) else v for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -496,19 +492,7 @@ def _curve_dict(curve: FrocCurve | None):
     return {
         "n_patients": curve.n_patients,
         "n_gt_lesions": curve.n_gt_lesions,
-        "points": [
-            [p.threshold, p.mean_fp_per_patient, p.sensitivity] for p in curve.points
-        ],
-    }
-
-
-def _kappa_dict(k: KappaResult):
-    return {
-        "kappa": k.kappa,
-        "degenerate": k.degenerate,
-        "bootstrap_mean": k.bootstrap_mean,
-        "bootstrap_std": k.bootstrap_std,
-        "n_iterations": k.n_iterations,
+        "points": list(map(_froc_row, curve.points)),
     }
 
 
@@ -517,7 +501,7 @@ def _confusion_dict(cm: ConfusionMatrix, k: KappaResult):
         "grades": [g.display for g in GRADE_ORDER],
         "counts": [list(r) for r in cm.counts],
         "include_fn_as_gs6": cm.include_fn_as_gs6,
-        **_kappa_dict(k),
+        **asdict(k),
     }
 
 
@@ -539,9 +523,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
             "cs_by_fold": {str(f): _curve_dict(c) for f, c in report.cs_froc_by_fold.items()},
             "cs_aggregate": None
             if report.cs_aggregate is None
-            else [
-                [p.fp_rate, p.sens_mean, p.sens_lo, p.sens_hi] for p in report.cs_aggregate
-            ],
+            else list(map(_band_row, report.cs_aggregate)),
             "by_grade": {g.display: _curve_dict(c) for g, c in report.grade_froc.items()},
         },
         "sensitivity_at_fp": sens,
@@ -563,8 +545,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
 
 
 def _write_froc_csv(path, curve: FrocCurve) -> None:
-    write_csv(path, ("threshold", "mean_fp_per_patient", "sensitivity"),
-              ((p.threshold, p.mean_fp_per_patient, p.sensitivity) for p in curve.points))
+    write_csv(path, FROC_COLUMNS, map(_froc_row, curve.points))
 
 
 def _cluster_summary(m: LesionMap) -> list[dict]:
@@ -589,9 +570,7 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
     write_json(out / "report.json", report_to_dict(report))
 
     write_csv(out / "detections.csv", DETECTION_COLUMNS, (
-        (r.patient_id, r.fold, r.zone, r.gt_grade.display,
-         r.pred_grade.display if isinstance(r.pred_grade, Grade) else MISSED,
-         r.score, r.dice, r.overlap_frac)
+        [v.display if isinstance(v, Grade) else v for v in _detection_fields(r)]
         for r in report.records
     ))
 
@@ -601,10 +580,10 @@ def write_report_bundle(report: EvaluationReport, out_dir, stages=None) -> None:
             _write_froc_csv(out / f"froc_cs_fold{f}.csv", curve)
     for g, curve in report.grade_froc.items():
         if curve is not None:
-            _write_froc_csv(out / f"froc_{GRADE_STEMS[g]}.csv", curve)
+            _write_froc_csv(out / f"froc_{g.name.lower()}.csv", curve)
     if report.cs_aggregate is not None:
-        write_csv(out / "froc_cs_aggregate.csv", ("fp_rate", "sens_mean", "sens_lo", "sens_hi"),
-                  ((p.fp_rate, p.sens_mean, p.sens_lo, p.sens_hi) for p in report.cs_aggregate))
+        write_csv(out / "froc_cs_aggregate.csv", BAND_COLUMNS,
+                  map(_band_row, report.cs_aggregate))
 
     write_json(
         out / "confusion_tp_only.json",
@@ -748,10 +727,14 @@ class PointAnnotation:
     gs_label: Grade
 
 
+#: columns of a point-annotation CSV, one row per PointAnnotation
+POINT_COLUMNS = ("patient_id", "x_vox", "y_vox", "z_vox", "zone", "gs_label")
+
+
 def read_points_csv(path) -> list[PointAnnotation]:
-    """CSV columns: patient_id,x_vox,y_vox,z_vox,zone,gs_label."""
+    """The point annotations of a CSV with POINT_COLUMNS."""
     return read_csv(
-        path, ("patient_id", "x_vox", "y_vox", "z_vox", "zone", "gs_label"),
+        path, POINT_COLUMNS,
         lambda row: PointAnnotation(
             patient_id=row["patient_id"],
             x=int(row["x_vox"]),

@@ -86,6 +86,10 @@ class LossValue:
     empty_dice: bool = False  # denominator was 0; dice_term defined as 0
 
     def __post_init__(self):
+        require_reals(self, "total", "dice_term", "ce_term")
+        for name in ("total", "dice_term", "ce_term"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if abs(self.total - (self.dice_term + self.ce_term)) > 1e-9:
             raise ValueError("total must equal dice_term + ce_term")
         if not (-1e-12 <= self.dice_term <= 1.0 + 1e-12):
@@ -185,6 +189,8 @@ def branch_loss(p, y, w: ClassWeights) -> LossValue:
 def global_loss(lp: LossValue, ll: LossValue, s: LossSchedule, epoch: int) -> float:
     """lambda1 * prostate loss + lambda2 * lesion loss, with lambda2 gated
     off before the schedule's switch epoch."""
+    if type(epoch) is not int:
+        raise ValueError(f"epoch must be an integer, got {epoch!r}")
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
     return s.lambda1 * lp.total + s.lambda2_at(epoch) * ll.total

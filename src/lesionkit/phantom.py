@@ -643,9 +643,10 @@ def write_cohort(cfg: PhantomConfig, out_dir) -> PhantomLedger:
     before the next one, so one stack is held at a time."""
     gt, zones, pred = (os.path.join(out_dir, d) for d in ("gt", "zones", "pred"))
     patients, ledger = generate_cohort(cfg)
-    for patient in patients:
+    for patient, script in zip(patients, ledger.patients):
         pid = patient.patient_id
-        (stack,) = degrade_prediction([patient], ledger)
+        # a one-script ledger: the render indexes one script, not the whole cohort's
+        (stack,) = degrade_prediction([patient], PhantomLedger((script,), cfg.dims, cfg.spacing_mm))
         write_volume(patient.labels, os.path.join(gt, f"{pid}_labels"))
         write_volume(patient.zones.pz, os.path.join(zones, f"{pid}_pz"))
         write_volume(patient.zones.tz, os.path.join(zones, f"{pid}_tz"))

@@ -143,6 +143,22 @@ def test_bundle_digests(cohort, tmp_path, capsys, zone):
     assert _digests(out) == GOLDEN[zone]
 
 
+@pytest.mark.parametrize("flag", [["--zone", "none"], []])
+def test_zone_flag_against_config_file(cohort, tmp_path, capsys, flag):
+    """An explicit --zone none wins over the file's zone and writes the
+    unzoned bundle; without --zone the file's zone holds."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"evaluation": {"zone": "pz"}}))
+    out = tmp_path / "bundle"
+    argv = ["--config", str(cfg), "evaluate", "--cohort", str(cohort), "--out", str(out),
+            "--bootstrap", "200", *flag]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    zone = json.loads((out / "report.json").read_text())["config"]["zone"]
+    assert zone == (None if flag else "pz")
+    assert _digests(out) == GOLDEN["all" if flag else "pz"]
+
+
 @pytest.mark.parametrize("zone", ["all", "pz", "tz"])
 def test_report_matches_ledger(cohort, tmp_path, capsys, zone):
     """The on-disk CLI path, read back from report.json, against the ledger

@@ -253,6 +253,18 @@ class TestBranchLoss:
         with pytest.raises(ValueError):
             LossValue(total=-0.1, dice_term=0.0, ce_term=-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["total", "dice_term", "ce_term"])
+    def test_loss_value_terms_must_be_finite(self, field, bad):
+        terms = {"total": 0.5, "dice_term": 0.25, "ce_term": 0.25, field: bad}
+        with pytest.raises(ValueError, match=field):
+            LossValue(**terms)
+
+    def test_nan_total_and_ce_term_are_rejected(self):
+        # NaN slips past both the sum check and ce_term < 0
+        with pytest.raises(ValueError, match="total must be finite"):
+            LossValue(math.nan, 0.0, math.nan)
+
 
 class TestGlobalLoss:
     def test_lesion_branch_silent_before_switch(self):
@@ -273,6 +285,13 @@ class TestGlobalLoss:
         ll = LossValue(0.9, 0.5, 0.4)
         s = LossSchedule(lambda1=0.0, lambda2=0.0, switch_epoch=0)
         assert global_loss(lp, ll, s, epoch=50) == 0.0
+
+    @pytest.mark.parametrize("epoch", [25.5, 20.0, True, "20"])
+    def test_epoch_must_be_an_int(self, epoch):
+        lp = LossValue(0.4, 0.3, 0.1)
+        ll = LossValue(0.9, 0.5, 0.4)
+        with pytest.raises(ValueError, match="epoch must be an integer"):
+            global_loss(lp, ll, LossSchedule(), epoch=epoch)
 
     def test_default_switch_epoch(self):
         assert LossSchedule().switch_epoch == 20

@@ -547,3 +547,18 @@ class TestCohortFiles:
         assert len(rendered) == SMALL.n_patients and max(alive) == 1
         # every volume still goes through the module's write_volume
         assert len(writes) == 9 * SMALL.n_patients
+
+    def test_each_render_gets_its_own_script_only(self, tmp_path, monkeypatch):
+        # a render that indexes every patient's script makes the cohort
+        # write quadratic in the patient count
+        seen = []
+        render = phantom.degrade_prediction
+
+        def recording_render(patients, ledger):
+            seen.append(([p.patient_id for p in patients],
+                         [s.patient_id for s in ledger.patients]))
+            return render(patients, ledger)
+
+        monkeypatch.setattr(phantom, "degrade_prediction", recording_render)
+        ledger = write_cohort(SMALL, tmp_path / "c")
+        assert seen == [([s.patient_id], [s.patient_id]) for s in ledger.patients]
