@@ -159,18 +159,18 @@ class EvaluationConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        if not (self.min_volume_mm3 >= 0):  # NaN fails too
-            raise ValueError("min_volume_mm3 must be nonnegative")
+        if not (0 <= self.min_volume_mm3 < np.inf):  # NaN fails too
+            raise ValueError("min_volume_mm3 must be finite and nonnegative")
         if not (0.0 < self.overlap_frac <= 1.0):
             raise ValueError("overlap_frac must lie in (0, 1]")
         if self.bootstrap_iterations < 1:
             raise ValueError("bootstrap_iterations must be positive")
         if self.bootstrap_seed < 0:
             raise ValueError("bootstrap_seed must be nonnegative")
-        if not self.fp_targets or not all(t >= 0 for t in self.fp_targets):
-            raise ValueError("fp_targets must be nonnegative")
-        if not self.fp_grid or not all(t >= 0 for t in self.fp_grid):
-            raise ValueError("fp_grid must be nonnegative")
+        if not self.fp_targets or not all(0 <= t < np.inf for t in self.fp_targets):
+            raise ValueError("fp_targets must be finite and nonnegative")
+        if not self.fp_grid or not all(0 <= t < np.inf for t in self.fp_grid):
+            raise ValueError("fp_grid must be finite and nonnegative")
 
     @classmethod
     def for_cohort_dir(cls, root, output_dir=None, **overrides) -> "EvaluationConfig":

@@ -6,7 +6,6 @@ and cross-fold aggregation with 2-sigma bands.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -287,38 +286,23 @@ def _kappa_from_sums(n: int, obs: int, exp: int) -> tuple[float, bool]:
 #
 # Iteration i of a bootstrap over U units draws
 #     Generator(Philox(SeedSequence(seed).spawn(n_iter)[i])).integers(0, U, size=U)
-# The helpers below compute those draws for many iterations at once, bit for
-# bit: numpy's SeedSequence mixing gives each child's Philox key, numpy's own
-# Philox, re-keyed per child, gives the words for counters 1, 2, ..., and each
-# 64-bit output word gives two 32-bit draws, low half first, which Lemire's
-# method maps to [0, U).
+# numpy's Generator draws every row, from one Philox re-keyed to each child.
+# Only the children's keys are computed here, all at once: a child's
+# SeedSequence is its parent's with the spawn index as one more entropy word,
+# so its pool is the parent's pool with that index hashed into each word.
 
 _MASK32 = 0xFFFFFFFF
 _U32_SHIFT = np.uint64(32)
 
-# numpy.random.SeedSequence: pool size and hash constants
-_SS_POOL_SIZE = 4
+# numpy.random.SeedSequence: hash constants
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-#: Draws computed per block of iterations.  A block holds
-#: max(1, _BLOCK_DRAWS // U) iterations, so the working arrays stay near
-#: this size (and in cache) whatever n_iter and U are.
+#: Draws yielded per block of iterations.  A block holds
+#: max(1, _BLOCK_DRAWS // U) iterations, so memory stays near this size
+#: whatever n_iter and U are.
 _BLOCK_DRAWS = 1 << 16
-
-
-def _seed_words(seed) -> list[int]:
-    """The seed's 32-bit words, least significant first, as SeedSequence
-    splits an int."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    return words
 
 
 class _HashConsts:
@@ -342,78 +326,43 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _spawn_keys(seed, n_iter: int) -> np.ndarray:
     """Philox keys of SeedSequence(seed).spawn(n_iter), as (n_iter, 2)
-    uint64: one lane of uint32 SeedSequence arithmetic per child.
-
-    A child's entropy is the seed's words padded with zeros to the pool
-    size, then its spawn word i."""
-    words = _seed_words(seed)
-    words += [0] * (_SS_POOL_SIZE - len(words))
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.arange(n_iter, dtype=np.uint32))
-    h = _HashConsts(_SS_INIT_A, _SS_MULT_A)
-    pool = [h.hash(e) for e in entropy[:_SS_POOL_SIZE]]
-    for src in range(_SS_POOL_SIZE):
-        for dst in range(_SS_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], h.hash(pool[src]))
-    for e in entropy[_SS_POOL_SIZE:]:
-        for dst in range(_SS_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], h.hash(e))
+    uint64: one lane of uint32 SeedSequence arithmetic per child."""
+    parent = np.random.SeedSequence(seed)
+    n_words = max(1, -(-int(seed).bit_length() // 32))
+    # the parent's mixing hashed each pool word once, cross-mixed every pair
+    # of them, then mixed in each seed word beyond the pool: pool_size uses
+    # of the multiplier per entropy word, counting the zero padding
+    n_used = parent.pool_size * max(parent.pool_size, n_words)
+    h = _HashConsts(_SS_INIT_A * pow(_SS_MULT_A, n_used, 2**32) & _MASK32, _SS_MULT_A)
+    index = np.arange(n_iter, dtype=np.uint32)
+    pool = [_mix(p, h.hash(index)) for p in parent.pool.reshape(-1, 1)]
     # generate_state(2, np.uint64): four hashed pool words, paired low first
     h = _HashConsts(_SS_INIT_B, _SS_MULT_B)
-    state = [np.broadcast_to(h.hash(p), n_iter).astype(np.uint64) for p in pool]
+    state = [h.hash(p).astype(np.uint64) for p in pool]
     return np.stack(
         (state[0] | state[1] << _U32_SHIFT, state[2] | state[3] << _U32_SHIFT), axis=1
     )
 
 
-def _philox_words(keys: np.ndarray, n_ctr: int) -> np.ndarray:
-    """Philox4x64-10 output for counters 1..n_ctr under each key: shape
-    (len(keys), n_ctr, 4), words in the order the generator returns them."""
-    bitgen = np.random.Philox(0)
-    # counter 0 and an empty buffer: the first raw word comes from counter 1
-    state = bitgen.state
-    state["state"]["counter"][:] = 0
-    state["buffer_pos"] = 4
-    out = np.empty((len(keys), n_ctr * 4), dtype=np.uint64)
-    for row, key in zip(out, keys):
-        state["state"]["key"] = key
-        bitgen.state = state
-        row[:] = bitgen.random_raw(n_ctr * 4)
-    return out.reshape(len(keys), n_ctr, 4)
-
-
-def _lemire(words: np.ndarray, n_units: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first n_units draws in [0, n_units) from its Philox words,
-    and which rows numpy would have rejected a draw in (and drawn again,
-    shifting every later draw of the row).
-
-    A draw is the high word of w * n_units for the 32-bit value w; numpy
-    rejects it when the low word falls below (2**32 - n_units) % n_units."""
-    # little-endian 32-bit halves: each 64-bit word's low half comes first
-    w = words.astype("<u8", copy=False).view("<u4").reshape(len(words), -1)[:, :n_units]
-    threshold = (2**32 - n_units) % n_units
-    rejected = (w * np.uint32(n_units) < threshold).any(axis=1)
-    return ((w * np.uint64(n_units)) >> _U32_SHIFT).astype(np.intp), rejected
-
-
 def _bootstrap_draws(seed, n_iter: int, n_units: int):
     """Yield (start, idx): row r of idx holds the n_units indices that
-    iteration start + r draws, exactly as
+    iteration start + r draws, as
     Generator(Philox(SeedSequence(seed).spawn(n_iter)[i])).integers(0, n_units, size=n_units)
-    returns them.  Rows where numpy rejects a draw come from that
-    generator itself."""
+    returns them."""
     keys = _spawn_keys(seed, n_iter)
-    n_ctr = -(-n_units // 8)  # 4 words, 8 draws per counter
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # a fresh Philox's state, counter 0 and an empty buffer, as a child
+    # starts; each row sets only its key
+    state = bitgen.state
     per_block = max(1, _BLOCK_DRAWS // n_units)
     for start in range(0, n_iter, per_block):
-        words = _philox_words(keys[start:start + per_block], n_ctr)
-        idx, rejected = _lemire(words, n_units)
-        for r in np.flatnonzero(rejected).tolist():
-            child = np.random.SeedSequence(seed, spawn_key=(start + r,))
-            idx[r] = np.random.Generator(np.random.Philox(child)).integers(
-                0, n_units, size=n_units
-            )
+        block = keys[start:start + per_block]
+        idx = np.empty((len(block), n_units), dtype=np.intp)
+        for row, key in zip(idx, block):
+            state["state"]["key"] = key
+            bitgen.state = state
+            row[:] = gen.integers(0, n_units, size=n_units)
         yield start, idx
 
 
@@ -430,7 +379,7 @@ def bootstrap_kappa(
     Lesion-level resampling draws records directly; patient-level draws
     whole patients, in sorted patient-id order.  Iteration i draws from
     child i of SeedSequence(seed), through Philox, so results do not depend
-    on execution order; the draws are computed in bulk (see
+    on execution order; the children's keys are computed in bulk (see
     _bootstrap_draws).  Every unit's confusion counts are tabulated once; an
     iteration's table is the count-weighted sum of the drawn units' tables,
     so no record is revisited per draw."""

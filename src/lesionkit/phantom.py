@@ -102,8 +102,8 @@ class PhantomConfig:
         if not (0.0 <= self.pz_fraction <= 1.0):
             raise ValueError("pz_fraction must lie in [0, 1]")
         lo, hi = self.lesion_radius_mm
-        if not (0 < lo <= hi):  # NaN fails too
-            raise ValueError("lesion radius range must be positive and ordered")
+        if not (0 < lo <= hi < math.inf):  # NaN fails too
+            raise ValueError("lesion_radius_mm must be finite, positive and ordered")
         if len(self.lesions_per_grade) != 4 or any(n < 0 for n in self.lesions_per_grade):
             raise ValueError("lesions_per_grade needs 4 nonnegative counts")
         if not (0.5 < self.fp_score <= 1.0):

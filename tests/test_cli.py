@@ -386,6 +386,15 @@ MALFORMED_INPUTS = [
      "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
     ("config-min-volume-nan", {"c.json": '{"evaluation": {"min_volume_mm3": NaN}}'},
      "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    # 1e999 parses as an infinite float
+    ("config-fp-target-inf", {"c.json": '{"evaluation": {"fp_targets": [1e999]}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    ("config-fp-grid-inf", {"c.json": '{"evaluation": {"fp_grid": [0.5, 1e999]}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    ("config-min-volume-inf", {"c.json": '{"evaluation": {"min_volume_mm3": 1e999}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    ("phantom-lesion-radius-inf", {"c.json": '{"phantom": {"lesion_radius_mm": [2.5, 1e999]}}'},
+     "--config {tmp}/c.json phantom --patients 3 --out {tmp}/o", EXIT_CONFIG),
     ("config-strict-duplicates-text", {"c.json": '{"evaluation": {"strict_duplicates": "no"}}'},
      "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
     ("config-path-not-text", {"c.json": '{"evaluation": {"gt_dir": 5}}'},
@@ -397,6 +406,12 @@ MALFORMED_INPUTS = [
      EXIT_CONFIG),
     ("match-min-volume-nan", {},
      "match --pred {cohort}/gt/p000_labels --gt {cohort}/gt/p000_labels --min-volume nan",
+     EXIT_CONFIG),
+    ("evaluate-min-volume-inf", {}, EVALUATE_MISSING + " --min-volume inf", EXIT_CONFIG),
+    ("cluster-min-volume-inf", {}, "cluster --labels {cohort}/gt/p000_labels --min-volume inf",
+     EXIT_CONFIG),
+    ("match-min-volume-inf", {},
+     "match --pred {cohort}/gt/p000_labels --gt {cohort}/gt/p000_labels --min-volume inf",
      EXIT_CONFIG),
     ("manifest-directory", {"m.json": DIR},
      "froc --gt-dir {cohort}/gt --pred-dir {cohort}/pred --manifest {tmp}/m.json", EXIT_DATA),
