@@ -130,6 +130,25 @@ class TestLedgerAgreement:
             ]
             assert got == ledger_froc_grade(ledger, g)
 
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_kappa_by_fold_equals_ledger(self, seed):
+        """Each fold's kappa, in both variants, is the kappa of that fold's
+        ledger matrix exactly; mean and std are np.mean and np.std (ddof=0)
+        of those values."""
+        cfg = dataclasses.replace(SCRIPTED, seed=seed, n_patients=15, n_folds=5,
+                                  misgrade=DRIFT, miss_fraction=0.25, fp_per_patient=2)
+        ledger, report = _evaluate(cfg)
+        assert report.folds == (0, 1, 2, 3, 4)
+        for variant, fn in (("tp_only", False), ("with_fn", True)):
+            want = {f: quadratic_weighted_kappa(
+                        ConfusionMatrix(ledger_confusion(ledger, fn, fold=f), fn)).kappa
+                    for f in report.folds}
+            fk = report.fold_kappa[variant]
+            assert fk["values"] == want
+            assert fk["mean"] == float(np.mean(list(want.values())))
+            assert fk["std"] == float(np.std(list(want.values())))
+            assert fk["std"] > 0.0  # the folds differ, so the std convention is exercised
+
     def test_confusion_exact(self):
         ledger, report = _evaluate(SCRIPTED)
         assert report.confusion_tp_only.counts == ledger_confusion(ledger, False)
