@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import CONNECTIVITIES, cs_lesion_maps, filter_by_volume, gs_lesion_maps
+from .cluster import cs_lesion_maps, filter_by_volume, gs_lesion_maps
 from .evaluation import (
     POINT_COLUMNS,
     EvaluationConfig,
@@ -46,9 +46,8 @@ from .evaluation import (
     run_full_evaluation,
 )
 from .grades import parse_grade
-from .matching import OVERLAP_DENOMS, match_detections
+from .matching import match_detections
 from .metrics import (
-    RESAMPLE_UNITS,
     WILCOXON_EXACT_MAX_N,
     bootstrap_kappa,
     confusion_matrix,
@@ -113,19 +112,13 @@ def _load_config_file(path):
     return cfg
 
 
-def _frozen(value):
-    """A JSON value with every list turned into a tuple, recursively."""
-    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
-
-
 def _build_dataclass(cls, section: dict, overrides: dict):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(section) - fields
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    merged = {k: _frozen(v) for k, v in section.items()} | overrides
     try:
-        return cls(**merged)
+        return cls(**section | overrides)
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
@@ -157,10 +150,10 @@ def cmd_preprocess(args, file_cfg) -> int:
 def cmd_phantom(args, file_cfg) -> int:
     section = file_cfg.get("phantom", {})
     overrides = {} if args.seed is None else {"seed": args.seed}
-    if args.patients is not None:
-        overrides["n_patients"] = args.patients
+    if args.n_patients is not None:
+        overrides["n_patients"] = args.n_patients
         if "n_folds" not in section:  # default folds cannot exceed patients
-            overrides["n_folds"] = min(PhantomConfig.n_folds, args.patients)
+            overrides["n_folds"] = min(PhantomConfig.n_folds, args.n_patients)
     cfg = _build_dataclass(PhantomConfig, section, overrides)
     try:
         ledger = write_cohort(cfg, args.out)
@@ -435,29 +428,38 @@ def cmd_losscheck(args, file_cfg) -> int:
 # Parser
 
 
+def _setting_flag(parser, flag: str, dest: str, **kw) -> None:
+    """A flag that sets the config field dest, with the argparse type and
+    choices of the field's Spec (None, as a choice, is spelled "none")."""
+    (spec,) = (f.metadata["spec"] for cls in (EvaluationConfig, PhantomConfig)
+               for f in dataclasses.fields(cls) if f.name == dest)
+    parser.add_argument(flag, dest=dest, type={"int": int, "real": float}.get(spec.kind),
+                        choices=tuple("none" if c is None else c for c in spec.choices) or None,
+                        **kw)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
-    unchanged, so every main call shares it.  A flag that sets an
-    EvaluationConfig field has that field as its dest (see _eval_config)."""
+    unchanged, so every main call shares it.  A flag that sets a config
+    field has that field as its dest (see _eval_config)."""
     p = argparse.ArgumentParser(
         prog="lesionkit",
         description="Lesion detection and grading evaluation toolkit.",
     )
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override phantom/bootstrap seeds")
+    _setting_flag(p, "--seed", "seed", help="override phantom/bootstrap seeds")
     p.add_argument("--strict", action="store_true",
                    help="escalate degenerate-statistics warnings to exit code 4")
     sub = p.add_subparsers(dest="command", required=True)
     # shared flags, declared once: grid for cluster, match, evaluate; overlap
     # for match, evaluate; boot for kappa, evaluate; cohort for froc, evaluate
     grid, overlap, boot, cohort = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    grid.add_argument("--connectivity", type=int, choices=CONNECTIVITIES)
-    grid.add_argument("--min-volume", dest="min_volume_mm3", metavar="MIN_VOLUME", type=float)
-    overlap.add_argument("--overlap", dest="overlap_frac", metavar="OVERLAP", type=float)
-    boot.add_argument("--bootstrap", dest="bootstrap_iterations", metavar="BOOTSTRAP", type=int)
-    for flag in ("--cohort", "--gt-dir", "--pred-dir", "--zones-dir"):
+    _setting_flag(grid, "--connectivity", "connectivity")
+    _setting_flag(grid, "--min-volume", "min_volume_mm3", metavar="MIN_VOLUME")
+    _setting_flag(overlap, "--overlap", "overlap_frac", metavar="OVERLAP")
+    _setting_flag(boot, "--bootstrap", "bootstrap_iterations", metavar="BOOTSTRAP")
+    for flag in ("--cohort", "--gt-dir", "--pred-dir", "--zones-dir"):  # paths: no type
         cohort.add_argument(flag)
     cohort.add_argument("--manifest", dest="fold_manifest", metavar="MANIFEST")
 
@@ -471,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phantom", help="generate a synthetic cohort with ledger")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--patients", type=int, default=None)
+    _setting_flag(sp, "--patients", "n_patients", metavar="PATIENTS")
     sp.set_defaults(func=cmd_phantom)
 
     sp = sub.add_parser("cluster", parents=[grid], help="connected components of a label volume")
@@ -487,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gt", required=True, help="ground-truth label volume")
     sp.add_argument("--pred-probs", default=None)
     sp.add_argument("--mode", choices=("gs", "cs"), default="cs")
-    sp.add_argument("--denom", dest="overlap_denom", choices=OVERLAP_DENOMS, default=None)
+    _setting_flag(sp, "--denom", "overlap_denom")
     sp.add_argument("--strict-duplicates", action="store_true", default=None)
     sp.set_defaults(func=cmd_match)
 
@@ -502,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--detections", required=True)
     sp.add_argument("--include-fn", action="store_true",
                     help="book missed lesions as GS6 predictions")
-    sp.add_argument("--resample", dest="bootstrap_resample", choices=RESAMPLE_UNITS, default=None)
+    _setting_flag(sp, "--resample", "bootstrap_resample")
     sp.set_defaults(func=cmd_kappa)
 
     sp = sub.add_parser("dice", help="Dice coefficient of two binary volumes")
@@ -525,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("evaluate", parents=[cohort, grid, overlap, boot],
                         help="full evaluation over a cohort directory")
     sp.add_argument("--out", dest="output_dir", metavar="OUT", required=True)
-    sp.add_argument("--zone", choices=("none", "pz", "tz"), default=None)
+    _setting_flag(sp, "--zone", "zone")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("losscheck", help="finite-difference check of analytic gradients")

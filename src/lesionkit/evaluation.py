@@ -16,7 +16,6 @@ and JSON intermediates from which every reported number is recomputable).
 from __future__ import annotations
 
 import csv
-import os
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
@@ -80,16 +79,11 @@ from .volume import (
     read_json,
     read_prob_stack,
     read_volume,
-    require_ints,
-    require_reals,
+    setting,
+    validate,
     write_csv,
     write_json,
 )
-
-ZONE_CHOICES = (None, "pz", "tz")
-
-#: EvaluationConfig's directory fields, which stay out of report.json
-PATH_FIELDS = ("gt_dir", "pred_dir", "zones_dir", "fold_manifest", "output_dir")
 
 #: the columns of each bundle CSV are the fields of the record in its rows:
 #: detections.csv one DetectionRecord per ground-truth lesion, the FROC CSVs
@@ -118,59 +112,31 @@ class EvaluationConfig:
     """Knobs of the evaluation protocol; defaults are the study constants
     (45 mm^3 volume filter, 10% overlap rule, 26-connectivity)."""
 
-    gt_dir: str | None = None
-    pred_dir: str | None = None
-    zones_dir: str | None = None
-    fold_manifest: str | None = None
-    output_dir: str | None = None
-    connectivity: int = DEFAULT_CONNECTIVITY
-    min_volume_mm3: float = MIN_LESION_VOLUME_MM3
-    overlap_frac: float = DEFAULT_OVERLAP_FRAC
-    overlap_denom: str = "pred"
-    zone: str | None = None
-    strict_duplicates: bool = False
-    bootstrap_iterations: int = 1000
-    bootstrap_seed: int = 0
-    bootstrap_resample: str = "lesion"
-    fp_targets: tuple[float, ...] = (1.0, 1.5)
-    fp_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 1.5, 2.0)
+    gt_dir: str | None = setting(None, "path")
+    pred_dir: str | None = setting(None, "path")
+    zones_dir: str | None = setting(None, "path")
+    fold_manifest: str | None = setting(None, "path")
+    output_dir: str | None = setting(None, "path")
+    connectivity: int = setting(DEFAULT_CONNECTIVITY, "int", choices=CONNECTIVITIES)
+    min_volume_mm3: float = setting(MIN_LESION_VOLUME_MM3, "real", "[0, inf)", unit="mm^3")
+    overlap_frac: float = setting(DEFAULT_OVERLAP_FRAC, "real", "(0, 1]", unit="fraction")
+    overlap_denom: str = setting("pred", None, choices=OVERLAP_DENOMS)
+    zone: str | None = setting(None, None, choices=(None, "pz", "tz"))
+    strict_duplicates: bool = setting(False, "bool")
+    bootstrap_iterations: int = setting(1000, "int", "[1, inf)", unit="resamples")
+    bootstrap_seed: int = setting(0, "int", "[0, inf)")
+    bootstrap_resample: str = setting("lesion", None, choices=RESAMPLE_UNITS)
+    fp_targets: tuple[float, ...] = setting((1.0, 1.5), "real", "[0, inf)", (None,), "FP/patient")
+    fp_grid: tuple[float, ...] = setting((0.25, 0.5, 1.0, 1.5, 2.0), "real", "[0, inf)", (None,),
+                                         "FP/patient")
+
+    __post_init__ = validate
 
     @property
     def threads(self) -> int:
         # not a field: perfbench/workloads.py (aggregate_dense describe) reads
         # it; ROADMAP item 2's benchmark change deletes it
         return 1
-
-    def __post_init__(self):
-        require_ints(self, "connectivity", "bootstrap_iterations", "bootstrap_seed")
-        require_reals(self, "min_volume_mm3", "overlap_frac", sequences=("fp_targets", "fp_grid"))
-        for name in PATH_FIELDS:
-            if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
-                raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
-        if type(self.strict_duplicates) is not bool:
-            raise ValueError(f"strict_duplicates must be true or false, "
-                             f"got {self.strict_duplicates!r}")
-        for name, allowed in (
-            ("zone", ZONE_CHOICES),
-            ("overlap_denom", OVERLAP_DENOMS),
-            ("connectivity", CONNECTIVITIES),
-            ("bootstrap_resample", RESAMPLE_UNITS),
-        ):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        if not (0 <= self.min_volume_mm3 < np.inf):  # NaN fails too
-            raise ValueError("min_volume_mm3 must be finite and nonnegative")
-        if not (0.0 < self.overlap_frac <= 1.0):
-            raise ValueError("overlap_frac must lie in (0, 1]")
-        if self.bootstrap_iterations < 1:
-            raise ValueError("bootstrap_iterations must be positive")
-        if self.bootstrap_seed < 0:
-            raise ValueError("bootstrap_seed must be nonnegative")
-        if not self.fp_targets or not all(0 <= t < np.inf for t in self.fp_targets):
-            raise ValueError("fp_targets must be finite and nonnegative")
-        if not self.fp_grid or not all(0 <= t < np.inf for t in self.fp_grid):
-            raise ValueError("fp_grid must be finite and nonnegative")
 
     @classmethod
     def for_cohort_dir(cls, root, output_dir=None, **overrides) -> "EvaluationConfig":
@@ -182,9 +148,10 @@ class EvaluationConfig:
         return cls(**fields)
 
     def to_dict(self) -> dict:
-        """Every protocol field, sequences as lists; PATH_FIELDS stay out."""
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in PATH_FIELDS}
-        return {k: list(v) if isinstance(v, (tuple, list)) else v for k, v in values.items()}
+        """Every protocol field, sequences as lists; the directory paths stay out."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.metadata["spec"].kind != "path"}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ training batches.  All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from .grades import N_LABELS
-from .volume import KIND_LABEL, ProbStack, Volume, require_ints, require_reals
+from .volume import KIND_LABEL, ProbStack, Spec, Volume, setting, validate
 from .volume import axis_taps, resample_axis, resample_axis_adjoint
 
 CE_CLAMP = 1e-7
@@ -32,18 +32,15 @@ DEFAULT_SWITCH_EPOCH = 20
 
 @dataclass(frozen=True)
 class ClassWeights:
-    """Nonnegative per-class weights; 2 entries for the prostate branch,
-    6 for the lesion branch."""
+    """Nonnegative per-class weights, one positive; 2 entries for the
+    prostate branch, 6 for the lesion branch."""
 
-    w: tuple[float, ...]
+    w: tuple[float, ...] = setting(MISSING, "real", "[0, inf)", ((2, N_LABELS),), "class weights")
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.w)
-        if len(w) not in (2, N_LABELS):
-            raise ValueError(f"expected 2 or {N_LABELS} weights, got {len(w)}")
-        if not all(0 <= x < np.inf for x in w) or not any(x > 0 for x in w):
-            raise ValueError(f"weights must be finite and nonnegative, one positive, got {w}")
-        object.__setattr__(self, "w", w)
+        validate(self)
+        if not any(self.w):
+            raise ValueError(f"weights must hold one positive value, got {self.w}")
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.w, dtype=np.float64)
@@ -61,18 +58,11 @@ class ClassWeights:
 class LossSchedule:
     """Branch mixing weights; lambda2 is inactive before switch_epoch."""
 
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    switch_epoch: int = DEFAULT_SWITCH_EPOCH
+    lambda1: float = setting(1.0, "real", "[0, inf)")
+    lambda2: float = setting(1.0, "real", "[0, inf)")
+    switch_epoch: int = setting(DEFAULT_SWITCH_EPOCH, "int", "[0, inf)")
 
-    def __post_init__(self):
-        require_reals(self, "lambda1", "lambda2")
-        require_ints(self, "switch_epoch")
-        for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if self.switch_epoch < 0:
-            raise ValueError("switch_epoch must be nonnegative")
+    __post_init__ = validate
 
     def lambda2_at(self, epoch: int) -> float:
         return 0.0 if epoch < self.switch_epoch else self.lambda2
@@ -80,22 +70,15 @@ class LossSchedule:
 
 @dataclass(frozen=True)
 class LossValue:
-    total: float
-    dice_term: float
-    ce_term: float
+    total: float = setting(MISSING, "real", "(-inf, inf)")
+    dice_term: float = setting(MISSING, "real", "[-1e-12, 1.000000000001]")
+    ce_term: float = setting(MISSING, "real", "[0, inf)")
     empty_dice: bool = False  # denominator was 0; dice_term defined as 0
 
     def __post_init__(self):
-        require_reals(self, "total", "dice_term", "ce_term")
-        for name in ("total", "dice_term", "ce_term"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        validate(self)
         if abs(self.total - (self.dice_term + self.ce_term)) > 1e-9:
             raise ValueError("total must equal dice_term + ce_term")
-        if not (-1e-12 <= self.dice_term <= 1.0 + 1e-12):
-            raise ValueError("dice_term out of [0, 1]")
-        if self.ce_term < 0:
-            raise ValueError("ce_term must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -189,10 +172,7 @@ def branch_loss(p, y, w: ClassWeights) -> LossValue:
 def global_loss(lp: LossValue, ll: LossValue, s: LossSchedule, epoch: int) -> float:
     """lambda1 * prostate loss + lambda2 * lesion loss, with lambda2 gated
     off before the schedule's switch epoch."""
-    if type(epoch) is not int:
-        raise ValueError(f"epoch must be an integer, got {epoch!r}")
-    if epoch < 0:
-        raise ValueError("epoch must be nonnegative")
+    Spec("int", "[0, inf)").conform("epoch", epoch)
     return s.lambda1 * lp.total + s.lambda2_at(epoch) * ll.total
 
 

@@ -33,11 +33,10 @@ from .volume import (
     ProbStack,
     Volume,
     ZoneMask,
-    _check_spacing,
     is_real,
     mask_voxels,
-    require_ints,
-    require_reals,
+    setting,
+    validate,
     write_json,
     write_volume,
 )
@@ -62,68 +61,37 @@ class PlacementError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhantomConfig:
-    seed: int = 0
-    n_patients: int = 10
-    dims: tuple[int, int, int] = (96, 96, 24)
-    spacing_mm: tuple[float, float, float] = (1.0, 1.0, 3.0)
+    seed: int = setting(0, "int", "[0, inf)")
+    n_patients: int = setting(10, "int", "[1, inf)", unit="patients")
+    dims: tuple[int, int, int] = setting((96, 96, 24), "int", "[1, inf)", (3,), "voxels")
+    spacing_mm: tuple[float, ...] = setting((1.0, 1.0, 3.0), "real", "(0, inf)", (3,), "mm")
     #: lesions per patient for (GS6, GS3+4, GS4+3, GS>=8)
-    lesions_per_grade: tuple[int, int, int, int] = (1, 1, 1, 1)
-    lesion_radius_mm: tuple[float, float] = (2.5, 5.0)
-    fp_per_patient: int = 0
-    fp_score: float = 0.9
-    miss_fraction: float = 0.0
+    lesions_per_grade: tuple[int, ...] = setting((1, 1, 1, 1), "int", "[0, inf)", (4,), "lesions")
+    lesion_radius_mm: tuple[float, float] = setting((2.5, 5.0), "real", "(0, inf)", (2,), "mm")
+    fp_per_patient: int = setting(0, "int", "[0, inf)", unit="blobs")
+    fp_score: float = setting(0.9, "real", "(0.5, 1]", unit="probability")
+    miss_fraction: float = setting(0.0, "real", "[0, 1]", unit="fraction")
     #: row g: probabilities of predicting each grade for a detected lesion
     #: of true grade g; grade order (GS6, GS3+4, GS4+3, GS>=8)
-    misgrade: tuple = IDENTITY_TRANSITIONS
-    score_range: tuple[float, float] = (0.55, 0.95)
-    pz_fraction: float = 0.6
-    tz_scale: float = 0.55
-    min_lesion_voxels: int = 15
-    max_place_retries: int = 400
-    n_folds: int = 5
+    misgrade: tuple = setting(IDENTITY_TRANSITIONS, "real", "[0, 1]", (4, 4), "probability")
+    score_range: tuple[float, float] = setting((0.55, 0.95), "real", "(0.5, 1]", (2,),
+                                               "probability")
+    pz_fraction: float = setting(0.6, "real", "[0, 1]", unit="fraction")
+    tz_scale: float = setting(0.55, "real", "(0, 1)", unit="fraction of the gland semi-axes")
+    min_lesion_voxels: int = setting(15, "int", "[1, inf)", unit="voxels")
+    max_place_retries: int = setting(400, "int", "[1, inf)", unit="tries per blob")
+    n_folds: int = setting(5, "int", "[1, inf)", unit="folds")
 
     def __post_init__(self):
-        require_ints(self, "seed", "n_patients", "fp_per_patient", "min_lesion_voxels",
-                     "max_place_retries", "n_folds", sequences=("dims", "lesions_per_grade"))
-        require_reals(self, "fp_score", "miss_fraction", "pz_fraction", "tz_scale",
-                      sequences=("lesion_radius_mm", "score_range", "spacing_mm"))
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.fp_per_patient < 0:
-            raise ValueError("fp_per_patient must be nonnegative")
-        if self.max_place_retries < 1:
-            raise ValueError("max_place_retries must be at least 1")
-        if self.n_patients < 1:
-            raise ValueError("need at least one patient")
-        if len(self.dims) != 3 or min(self.dims) < 1:
-            raise ValueError(f"dims must be 3 positive integers, got {self.dims!r}")
-        if not (0.0 <= self.miss_fraction <= 1.0):
-            raise ValueError("miss_fraction must lie in [0, 1]")
-        if not (0.0 <= self.pz_fraction <= 1.0):
-            raise ValueError("pz_fraction must lie in [0, 1]")
-        lo, hi = self.lesion_radius_mm
-        if not (0 < lo <= hi < math.inf):  # NaN fails too
-            raise ValueError("lesion_radius_mm must be finite, positive and ordered")
-        if len(self.lesions_per_grade) != 4 or any(n < 0 for n in self.lesions_per_grade):
-            raise ValueError("lesions_per_grade needs 4 nonnegative counts")
-        if not (0.5 < self.fp_score <= 1.0):
-            raise ValueError("fp_score must exceed 0.5 (argmax must pick the lesion)")
-        slo, shi = self.score_range
-        if not (0.5 < slo <= shi <= 1.0):
-            raise ValueError("score_range must lie inside (0.5, 1.0]")
-        rows = self.misgrade
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise ValueError("misgrade table must be 4x4")
-        for r in rows:
-            if not (all(map(is_real, r)) and all(p >= 0 for p in r) and abs(sum(r) - 1) <= 1e-9):
-                raise ValueError(f"misgrade rows must be distributions, got {r!r}")
-        if not (0 < self.tz_scale < 1):
-            raise ValueError("tz_scale must lie in (0, 1)")
-        if self.n_folds < 1 or self.n_folds > self.n_patients:
+        validate(self)
+        for name in ("lesion_radius_mm", "score_range"):
+            if getattr(self, name)[0] > getattr(self, name)[1]:
+                raise ValueError(f"{name} must be ordered, low <= high, got {getattr(self, name)}")
+        if any(abs(sum(r) - 1) > 1e-9 for r in self.misgrade):
+            raise ValueError(f"misgrade rows must be distributions, got {self.misgrade!r}")
+        if self.n_folds > self.n_patients:
             raise ValueError("n_folds must lie in 1..n_patients")
-        if self.min_lesion_voxels < 1:
-            raise ValueError("min_lesion_voxels must be positive")
-        sx, sy, sz = _check_spacing(self.spacing_mm)
+        sx, sy, sz = self.spacing_mm
         if self.min_lesion_voxels * sx * sy * sz < MIN_LESION_VOLUME_MM3:
             raise ValueError(
                 "min_lesion_voxels times the voxel volume must reach the "

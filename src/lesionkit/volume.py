@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from json.encoder import INFINITY, c_make_encoder, encode_basestring_ascii
 
@@ -43,39 +43,81 @@ class VolumeFormatError(ValueError):
     """Header/payload inconsistency or invalid voxel data on disk."""
 
 
-def require_ints(cfg, *names, sequences=()) -> None:
-    """Raise ValueError unless each named field of a config holds one int
-    and each field named in sequences a tuple or list of ints; bools and
-    floats are rejected."""
-    _require(cfg, names, sequences, lambda v: type(v) is int, "an integer")
-
-
 def is_real(value) -> bool:
     """An int, float or numpy float; a bool is not a real number here."""
     return isinstance(value, (int, float, np.floating)) and not isinstance(value, bool)
 
 
-def require_reals(cfg, *names, sequences=()) -> None:
-    """As require_ints, for real numbers by the rule of is_real.  Numpy
-    floats are stored back as Python floats, so the config serializes."""
-    _require(cfg, names, sequences, is_real, "a real number")
+_VALUE_KINDS = {  # Spec kind: (the test of one value, its noun, the plural)
+    "int": (lambda v: type(v) is int, "an integer", "integers"),
+    "real": (is_real, "a real number", "real numbers"),
+    "bool": (lambda v: type(v) is bool, "true or false", ""),
+    "path": (lambda v: v is None or isinstance(v, (str, os.PathLike)), "a path", ""),
+    None: (lambda v: True, "", ""),
+}
 
 
-def _plain(value):
-    return float(value) if isinstance(value, np.floating) else value
+@dataclass(frozen=True)
+class Spec:
+    """The values one config field takes."""
+
+    kind: str | None  # a key of _VALUE_KINDS; None leaves it to the choices
+    interval: str = ""  # such as "(0, 1]"; NaN fails any interval, inf any open inf end
+    shape: tuple = ()  # per list level: a length, a tuple of lengths, or None for one or more
+    unit: str = ""
+    choices: tuple = ()
+
+    def __str__(self):
+        if self.interval == "(-inf, inf)":
+            return "finite"
+        _, text, plural = _VALUE_KINDS[self.kind]
+        for n in reversed(self.shape):
+            n = ("one or more" if n is None else n if isinstance(n, int)
+                 else " or ".join(map(str, n)))
+            text, plural = f"a list of {n} {plural}", f"lists of {n} {plural}"
+        text = f"one of {self.choices}" if self.choices else text
+        text += f"{', each' if self.shape else ''} in {self.interval}" if self.interval else ""
+        return text + (f" ({self.unit})" if self.unit else "")
+
+    def conform(self, name: str, value):
+        """value with its lists as tuples and numpy floats as Python floats;
+        ValueError, naming the field, unless the spec holds it."""
+        try:
+            return self._conform(value, self.shape)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be {self}, got {value!r}") from None
+
+    def _conform(self, value, shape):
+        if shape:
+            if not isinstance(value, (tuple, list, np.ndarray)):
+                raise TypeError(value)
+            items, n = tuple(self._conform(v, shape[1:]) for v in value), shape[0]
+            if not (len(items) == n if isinstance(n, int) else len(items) in n if n else items):
+                raise TypeError(value)
+            return items
+        # a set of choices: an array, being unhashable, is none of them
+        if not _VALUE_KINDS[self.kind][0](value) or self.choices and value not in set(self.choices):
+            raise TypeError(value)
+        if self.interval:
+            lo, hi = (float(end) for end in self.interval[1:-1].split(","))
+            if not ((lo < value if self.interval[0] == "(" else lo <= value)
+                    and (value < hi if self.interval[-1] == ")" else value <= hi)):
+                raise ValueError(value)
+        return float(value) if isinstance(value, np.floating) else value
 
 
-def _require(cfg, names, sequences, accepts, noun) -> None:
-    for name in names:
-        value = getattr(cfg, name)
-        if not accepts(value):
-            raise ValueError(f"{name} must be {noun}, got {value!r}")
-        object.__setattr__(cfg, name, _plain(value))
-    for name in sequences:
-        value = getattr(cfg, name)
-        if not (isinstance(value, (tuple, list)) and all(map(accepts, value))):
-            raise ValueError(f"{name} must be a list, each {noun}, got {value!r}")
-        object.__setattr__(cfg, name, type(value)(map(_plain, value)))
+def setting(default, *spec, **kw):
+    """A config dataclass field with this default and Spec(*spec, **kw)."""
+    return field(default=default, metadata={"spec": Spec(*spec, **kw)})
+
+
+def validate(cfg) -> None:
+    """Check each field of a frozen config that has a Spec, and store it as
+    Spec.conform returns it; a config's rules between fields come after."""
+    for f in fields(cfg):
+        if "spec" in f.metadata:
+            value = f.metadata["spec"].conform(f.name, getattr(cfg, f.name))
+            object.__setattr__(cfg, f.name, value)
 
 
 def _check_spacing(spacing, name: str = "spacing_mm") -> tuple[float, float, float]:

@@ -280,6 +280,17 @@ class TestExitCodes:
         pytest.param({"phantom": {"misgrade": [[True, False, False, False], [0, 1, 0, 0],
                                                [0, 0, 1, 0], [0, 0, 0, 1]]}},
                      "phantom", "misgrade", id="misgrade-bool"),
+        pytest.param({"phantom": {"misgrade": [1, 2, 3, 4]}}, "phantom", "misgrade",
+                     id="misgrade-flat"),
+        pytest.param({"phantom": {"lesion_radius_mm": [1.0]}}, "phantom", "lesion_radius_mm",
+                     id="radius-short"),
+        pytest.param({"phantom": {"score_range": [0.9]}}, "phantom", "score_range",
+                     id="score_range-short"),
+        # the fault is that the list is empty, and the message says what it must hold
+        pytest.param({"evaluation": {"fp_targets": []}}, "evaluate",
+                     "fp_targets must be a list of one or more", id="fp_targets-empty"),
+        pytest.param({"evaluation": {"fp_grid": []}}, "evaluate",
+                     "fp_grid must be a list of one or more", id="fp_grid-empty"),
     ])
     def test_config_error_names_the_field(self, tmp_path, capsys, section, command, field):
         cfg = tmp_path / "cfg.json"

@@ -11,13 +11,15 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
 from lesionkit.cli import EXIT_CONFIG, EXIT_DATA, main
-from lesionkit.evaluation import PATH_FIELDS, EvaluationConfig
+from lesionkit.evaluation import EvaluationConfig
 from lesionkit.phantom import PhantomConfig
 
 NAN, INF = float("nan"), float("inf")
+PATH_FIELDS = ("gt_dir", "pred_dir", "zones_dir", "fold_manifest", "output_dir")
 
 #: a valid value of each field, the one the invalid values are made from
 EVALUATION_GOOD = {
@@ -73,16 +75,6 @@ FLAGS = {
 
 #: list fields of any nonzero length
 VARIABLE_LENGTH = {"fp_targets", "fp_grid"}
-
-#: (field, JSON text of an invalid value) whose config error does not name
-#: the field; each is a defect, listed here until it is mended
-NAMELESS = {
-    ("n_patients", "0"), ("n_patients", "-2"),
-    ("lesion_radius_mm", "[2.5]"), ("lesion_radius_mm", "[2.5, 5.0, 2.5]"),
-    ("lesion_radius_mm", "[]"),
-    ("score_range", "[0.55]"), ("score_range", "[0.55, 0.95, 0.55]"), ("score_range", "[]"),
-    ("misgrade", "1.0"), ("misgrade", "null"), ("misgrade", "[1, 2, 3, 4]"),
-}
 
 
 def invalid_values(field, good):
@@ -147,15 +139,15 @@ def file_argv(tmp_path, section, field, value):
 def test_every_field_is_covered():
     assert set(EVALUATION_GOOD) == {f.name for f in dataclasses.fields(EvaluationConfig)}
     assert set(PHANTOM_GOOD) == {f.name for f in dataclasses.fields(PhantomConfig)}
+    for cls in (EvaluationConfig, PhantomConfig):  # and each field has a spec
+        assert all("spec" in f.metadata for f in dataclasses.fields(cls))
     assert EvaluationConfig(**EVALUATION_GOOD) and PhantomConfig(**PHANTOM_GOOD)
 
 
 @pytest.mark.parametrize("section, field, value", CASES)
 def test_invalid_value_through_the_file(tmp_path, section, field, value):
     code, err = run(file_argv(tmp_path, section, field, value))
-    assert code == EXIT_CONFIG and err.startswith("config error:")
-    if (field, json.dumps(value)) not in NAMELESS:
-        assert field in err
+    assert code == EXIT_CONFIG and err.startswith("config error:") and field in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing written
 
 
@@ -163,11 +155,8 @@ def test_invalid_value_through_the_file(tmp_path, section, field, value):
 def test_invalid_value_in_process(section, field, value):
     cls, base = ((EvaluationConfig, {}) if section == "evaluation"
                  else (PhantomConfig, PHANTOM_BASE))
-    nameless = (field, json.dumps(value)) in NAMELESS
-    with pytest.raises((TypeError, ValueError) if nameless else ValueError) as exc:
+    with pytest.raises(ValueError, match=field):
         cls(**{**base, field: value})
-    if not nameless:
-        assert field in str(exc.value)
 
 
 FLAG_CASES = [
@@ -187,9 +176,7 @@ def test_invalid_value_through_the_flag(tmp_path, field, text):
     if err.startswith("usage: lesionkit"):  # argparse refused the text
         assert flag in err
     else:  # --seed names the flag: it sets two fields
-        assert err.startswith("config error:")
-        if (field, text) not in NAMELESS:
-            assert field in err or flag in err
+        assert err.startswith("config error:") and (field in err or flag in err)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -275,3 +262,11 @@ def test_interval_ends(tmp_path, section, field, value, accepted):
 def test_smallest_lesion_at_the_floor_is_accepted():
     # 1 voxel of 3 x 3 x 5 mm is exactly 45 mm^3
     PhantomConfig(**PHANTOM_BASE, spacing_mm=(3.0, 3.0, 5.0), min_lesion_voxels=1)
+
+
+@pytest.mark.parametrize("field, value", [("zone", np.array(["pz"])),
+                                          ("overlap_denom", np.array(["gt"])),
+                                          ("connectivity", [26])])
+def test_an_array_or_list_is_no_choice(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be one of"):
+        EvaluationConfig(**{field: value})

@@ -195,7 +195,7 @@ class TestReportShape:
     def test_numpy_floats_are_stored_as_python_floats(self):
         cfg = EvaluationConfig(overlap_frac=np.float32(0.25), fp_targets=[np.float64(1.0), 2])
         assert type(cfg.overlap_frac) is float and cfg.overlap_frac == 0.25
-        assert cfg.fp_targets == [1.0, 2] and type(cfg.fp_targets[0]) is float
+        assert cfg.fp_targets == (1.0, 2) and type(cfg.fp_targets[0]) is float
         assert json.loads(json.dumps(cfg.to_dict()))["overlap_frac"] == 0.25
         with pytest.raises(ValueError, match="overlap_frac"):
             EvaluationConfig(overlap_frac=np.bool_(True))

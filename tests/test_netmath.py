@@ -95,6 +95,13 @@ class TestClassWeights:
         with pytest.raises(ValueError):
             ClassWeights((1.0, 1.0, 1.0))
 
+    def test_weights_are_real_numbers_in_a_tuple_or_array(self):
+        # text and bools are not weights, though float() would take both
+        with pytest.raises(ValueError, match="weights"):
+            ClassWeights(("0.5", True))
+        w = ClassWeights(np.array([0.5, 1.0]))
+        assert w.w == (0.5, 1.0) and all(type(x) is float for x in w.w)
+
 
 NAN, INF = float("nan"), float("inf")
 
@@ -286,7 +293,7 @@ class TestGlobalLoss:
         s = LossSchedule(lambda1=0.0, lambda2=0.0, switch_epoch=0)
         assert global_loss(lp, ll, s, epoch=50) == 0.0
 
-    @pytest.mark.parametrize("epoch", [25.5, 20.0, True, "20"])
+    @pytest.mark.parametrize("epoch", [25.5, 20.0, True, "20", -1])
     def test_epoch_must_be_an_int(self, epoch):
         lp = LossValue(0.4, 0.3, 0.1)
         ll = LossValue(0.9, 0.5, 0.4)

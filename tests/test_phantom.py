@@ -27,6 +27,7 @@ from lesionkit.metrics import (
 )
 from lesionkit.netmath import label_from_probs
 from lesionkit.phantom import (
+    IDENTITY_TRANSITIONS,
     FpEntry,
     LesionEntry,
     PatientScript,
@@ -165,6 +166,13 @@ class TestGeneration:
     def test_config_rejects_sub_filter_blobs(self):
         with pytest.raises(ValueError, match="volume"):
             PhantomConfig(spacing_mm=(0.5, 0.5, 3.0), min_lesion_voxels=15)
+
+    def test_config_lists_are_stored_as_tuples(self):
+        # a config from JSON lists equals the same config from tuples
+        listed = PhantomConfig(dims=[48, 48, 12], spacing_mm=[1, 1, 3],
+                               misgrade=[list(r) for r in IDENTITY_TRANSITIONS])
+        assert listed == PhantomConfig(dims=(48, 48, 12), spacing_mm=(1, 1, 3))
+        assert listed.misgrade == IDENTITY_TRANSITIONS and hash(listed) is not None
 
 
 class TestPrediction:

@@ -6,7 +6,9 @@ each subcommand."""
 
 import argparse
 import ast
+import dataclasses
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from lesionkit import cli
+from lesionkit.evaluation import EvaluationConfig
+from lesionkit.phantom import PhantomConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lesionkit"
 README = PACKAGE.parents[1] / "README.md"
@@ -162,6 +166,28 @@ def test_readme_command_table_names_every_subcommand():
     subparsers = next(a for a in cli._build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     assert sorted(readme_commands(README.read_text(encoding="utf-8"))) == sorted(subparsers.choices)
+
+
+def readme_config_rows(text: str) -> dict:
+    """(section, key) -> (default as JSON text, accepted values, unit) of each
+    row of the table in README's Config values section."""
+    section = text.split("\n### Config values\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| (\w+) \| `(\w+)` \| `(.+?)` \| (.+?) \|\s*(.*?)\s*\|$", section,
+                      flags=re.MULTILINE)
+    return {(sec, key): (default, accepted, unit) for sec, key, default, accepted, unit in rows}
+
+
+def test_readme_config_table_holds_each_field_with_its_default_and_spec():
+    rows = readme_config_rows(README.read_text(encoding="utf-8"))
+    want = {}
+    for section, cls in (("evaluation", EvaluationConfig), ("phantom", PhantomConfig)):
+        for f in dataclasses.fields(cls):
+            spec = f.metadata["spec"]
+            want[(section, f.name)] = (f.default, str(dataclasses.replace(spec, unit="")), spec.unit)
+    got = {k: (json.loads(default), accepted, unit) for k, (default, accepted, unit) in rows.items()}
+    assert set(got) == set(want)  # a row for every field, and no other
+    for key, (default, accepted, unit) in want.items():
+        assert got[key] == (json.loads(json.dumps(default)), accepted, unit), key
 
 
 def attribute_reads(source: str, func: str) -> set[str]:
