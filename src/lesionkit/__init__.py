@@ -9,13 +9,11 @@ from .cluster import (
     MIN_LESION_VOLUME_MM3,
     LesionCluster,
     LesionMap,
-    connected_components,
     cs_lesion_maps,
     filter_by_volume,
     filter_by_zone,
     gs_lesion_maps,
     lesion_maps,
-    lesion_probability_score,
 )
 from .evaluation import (
     EvaluationConfig,
@@ -35,7 +33,6 @@ from .matching import (
     DetectionRecord,
     MatchResult,
     TpMatch,
-    best_dice_assignment,
     match_detections,
     point_in_cluster_grade,
 )

@@ -113,11 +113,13 @@ def _load_config_file(path):
 
 
 def _build_dataclass(cls, section: dict, overrides: dict):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - fields
+    specs = {f.name: f.metadata["spec"] for f in dataclasses.fields(cls)}
+    unknown = set(section) - set(specs)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     try:
+        for key, value in section.items():  # a key that a flag replaces is checked too
+            specs[key].conform(key, value)
         return cls(**section | overrides)
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e

@@ -187,14 +187,6 @@ def _components(mask: np.ndarray, structure: np.ndarray):
         yield _shift(box, crop), labeled[box] == idx
 
 
-def connected_components(v: Volume, connectivity: int = DEFAULT_CONNECTIVITY):
-    """Partition the foreground of a binary volume into maximal connected
-    sets of (x, y, z) voxels under a 6/18/26 neighborhood."""
-    mask = np.asarray(v.values) != 0
-    structure = _structure(connectivity)
-    return [set(mask_voxels(comp, box)) for box, comp in _components(mask, structure)]
-
-
 def _score(probs: ProbStack, grade, box, mask) -> float:
     """Mean under the mask of the scoring channel within the box: the
     grade's own channel, or the per-voxel float64 sum of the CS channels for
@@ -261,13 +253,6 @@ def cs_lesion_maps(
     lab, structure = np.asarray(labels.values), _structure(connectivity)
     parts = ((CS_BINARY, b, m) for b, m in _components(lab >= _LOWEST_CS, structure))
     return _lesion_map(labels, probs, MAP_CS, parts)
-
-
-def lesion_probability_score(c: LesionCluster, probs: ProbStack) -> float:
-    """Mean over the cluster's voxels of its scoring channel (the grade's
-    channel, or the summed CS channels for a CS-binary cluster), clamped at
-    1: the score its map gave it."""
-    return _score(probs, c.grade, c.box, c.mask)
 
 
 def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> LesionMap:

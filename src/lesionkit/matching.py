@@ -1,6 +1,6 @@
 """Detection matching: which predicted clusters count as true positives,
-prediction-to-lesion assignment for grading matrices, and point-coordinate
-grade lookup for the external-dataset protocol.
+the best-Dice order by which a qualifying cluster grades a lesion, and
+point-coordinate grade lookup for the external-dataset protocol.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import LesionCluster, LesionMap, overlapping, shared_voxels
+from .cluster import LesionCluster, LesionMap, overlapping
 from .grades import MISSED, Grade
 from .volume import Volume
 
@@ -169,18 +169,6 @@ def match_detections(
         )
     fn = tuple(c for gi, c in enumerate(gt.clusters) if not claimed[gi])
     return MatchResult(tp=tuple(tp), fp=tuple(fp), fn=fn, duplicates=tuple(dup))
-
-
-def best_dice_assignment(gt: LesionCluster, candidates) -> LesionCluster:
-    """The candidate with highest Dice against the lesion; ties break toward
-    larger intersection, then lower grade code."""
-    cands = list(candidates)
-    if not cands:
-        raise ValueError("no candidate predictions")
-    inters = [shared_voxels(c, gt) for c in cands]
-    if 0 in inters:
-        raise ValueError("candidates must intersect the ground-truth lesion")
-    return max(zip(inters, cands), key=lambda ic: _grading_key(*ic, gt))[1]
 
 
 def point_in_cluster_grade(

@@ -1,9 +1,12 @@
 """Lesion clusters built from (x, y, z) voxel tuples, the form the tests
-write them in."""
+write them in, and the detection records the pipeline grades them into."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from lesionkit.cluster import LesionCluster
+from lesionkit.evaluation import EvaluationConfig, _patient_records
 
 
 def from_voxels(voxels, grade, volume_mm3, score):
@@ -17,3 +20,11 @@ def from_voxels(voxels, grade, volume_mm3, score):
     mask[tuple((zyx - lo).T)] = True
     box = tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
     return LesionCluster(box, mask, grade, volume_mm3, score)
+
+
+def graded_records(gs_pred, gs_gt, **cfg):
+    """The DetectionRecords that evaluate's per-patient stage builds from
+    these GS maps under EvaluationConfig(**cfg): one per lesion, in map
+    order, graded by the qualifying cluster the pipeline's rule picks."""
+    patient = SimpleNamespace(patient_id="p", fold=0, zones=None)
+    return _patient_records(patient, gs_pred, gs_gt, EvaluationConfig(**cfg))

@@ -22,8 +22,8 @@ from lesionkit.cluster import (
     DEFAULT_CONNECTIVITY,
     MIN_LESION_VOLUME_MM3,
     LesionMap,
-    connected_components,
     filter_by_volume,
+    lesion_maps,
 )
 from lesionkit.evaluation import EvaluationConfig, evaluate_cohort
 from lesionkit.grades import CS_BINARY, GRADE_ORDER, Grade
@@ -233,11 +233,19 @@ def test_c3_clustering_matches_bfs_oracle():
         for _ in range(200):
             density = rng.uniform(0.2, 0.6)
             mask = rng.random((4, 8, 8)) < density  # (nz, ny, nx)
-            vol = Volume(mask.astype(np.uint8), (1.0, 1.0, 3.0), KIND_LABEL)
+            # a random grade per lesion voxel, so components of mixed grades
+            # take the map's second labelling
+            lab = mask * rng.integers(int(Grade.GS6), int(Grade.GS8), size=mask.shape,
+                                      endpoint=True)
+            vol = Volume(lab.astype(np.uint8), (1.0, 1.0, 3.0), KIND_LABEL)
             for conn in (6, 18, 26):
-                got = {frozenset(c) for c in connected_components(vol, conn)}
-                want = {frozenset(c) for c in _bfs_components(mask, conn)}
-                assert got == want
+                gs_map, cs_map = lesion_maps(vol, None, conn)
+                for m, groups in ((gs_map, [(g, lab == int(g)) for g in GRADE_ORDER]),
+                                  (cs_map, [(CS_BINARY, lab >= int(Grade.GS34))])):
+                    got = {(c.grade, frozenset(c.voxels)) for c in m.clusters}
+                    want = {(g, frozenset(comp)) for g, grade_mask in groups
+                            for comp in _bfs_components(grade_mask, conn)}
+                    assert got == want
 
 
 # ---------------------------------------------------------------------------

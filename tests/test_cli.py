@@ -359,8 +359,9 @@ def f32(*values):
     return np.array(values, dtype="<f4").tobytes()
 
 
-# (id, files written under {tmp}, argv, exit code); {cohort} is the phantom
-# cohort of the module fixture.  No malformed input may end in a traceback.
+# (id, files written under {tmp}, argv, exit code[, text the message must
+# hold]); {cohort} is the phantom cohort of the module fixture.  No
+# malformed input may end in a traceback.
 MALFORMED_INPUTS = [
     ("kappa-short-row", {"d.csv": DETECTIONS_HEADER + "p000,0,PZ,GS6\n"},
      "kappa --detections {tmp}/d.csv", EXIT_DATA),
@@ -469,6 +470,20 @@ MALFORMED_INPUTS = [
      "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
     ("config-connectivity-list", {"c.json": '{"evaluation": {"connectivity": [26]}}'},
      "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG),
+    # a file key that a flag replaces is checked all the same
+    ("config-patients-text-under-flag", {"c.json": '{"phantom": {"n_patients": "x"}}'},
+     "--config {tmp}/c.json phantom --patients 3 --out {tmp}/o", EXIT_CONFIG, "n_patients"),
+    ("config-seed-negative-under-flag", {"c.json": '{"phantom": {"seed": -1}}'},
+     "--config {tmp}/c.json --seed 3 phantom --patients 3 --out {tmp}/o", EXIT_CONFIG, "seed"),
+    ("config-overlap-and-path-under-flags",
+     {"c.json": '{"evaluation": {"overlap_frac": 5, "gt_dir": 3}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING + " --overlap 0.1", EXIT_CONFIG,
+     "overlap_frac"),
+    ("config-path-under-cohort", {"c.json": '{"evaluation": {"gt_dir": 3}}'},
+     "--config {tmp}/c.json " + EVALUATE_MISSING, EXIT_CONFIG, "gt_dir"),
+    ("config-bootstrap-seed-negative-under-flag",
+     {"c.json": '{"evaluation": {"bootstrap_seed": -1}}'},
+     "--config {tmp}/c.json --seed 3 " + EVALUATE_MISSING, EXIT_CONFIG, "bootstrap_seed"),
     # header and manifest integers are taken as written, never coerced
     ("volume-dims-text", label_volume("234"), "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
     ("volume-dims-float", label_volume([2.9, 3, 4]), "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
@@ -487,9 +502,10 @@ MALFORMED_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("files, argv, expected", [case[1:] for case in MALFORMED_INPUTS],
+@pytest.mark.parametrize("files, argv, expected, named",
+                         [(*case[1:], "")[:4] for case in MALFORMED_INPUTS],
                          ids=[case[0] for case in MALFORMED_INPUTS])
-def test_malformed_input_exit_code(cohort, tmp_path, capsys, files, argv, expected):
+def test_malformed_input_exit_code(cohort, tmp_path, capsys, files, argv, expected, named):
     for name, content in files.items():
         path = tmp_path / name
         if content is DIR:
@@ -502,6 +518,7 @@ def test_malformed_input_exit_code(cohort, tmp_path, capsys, files, argv, expect
     err = capsys.readouterr().err
     assert code == expected
     assert err.startswith("config error:" if expected == EXIT_CONFIG else "data error:")
+    assert named in err
 
 
 class TestPhantomEvaluate:

@@ -1,5 +1,6 @@
-"""Connected components against a brute-force BFS oracle, lesion map
-construction, volume/zone filtering, and probability scoring."""
+"""The clusters of lesion_maps and the one-map builders against a
+brute-force BFS oracle, lesion map construction, volume/zone filtering,
+and the maps' scores against brute-force float64 means."""
 
 import itertools
 from collections import deque
@@ -13,13 +14,11 @@ from scipy import ndimage
 from lesionkit.cluster import (
     LesionCluster,
     LesionMap,
-    connected_components,
     cs_lesion_maps,
     filter_by_volume,
     filter_by_zone,
     gs_lesion_maps,
     lesion_maps,
-    lesion_probability_score,
 )
 from lesionkit.grades import CS_BINARY, CS_GRADES, GRADE_ORDER, Grade
 from lesionkit.volume import KIND_LABEL, KIND_PROBABILITY, ProbStack, Volume
@@ -86,41 +85,49 @@ def onehot_stack(labels: Volume) -> ProbStack:
     return ProbStack(data, labels.spacing_mm)
 
 
+def lesion_components(mask, conn):
+    """Voxel sets of the clusters of a lesion mask labelled GS3+4, as the
+    GS map and the CS map of lesion_maps give them: the two must agree."""
+    lab = np.where(mask, int(Grade.GS34), 0).astype(np.uint8)
+    gs_map, cs_map = lesion_maps(label_volume(lab), None, conn)
+    comps = [set(c.voxels) for c in gs_map.clusters]
+    assert comps == [set(c.voxels) for c in cs_map.clusters]
+    return comps
+
+
 class TestConnectedComponents:
     def test_single_voxel(self):
         m = np.zeros((3, 3, 3), dtype=bool)
         m[1, 1, 1] = True
         for conn in (6, 18, 26):
-            comps = connected_components(binary_volume(m), conn)
-            assert comps == [{(1, 1, 1)}]
+            assert lesion_components(m, conn) == [{(1, 1, 1)}]
 
     def test_corner_touch_split_by_connectivity(self):
         m = np.zeros((2, 2, 2), dtype=bool)
         m[0, 0, 0] = True
         m[1, 1, 1] = True  # touching only at a corner
-        assert len(connected_components(binary_volume(m), 26)) == 1
-        assert len(connected_components(binary_volume(m), 18)) == 2
-        assert len(connected_components(binary_volume(m), 6)) == 2
+        assert len(lesion_components(m, 26)) == 1
+        assert len(lesion_components(m, 18)) == 2
+        assert len(lesion_components(m, 6)) == 2
 
     def test_edge_touch(self):
         m = np.zeros((2, 2, 1), dtype=bool)
         m[0, 0, 0] = True
         m[1, 1, 0] = True  # shares an edge (two axes differ)
-        assert len(connected_components(binary_volume(m), 26)) == 1
-        assert len(connected_components(binary_volume(m), 18)) == 1
-        assert len(connected_components(binary_volume(m), 6)) == 2
+        assert len(lesion_components(m, 26)) == 1
+        assert len(lesion_components(m, 18)) == 1
+        assert len(lesion_components(m, 6)) == 2
 
     def test_invalid_connectivity(self):
-        m = binary_volume(np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            connected_components(m, 63)
+        with pytest.raises(ValueError, match="connectivity"):
+            lesion_maps(label_volume(np.zeros((2, 2, 2))), None, 63)
 
     @pytest.mark.parametrize("conn", [6, 18, 26])
     def test_matches_bfs_oracle(self, conn):
         rng = np.random.default_rng(100 + conn)
         for _ in range(30):
             mask = rng.random((4, 8, 8)) < rng.uniform(0.1, 0.6)
-            got = connected_components(binary_volume(mask), conn)
+            got = lesion_components(mask, conn)
             want = bfs_components(mask, conn)
             assert {frozenset(c) for c in got} == {frozenset(c) for c in want}
 
@@ -129,7 +136,7 @@ class TestConnectedComponents:
     def test_partition_property(self, seed, conn):
         rng = np.random.default_rng(seed)
         mask = rng.random((3, 6, 6)) < 0.4
-        comps = connected_components(binary_volume(mask), conn)
+        comps = lesion_components(mask, conn)
         union = set()
         total = 0
         for c in comps:
@@ -143,8 +150,8 @@ class TestConnectedComponents:
         mask = np.zeros((4, 8, 8), dtype=bool)
         mask[:3, :6, :6] = rng.random((3, 6, 6)) < 0.4
         shifted = np.roll(mask, shift=(1, 2, 2), axis=(0, 1, 2))
-        base = connected_components(binary_volume(mask), 26)
-        moved = connected_components(binary_volume(shifted), 26)
+        base = lesion_components(mask, 26)
+        moved = lesion_components(shifted, 26)
         remapped = {frozenset((x + 2, y + 2, z + 1) for (x, y, z) in c) for c in base}
         assert remapped == {frozenset(c) for c in moved}
 
@@ -203,9 +210,11 @@ class TestLesionMaps:
         labels = label_volume(lab)
         raw = rng.uniform(0.05, 1.0, size=(6, 2, 4, 4))
         probs = ProbStack((raw / raw.sum(axis=0)).astype(np.float32), labels.spacing_mm)
-        for m in (gs_lesion_maps(labels, probs, 26), cs_lesion_maps(labels, probs, 26)):
+        for m in (*lesion_maps(labels, probs, 26), gs_lesion_maps(labels, probs, 26),
+                  cs_lesion_maps(labels, probs, 26)):
+            assert m.clusters
             for c in m.clusters:
-                assert c.score == pytest.approx(lesion_probability_score(c, probs), abs=1e-12)
+                assert c.score == pytest.approx(brute_score(c, probs), abs=1e-12)
 
     def test_volume_field_exact(self):
         lab = np.zeros((1, 4, 4), dtype=np.uint8)
@@ -220,6 +229,17 @@ class TestLesionMaps:
         m = gs_lesion_maps(label_volume(lab), None, 26)
         vox = m.clusters[0].voxels
         assert list(vox) == sorted(vox, key=lambda v: (v[2], v[1], v[0]))
+
+
+def brute_score(c, probs):
+    """The cluster's score, one voxel at a time in float64: the mean over
+    its voxels of its grade's channel, or of the CS channels' sum for a CS
+    cluster, clamped at 1."""
+    channels = [int(g) for g in CS_GRADES] if c.grade == CS_BINARY else [int(c.grade)]
+    total = 0.0
+    for x, y, z in c.voxels:
+        total += sum(float(probs.data[ch, z, y, x]) for ch in channels)
+    return min(total / c.n_voxels, 1.0)
 
 
 def reference_map(labels, probs, conn, cs):
@@ -497,18 +517,30 @@ class TestFilters:
 
 
 class TestScoring:
-    def _cluster(self, voxels, grade=Grade.GS34):
-        return from_voxels(voxels, grade, float(len(voxels)), 0.5)
+    """Scores read as c.score of the maps built with the stack."""
 
     def _stack(self, data):
         return ProbStack(np.asarray(data, dtype=np.float32), (1.0, 1.0, 3.0))
+
+    def _scores(self, voxels, shape, data, grade=Grade.GS34):
+        """The scores of the GS map and of the CS map of a label volume that
+        holds grade at the (x, y, z) voxels, from lesion_maps; the one-map
+        builders give the same."""
+        lab = np.zeros(shape, dtype=np.uint8)
+        for x, y, z in voxels:
+            lab[z, y, x] = int(grade)
+        labels, stack = label_volume(lab), self._stack(data)
+        gs, cs = ([c.score for c in m.clusters] for m in lesion_maps(labels, stack))
+        assert gs == [c.score for c in gs_lesion_maps(labels, stack).clusters]
+        assert cs == [c.score for c in cs_lesion_maps(labels, stack).clusters]
+        return gs, cs
 
     def test_constant_channel(self):
         data = np.zeros((6, 1, 2, 2), dtype=np.float32)
         data[3] = 0.8
         data[1] = 0.2
-        c = self._cluster([(0, 0, 0), (1, 1, 0)])
-        assert lesion_probability_score(c, self._stack(data)) == pytest.approx(0.8)
+        gs, cs = self._scores([(0, 0, 0), (1, 1, 0)], (1, 2, 2), data)
+        assert gs == cs == [pytest.approx(0.8)]  # the other CS channels are zero
 
     def test_two_voxel_mean(self):
         data = np.zeros((6, 1, 1, 2), dtype=np.float32)
@@ -516,8 +548,8 @@ class TestScoring:
         data[3, 0, 0, 1] = 0.6
         data[1, 0, 0, 0] = 0.8
         data[1, 0, 0, 1] = 0.4
-        c = self._cluster([(0, 0, 0), (1, 0, 0)])
-        assert lesion_probability_score(c, self._stack(data)) == pytest.approx(0.4)
+        gs, _ = self._scores([(0, 0, 0), (1, 0, 0)], (1, 1, 2), data)
+        assert gs == [pytest.approx(0.4)]
 
     def test_cs_cluster_sums_cs_channels(self):
         data = np.zeros((6, 1, 1, 1), dtype=np.float32)
@@ -525,9 +557,16 @@ class TestScoring:
         data[4] = 0.2
         data[5] = 0.1
         data[1] = 0.4
-        c = self._cluster([(0, 0, 0)], grade=CS_BINARY)
-        got = lesion_probability_score(c, self._stack(data))
-        assert got == pytest.approx(0.6, abs=1e-6)
+        gs, cs = self._scores([(0, 0, 0)], (1, 1, 1), data)
+        assert cs == [pytest.approx(0.6, abs=1e-6)]
+        assert gs == [pytest.approx(0.3)]
+
+    def test_gs6_cluster_has_no_cs_score(self):
+        data = np.zeros((6, 1, 1, 1), dtype=np.float32)
+        data[2] = 0.7
+        data[3] = 0.3
+        assert self._scores([(0, 0, 0)], (1, 1, 1), data, grade=Grade.GS6) == (
+            [pytest.approx(0.7)], [])
 
     def test_cs_score_is_clamped_at_one_by_map_and_rescoring(self):
         # CS channels summing to about 1 + 2e-6, inside the stack's 1e-5 tolerance
@@ -539,24 +578,23 @@ class TestScoring:
         lab[0, 1, :] = int(Grade.GS43)
         (c,) = cs_lesion_maps(label_volume(lab), stack).clusters
         assert c.score == 1.0
-        assert lesion_probability_score(c, stack) == 1.0
+        assert brute_score(c, stack) == 1.0
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_matches_loop_oracle(self, seed):
+    @given(seed=st.integers(0, 10**6), conn=st.sampled_from([6, 18, 26]))
+    def test_matches_loop_oracle(self, seed, conn):
         rng = np.random.default_rng(seed)
         raw = rng.uniform(0.05, 1.0, size=(6, 2, 4, 4))
-        data = (raw / raw.sum(axis=0)).astype(np.float32)
-        stack = self._stack(data)
-        n = int(rng.integers(1, 8))
-        all_vox = [(x, y, z) for z in range(2) for y in range(4) for x in range(4)]
-        picks = [all_vox[i] for i in rng.choice(len(all_vox), size=n, replace=False)]
-        c = self._cluster(picks, grade=Grade.GS43)
-        acc = 0.0
-        for (x, y, z) in picks:
-            acc += float(data[4, z, y, x])
-        assert lesion_probability_score(c, stack) == pytest.approx(acc / n, abs=1e-9)
-        assert 0.0 <= lesion_probability_score(c, stack) <= 1.0
+        stack = self._stack((raw / raw.sum(axis=0)).astype(np.float32))
+        lab = np.zeros((2, 4, 4), dtype=np.uint8)
+        picks = rng.choice(lab.size, size=int(rng.integers(1, 12)), replace=False)
+        lab.flat[picks] = rng.choice([int(g) for g in GRADE_ORDER], size=picks.size)
+        labels = label_volume(lab)
+        gs_map, cs_map = lesion_maps(labels, stack, conn)
+        assert sum(c.n_voxels for c in gs_map.clusters) == picks.size
+        for c in gs_map.clusters + cs_map.clusters:
+            assert 0.0 <= c.score <= 1.0
+            assert c.score == pytest.approx(brute_score(c, stack), abs=1e-12)
 
 
 class TestModelValidation:

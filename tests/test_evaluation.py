@@ -2,8 +2,10 @@
 trips, and exact agreement with the phantom ledger."""
 
 import dataclasses
+import functools
 import json
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -83,6 +85,17 @@ def _evaluate(cfg_phantom, **overrides):
     return ledger, evaluate_cohort(evals, cfg)
 
 
+@functools.lru_cache(maxsize=None)
+def _drift_cohort(seed):
+    """(ledger, PatientEvals) of a 15-patient, 5-fold cohort whose scripted
+    prediction drifts grades by the DRIFT table, misses lesions and adds
+    FP blobs."""
+    cfg = dataclasses.replace(SCRIPTED, seed=seed, n_patients=15, n_folds=5,
+                              misgrade=DRIFT, miss_fraction=0.25, fp_per_patient=2)
+    pats, ledger = generate_cohort(cfg)
+    return ledger, tuple(phantom_patient_evals(pats, ledger))
+
+
 class TestPerfectCohort:
     def test_everything_perfect(self):
         ledger, report = _evaluate(PERFECT)
@@ -135,9 +148,8 @@ class TestLedgerAgreement:
         """Each fold's kappa, in both variants, is the kappa of that fold's
         ledger matrix exactly; mean and std are np.mean and np.std (ddof=0)
         of those values."""
-        cfg = dataclasses.replace(SCRIPTED, seed=seed, n_patients=15, n_folds=5,
-                                  misgrade=DRIFT, miss_fraction=0.25, fp_per_patient=2)
-        ledger, report = _evaluate(cfg)
+        ledger, evals = _drift_cohort(seed)
+        report = evaluate_cohort(evals, EvaluationConfig(**FAST))
         assert report.folds == (0, 1, 2, 3, 4)
         for variant, fn in (("tp_only", False), ("with_fn", True)):
             want = {f: quadratic_weighted_kappa(
@@ -170,6 +182,26 @@ class TestLedgerAgreement:
         assert got == ledger_froc_cs(sub)
         assert report.confusion_with_fn.counts == ledger_confusion(sub, True)
 
+    @pytest.mark.parametrize("zone", [None, "pz"])
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_patient_counts_equal_ledger(self, seed, zone):
+        """Per patient, the lesions and the GS prediction clusters the report
+        counts are the scripted lesions, and the detected lesions plus the
+        FP blobs; one detection record is written per lesion."""
+        ledger, evals = _drift_cohort(seed)
+        if zone is not None:
+            ledger = ledger_zone_subset(ledger, ZONE_PZ)
+        report = report_to_dict(evaluate_cohort(evals, EvaluationConfig(zone=zone, **FAST)))
+        got = [(p["patient_id"], p["n_gt_lesions"], p["n_pred_clusters"])
+               for p in report["patients"]]
+        want = [(s.patient_id, len(s.lesions), sum(e.detected for e in s.lesions) + len(s.fps))
+                for s in ledger.patients]
+        assert got == want
+        assert report["n_detection_records"] == sum(len(s.lesions) for s in ledger.patients)
+        # misses and FP blobs both occur, so neither term of the sum is idle
+        assert any(not e.detected for s in ledger.patients for e in s.lesions)
+        assert any(s.fps for s in ledger.patients)
+
     def test_volume_filter_off_never_hurts_sensitivity(self):
         _, with_filter = _evaluate(SCRIPTED)
         _, without = _evaluate(SCRIPTED, min_volume_mm3=0.0)
@@ -177,6 +209,36 @@ class TestLedgerAgreement:
             assert sensitivity_at_fp(without.cs_froc, t) >= sensitivity_at_fp(
                 with_filter.cs_froc, t
             )
+
+
+class TestInvariance:
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_patient_order_and_ids_change_no_number(self, seed):
+        """The same PatientEvals, permuted and renamed, give the same FROC
+        curves, readouts, confusion matrices, kappa point estimates and
+        per-fold kappa, and the same detection records up to the renaming.
+        The bootstrap mean and std follow record order by design."""
+        _, evals = _drift_cohort(seed)
+        order = np.random.default_rng(seed).permutation(len(evals))
+        assert order.tolist() != sorted(order.tolist())
+        # reversed numbering: sorting by the new ids would reverse the old order
+        renamed = {p.patient_id: f"case-{len(evals) - i:02d}" for i, p in enumerate(evals)}
+        moved = [dataclasses.replace(evals[i], patient_id=renamed[evals[i].patient_id])
+                 for i in order]
+        cfg = EvaluationConfig(**FAST)
+        a, b = evaluate_cohort(evals, cfg), evaluate_cohort(moved, cfg)
+        assert b.cs_froc == a.cs_froc
+        assert b.cs_froc_by_fold == a.cs_froc_by_fold
+        assert b.grade_froc == a.grade_froc
+        assert b.sens_at == a.sens_at
+        assert b.confusion_tp_only == a.confusion_tp_only
+        assert b.confusion_with_fn == a.confusion_with_fn
+        assert b.kappa_tp_only.kappa == a.kappa_tp_only.kappa
+        assert b.kappa_with_fn.kappa == a.kappa_with_fn.kappa
+        assert b.fold_kappa == a.fold_kappa
+        back = {new: old for old, new in renamed.items()}
+        assert Counter(dataclasses.replace(r, patient_id=back[r.patient_id])
+                       for r in b.records) == Counter(a.records)
 
 
 class TestReportShape:

@@ -1,4 +1,5 @@
-"""Detection matching rules, best-Dice assignment, and the point protocol."""
+"""Detection matching rules, the best-Dice grading rule as the pipeline's
+detection records apply it, and the point protocol."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,10 @@ from hypothesis import strategies as st
 
 from lesionkit.cluster import LesionMap, cs_lesion_maps, gs_lesion_maps
 from lesionkit.grades import CS_BINARY, MISSED, Grade
-from lesionkit.matching import (
-    DetectionRecord,
-    best_dice_assignment,
-    match_detections,
-    point_in_cluster_grade,
-)
+from lesionkit.matching import DetectionRecord, match_detections, point_in_cluster_grade
 from lesionkit.volume import KIND_LABEL, Volume
 
-from lesion_builders import from_voxels
+from lesion_builders import from_voxels, graded_records
 from test_matching_reference import ref_dice
 
 DIMS = (12, 12, 4)
@@ -202,60 +198,99 @@ def random_maps(rng):
 
 
 class TestBestDiceAssignment:
+    """The grade of each lesion, read from the DetectionRecords that the
+    pipeline builds: the highest-Dice qualifying cluster grades it, and ties
+    break toward the larger intersection, then the lower grade code.  Each
+    case stages the clusters in both map orders, so that the rule picks,
+    not the order; the scores differ, so a record's score names its pick."""
+
+    def _graded(self, gt, cands, **cfg):
+        """The record of the one lesion gt, the same under both orders."""
+        (first,), (second,) = (graded_records(mk_map(order), mk_map([gt]), **cfg)
+                               for order in (cands, cands[::-1]))
+        assert first == second
+        return first
+
     def test_single_candidate(self):
         gt = mk(box(0, 3, 0, 3, 0, 1))
-        cand = mk(box(1, 3, 1, 3, 0, 1))
-        assert best_dice_assignment(gt, [cand]) is cand
+        cand = mk(box(1, 3, 1, 3, 0, 1), grade=Grade.GS43, score=0.7)
+        r = self._graded(gt, [cand])
+        assert (r.gt_grade, r.pred_grade, r.score) == (Grade.GS34, Grade.GS43, 0.7)
+        assert (r.dice, r.overlap_frac) == (8 / 13, 1.0)
 
     def test_prefers_higher_dice(self):
         gt = mk(box(0, 4, 0, 4, 0, 1))  # 16 voxels
-        good = mk(box(0, 4, 0, 3, 0, 1))  # 12 voxels inside, dice 2*12/28
-        poor = mk(box(3, 8, 3, 8, 0, 1))  # 1 voxel inside
-        assert best_dice_assignment(gt, [poor, good]) is good
+        good = mk(box(0, 4, 0, 3, 0, 1), score=0.6)  # 12 voxels inside, dice 2*12/28
+        poor = mk(box(3, 5, 3, 5, 0, 1), grade=Grade.GS8, score=0.95)  # 1 of 4 inside
+        r = self._graded(gt, [poor, good])
+        assert (r.pred_grade, r.score, r.dice) == (Grade.GS34, 0.6, 24 / 28)
 
     def test_tie_breaks_on_intersection_then_grade(self):
         gt = mk(box(0, 4, 0, 2, 0, 1))  # 8 voxels
+        # dice 2*2/(4+8) against 2*3/(10+8): both 1/3, as floats too; the
+        # larger intersection wins over the lower grade code
+        small = mk(box(0, 2, 0, 1, 0, 1) + box(0, 2, 5, 6, 0, 1), grade=Grade.GS34, score=0.6)
+        large = mk(box(2, 4, 0, 1, 0, 1) + ((2, 1, 0),) + box(5, 12, 8, 9, 0, 1),
+                   grade=Grade.GS8, score=0.7)
+        r = self._graded(gt, [small, large])
+        assert (r.pred_grade, r.score, r.dice) == (Grade.GS8, 0.7, 1 / 3)
         # both candidates: dice = 2*4/(8+8) = 0.5, intersection 4
-        a = mk(box(0, 2, 0, 2, 0, 1) + box(6, 10, 6, 7, 0, 1), grade=Grade.GS43)
-        b = mk(box(2, 4, 0, 2, 0, 1) + box(6, 10, 8, 9, 0, 1), grade=Grade.GS34)
-        pick = best_dice_assignment(gt, [a, b])
-        assert pick is b  # same dice and intersection, lower grade code wins
+        a = mk(box(0, 2, 0, 2, 0, 1) + box(6, 10, 6, 7, 0, 1), grade=Grade.GS43, score=0.6)
+        b = mk(box(2, 4, 0, 2, 0, 1) + box(6, 10, 8, 9, 0, 1), grade=Grade.GS34, score=0.7)
+        r = self._graded(gt, [a, b])
+        assert (r.pred_grade, r.score, r.dice) == (Grade.GS34, 0.7, 0.5)  # lower grade code
+
+    def test_only_qualifying_clusters_grade(self):
+        gt = mk(box(0, 4, 0, 4, 0, 1))  # 16 voxels
+        qualifying = mk(box(0, 2, 0, 1, 0, 1), grade=Grade.GS6, score=0.6)  # dice 4/18
+        # 6 of 13 voxels inside: below the 50% rule, though its dice is 12/29
+        short = mk(box(0, 3, 2, 4, 0, 1) + box(0, 7, 6, 7, 0, 1), grade=Grade.GS8, score=0.7)
+        r = self._graded(gt, [qualifying, short], overlap_frac=0.5)
+        assert (r.pred_grade, r.score, r.dice) == (Grade.GS6, 0.6, 4 / 18)
+        r = self._graded(gt, [short], overlap_frac=0.5)
+        assert (r.pred_grade, r.score, r.dice, r.overlap_frac) == (MISSED, 0.0, 0.0, 0.0)
+
+    def test_one_cluster_grades_each_lesion_it_qualifies_for(self):
+        lesions = [mk(box(0, 2, 0, 2, 0, 1)), mk(box(3, 5, 0, 2, 0, 1), grade=Grade.GS8),
+                   mk(box(8, 10, 8, 10, 0, 1), grade=Grade.GS6)]
+        bridge = mk(box(1, 4, 0, 2, 0, 1), grade=Grade.GS43, score=0.8)
+        records = graded_records(mk_map([bridge]), mk_map(lesions))
+        assert [(r.gt_grade, r.pred_grade, r.score) for r in records] == [
+            (Grade.GS34, Grade.GS43, 0.8), (Grade.GS8, Grade.GS43, 0.8),
+            (Grade.GS6, MISSED, 0.0)]
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(33)
+        gt = mk(box(2, 7, 2, 7, 0, 2))
+        gt_voxels = frozenset(gt.voxels)
         for _ in range(25):
-            gt_vox = box(2, 7, 2, 7, 0, 2)
-            gt = mk(gt_vox)
-            cands = []
-            for _ in range(int(rng.integers(1, 5))):
+            cands, used = [], set()
+            for k in range(int(rng.integers(1, 5))):
                 x0 = int(rng.integers(0, 6))
                 y0 = int(rng.integers(0, 6))
-                vox = box(x0, x0 + int(rng.integers(2, 5)), y0, y0 + int(rng.integers(2, 5)), 0, 2)
-                c = mk(vox, grade=Grade(int(rng.integers(2, 6))))
-                if frozenset(c.voxels) & frozenset(gt.voxels):
-                    cands.append(c)
-            if not cands:
+                vox = tuple(v for v in box(x0, x0 + int(rng.integers(2, 5)),
+                                           y0, y0 + int(rng.integers(2, 5)), 0, 2)
+                            if v not in used)
+                if vox:
+                    used.update(vox)
+                    cands.append(mk(vox, grade=Grade(int(rng.integers(2, 6))),
+                                    score=0.5 + 0.1 * k))
+            qualifying = [c for c in cands
+                          if len(frozenset(c.voxels) & gt_voxels) >= 0.1 * c.n_voxels]
+            r = self._graded(gt, cands)
+            if not qualifying:
+                assert r.pred_grade == MISSED
                 continue
-            got = best_dice_assignment(gt, cands)
             best = max(
-                cands,
+                qualifying,
                 key=lambda c: (
-                    ref_dice(frozenset(c.voxels), frozenset(gt.voxels)),
-                    len(frozenset(c.voxels) & frozenset(gt.voxels)),
+                    ref_dice(frozenset(c.voxels), gt_voxels),
+                    len(frozenset(c.voxels) & gt_voxels),
                     -int(c.grade),
                 ),
             )
-            assert got is best
-
-    def test_disjoint_candidate_rejected(self):
-        gt = mk(box(0, 2, 0, 2, 0, 1))
-        far = mk(box(8, 10, 8, 10, 0, 1))
-        with pytest.raises(ValueError):
-            best_dice_assignment(gt, [far])
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            best_dice_assignment(mk(box(0, 2, 0, 2, 0, 1)), [])
+            assert (r.pred_grade, r.score) == (best.grade, best.score)
+            assert r.dice == ref_dice(frozenset(best.voxels), gt_voxels)
 
 
 class TestPointProtocol:

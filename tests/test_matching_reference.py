@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from lesionkit.cluster import MAP_GS, LesionMap
 from lesionkit.evaluation import EvaluationConfig, PatientEval, aggregate_stages, stage_cohort
 from lesionkit.grades import GRADE_ORDER, MISSED
-from lesionkit.matching import OVERLAP_DENOMS, best_dice_assignment, match_detections
+from lesionkit.matching import OVERLAP_DENOMS, match_detections
 from lesionkit.volume import KIND_LABEL, ProbStack, Volume
 
-from lesion_builders import from_voxels
+from lesion_builders import from_voxels, graded_records
 
 DIMS = (4, 3, 2)  # (nx, ny, nz)
 N_VOX = DIMS[0] * DIMS[1] * DIMS[2]
@@ -207,6 +207,17 @@ TOUCHING = (
                     0, 0, 0, 0],
 )
 
+# Two predictions of equal Dice, 2*2/(4+8) and 2*3/(10+8), on an 8-voxel
+# lesion: the larger intersection, prediction 2, grades it.
+EQUAL_DICE = (
+    [1, 1, 2, 2,
+     0, 0, 2, 0,
+     1, 1, 2, 2] + [2, 2, 2, 2,
+                    2, 0, 0, 0,
+                    0, 0, 0, 0],
+    [1] * 8 + [0] * 16,
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(pred_ids=ids, gt_ids=ids, scores=picks, grades=picks, gt_grades=picks,
@@ -245,17 +256,24 @@ def test_match_detections_matches_reference(pred_ids, gt_ids, scores, grades, gt
 @example(pred_ids=WRAP[0], gt_ids=WRAP[1], grades=[0, 1, 2, 3])
 @example(pred_ids=NESTED[0], gt_ids=NESTED[1], grades=[0, 1, 2, 3])
 @example(pred_ids=TOUCHING[0], gt_ids=TOUCHING[1], grades=[0, 1, 2, 3])
-def test_best_dice_assignment_matches_reference(pred_ids, gt_ids, grades):
-    pred = lesion_map(pred_ids, [0] * 4, grades)
+@example(pred_ids=EQUAL_DICE[0], gt_ids=EQUAL_DICE[1], grades=[0, 3, 0, 0])
+def test_staged_grading_matches_reference(pred_ids, gt_ids, grades):
+    """Under an overlap rule that one shared voxel meets (no fraction of the
+    grid falls below 1 / N_VOX), each lesion's record names ref_best of the
+    clusters it shares a voxel with, by its score (each cluster has its
+    own), and reads MISSED when it shares none."""
+    pred = lesion_map(pred_ids, [0, 1, 2, 3], grades)
     gt = lesion_map(gt_ids, [0] * 4, [0] * 4)
-    for lesion in gt.clusters:
+    records = graded_records(pred, gt, overlap_frac=1 / N_VOX)
+    assert len(records) == len(gt.clusters)
+    for lesion, r in zip(gt.clusters, records):
         cands = [c for c in pred.clusters if set(c.voxels) & set(lesion.voxels)]
-        if cands:
-            assert best_dice_assignment(lesion, cands) is ref_best(lesion, cands)
-        for c in pred.clusters:
-            if c not in cands:
-                with pytest.raises(ValueError, match="intersect"):
-                    best_dice_assignment(lesion, [c])
+        if not cands:
+            assert (r.pred_grade, r.score, r.dice) == (MISSED, 0.0, 0.0)
+            continue
+        best = ref_best(lesion, cands)
+        assert (r.pred_grade, r.score) == (best.grade, best.score)
+        assert r.dice == ref_dice(frozenset(best.voxels), frozenset(lesion.voxels))
 
 
 def _one_hot_probs(labels, score_idx):

@@ -16,8 +16,9 @@ from lesionkit.cluster import (
     filter_by_zone,
     gs_lesion_maps,
 )
-from lesionkit.grades import CS_GRADES, GRADE_ORDER, Grade
-from lesionkit.matching import best_dice_assignment, match_detections
+from lesionkit.evaluation import EvaluationConfig, stage_cohort
+from lesionkit.grades import CS_GRADES, GRADE_ORDER, MISSED, Grade
+from lesionkit.matching import match_detections
 from lesionkit.metrics import (
     ABOVE_MAX_SCORE,
     froc_by_grade,
@@ -46,6 +47,7 @@ from lesionkit.phantom import (
     ledger_grade_gt_count,
     ledger_to_dict,
     ledger_zone_subset,
+    phantom_patient_evals,
     write_cohort,
 )
 from lesionkit.volume import json_chunks, read_volume
@@ -489,20 +491,19 @@ class TestPipelineAgreement:
         assert pts[0][1] == fp / ledger.n_patients
 
     def test_confusion_and_kappa_exact(self):
-        ledger, _, gs_pairs = self._cohort_maps()
+        """The matrices tallied from the detection records of the staged
+        cohort, one per ground-truth lesion, are the ledger's."""
+        pats, ledger = generate_cohort(self.CFG)
+        stages = stage_cohort(phantom_patient_evals(pats, ledger), EvaluationConfig())
         counts = [[0] * 4 for _ in range(4)]
         counts_fn = [[0] * 4 for _ in range(4)]
-        for (pred, gt), script in zip(gs_pairs, ledger.patients):
-            for lesion in gt.clusters:
-                lesion_voxels = frozenset(lesion.voxels)
-                cands = [
-                    c
-                    for c in pred.clusters
-                    if len(frozenset(c.voxels) & lesion_voxels) / c.n_voxels >= 0.10
-                ]
-                gi = lesion.grade.ordinal
-                if cands:
-                    pj = best_dice_assignment(lesion, cands).grade.ordinal
+        for stage, script in zip(stages, ledger.patients):
+            assert stage.patient_id == script.patient_id
+            assert len(stage.records) == len(stage.gs_gt) == len(script.lesions)
+            for r in stage.records:
+                gi = r.gt_grade.ordinal
+                if r.pred_grade != MISSED:
+                    pj = r.pred_grade.ordinal
                     counts[gi][pj] += 1
                     counts_fn[gi][pj] += 1
                 else:

@@ -68,6 +68,49 @@ def test_no_unused_imports_in_the_package():
     assert found == PINNED
 
 
+#: exports that no module of the package reads: library entry points, each
+#: with the reason it is public
+ENTRY_POINTS = {
+    "evaluate_cohort": "evaluate on in-memory PatientEvals, without the cohort directory",
+    "froc_curve": "the CS FROC of (prediction, ground truth) map pairs; stages count from matches",
+    "froc_by_grade": "the per-grade FROC of map pairs, as froc_curve",
+    "branch_loss": "the paper's per-branch training loss, for training code",
+    "global_loss": "the paper's scheduled sum of the two branch losses, for training code",
+    "phantom_patient_evals": "a generated cohort as PatientEvals, for evaluate_cohort",
+}
+
+
+def exported_names(source: str) -> list[str]:
+    """Names that the module's import statements bind: in __init__.py,
+    the public API."""
+    return [a.asname or a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names that some expression of the module reads."""
+    return {n.id for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_checker_finds_exported_and_loaded_names():
+    source = ("from .a import f, g as h\nfrom .b import C\nx = f\ndef g(): pass\nC = 1\n"
+              "y.h = x\n")
+    assert exported_names(source) == ["f", "h", "C"]
+    assert loaded_names(source) == {"f", "x", "y"}
+
+
+def test_every_export_is_read_in_the_package_or_an_entry_point():
+    # a public name that only tests call is a second copy of some rule that
+    # evaluate runs: its tests would pass while the pipeline's copy changed
+    exports = exported_names((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    read = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
+                         for path in PACKAGE.glob("*.py") if path.name != "__init__.py"))
+    assert [name for name in exports if name not in read | set(ENTRY_POINTS)] == []
+    # an entry point that the package reads, or no longer exports, leaves the list
+    assert set(ENTRY_POINTS) <= set(exports) - read
+
+
 def _project() -> dict:
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     return tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
