@@ -166,7 +166,8 @@ class PatientEval:
 
     def __post_init__(self):
         if self.labels.kind != KIND_LABEL:
-            raise ValueError("ground truth must be a label volume")
+            raise ValueError(f"ground truth of patient {self.patient_id} must be a "
+                             f"{KIND_LABEL!r} volume, got kind {self.labels.kind!r}")
         vals = self.probs.data.shape[1:]
         if vals != self.labels.values.shape or self.probs.spacing_mm != self.labels.spacing_mm:
             raise ValueError(f"prediction grid mismatch for patient {self.patient_id}")

@@ -308,6 +308,10 @@ class ZoneMask:
     tz: Volume
 
     def __post_init__(self):
+        for name, mask in (("pz", self.pz), ("tz", self.tz)):
+            if mask.kind != KIND_LABEL:
+                raise ValueError(f"the {name} zone mask must be a {KIND_LABEL!r} volume, "
+                                 f"got kind {mask.kind!r}")
         if not self.pz.same_grid(self.tz):
             raise ValueError("pz and tz masks must share dims and spacing")
         if np.any((self.pz.values > 0) & (self.tz.values > 0)):
@@ -317,7 +321,7 @@ class ZoneMask:
 def mask_voxels(mask: np.ndarray, box) -> tuple:
     """(x, y, z) tuples of the nonzero voxels of a [z, y, x] mask, in scan
     order (z slowest, x fastest).  box is the (z, y, x) slice tuple the mask
-    was cut from, as ndimage.find_objects returns it."""
+    was cut from, such as a cluster's tight box."""
     zs, ys, xs = np.nonzero(mask)
     z0, y0, x0 = (s.start for s in box)
     return tuple(zip((xs + x0).tolist(), (ys + y0).tolist(), (zs + z0).tolist()))

@@ -342,6 +342,22 @@ def label_volume(dims, spacing_mm=(1.0, 1.0, 3.0), n_bytes=24):
             "v.vol.raw": bytes(n_bytes)}
 
 
+def filled_volume(base, kind, value, dims=(8, 8, 4)):
+    """A volume <base> of the given kind on a (1, 1, 3) mm grid, every voxel
+    holding value."""
+    dtype = "u8" if kind == KIND_LABEL else "f32"
+    raw = np.full(dims[::-1], value, dtype="u1" if kind == KIND_LABEL else "<f4").tobytes()
+    name = base.rsplit("/", 1)[-1]
+    return {f"{base}.vol.json": json.dumps({"dims": list(dims), "spacing_mm": [1.0, 1.0, 3.0],
+                                            "dtype": dtype, "kind": kind,
+                                            "data": f"{name}.vol.raw"}),
+            f"{base}.vol.raw": raw}
+
+
+#: the cohort fixture's grid, for volumes that stand in for one of its files
+COHORT_DIMS = (48, 48, 12)
+
+
 def fold_manifest(fold):
     return {"m.json": json.dumps({"patients": [{"patient_id": "p000", "fold": fold}]})}
 
@@ -495,6 +511,24 @@ MALFORMED_INPUTS = [
     ("manifest-fold-bool", fold_manifest(True), EVALUATE_MANIFEST, EXIT_DATA),
     ("manifest-id-mixed", manifest_ids(1, "p001"), EVALUATE_MANIFEST, EXIT_DATA),
     ("manifest-id-int", manifest_ids(0, 1), EVALUATE_MANIFEST, EXIT_DATA),
+    # lesions are clustered from label volumes alone, and zones are label masks
+    ("cluster-intensity-labels", filled_volume("x", KIND_INTENSITY, 3.0),
+     "cluster --labels {tmp}/x", EXIT_DATA, "'intensity'"),
+    ("cluster-probability-labels", filled_volume("x", KIND_PROBABILITY, 1.0),
+     "cluster --labels {tmp}/x", EXIT_DATA, "'probability'"),
+    ("match-intensity-pred",
+     {**filled_volume("x", KIND_INTENSITY, 3.0), **filled_volume("l", KIND_LABEL, 3)},
+     "match --gt {tmp}/l --pred {tmp}/x", EXIT_DATA, "'intensity'"),
+    ("evaluate-intensity-zones",
+     {"z": DIR, **filled_volume("z/p000_pz", KIND_INTENSITY, 1.0, COHORT_DIMS),
+      **filled_volume("z/p000_tz", KIND_INTENSITY, 0.0, COHORT_DIMS)},
+     "evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred --zones-dir {tmp}/z "
+     "--manifest {cohort}/cohort.json --out {tmp}/o --bootstrap 5", EXIT_DATA, "'intensity'"),
+    ("evaluate-intensity-labels",
+     {"g": DIR, **filled_volume("g/p000_labels", KIND_INTENSITY, 1.0, COHORT_DIMS),
+      **manifest_ids("p000")},
+     "evaluate --gt-dir {tmp}/g --pred-dir {cohort}/pred --manifest {tmp}/m.json "
+     "--out {tmp}/o --bootstrap 5", EXIT_DATA, "patient p000 must be a 'label' volume, got kind"),
     # half a zone pair: the TZ header is missing, so the PZ one is never read
     ("zones-pz-without-tz", {"z": DIR, "z/p000_pz.vol.json": "{}"},
      "evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred --zones-dir {tmp}/z "

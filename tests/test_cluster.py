@@ -21,7 +21,7 @@ from lesionkit.cluster import (
     lesion_maps,
 )
 from lesionkit.grades import CS_BINARY, CS_GRADES, GRADE_ORDER, Grade
-from lesionkit.volume import KIND_LABEL, KIND_PROBABILITY, ProbStack, Volume
+from lesionkit.volume import KIND_INTENSITY, KIND_LABEL, KIND_PROBABILITY, ProbStack, Volume
 
 from lesion_builders import from_voxels
 
@@ -653,13 +653,27 @@ class TestModelValidation:
             LesionMap((middle, right, left), (5, 1, 1), (1.0, 1.0, 1.0), "gs")
         assert str(err.value) == "clusters at voxels (1, 0, 0) and (3, 0, 0) overlap"
 
-    def test_select_of_an_overlapping_map_raises(self):
+    def test_select_trusts_the_checked_map(self):
+        # a subset of a checked map is disjoint, so select does not check again:
+        # only a map whose clusters were swapped past the constructor shows it
         a = from_voxels(((0, 0, 0), (1, 0, 0)), Grade.GS6, 6.0, 0.5)
         b = from_voxels(((1, 0, 0),), Grade.GS34, 3.0, 0.5)
         m = LesionMap((a,), (2, 1, 1), (1, 1, 3), "gs")
         object.__setattr__(m, "clusters", (a, b))  # bypasses the constructor's check
+        assert m.select(lambda c: True).clusters == (a, b)
+        assert m.select(lambda c: c is b).clusters == (b,)
         with pytest.raises(ValueError, match="overlap"):
-            m.select(lambda c: True)
+            LesionMap((a, b), (2, 1, 1), (1, 1, 3), "gs")
+
+    @pytest.mark.parametrize("kind", [KIND_INTENSITY, KIND_PROBABILITY])
+    def test_only_label_volumes_are_clustered(self, kind):
+        # an intensity of 3.0 would read as GS3+4, a probability as background
+        values = np.full((2, 3, 3), 1.0 if kind == KIND_PROBABILITY else 3.0, dtype=np.float32)
+        volume = Volume(values, (1.0, 1.0, 3.0), kind)
+        for build in (lambda v: lesion_maps(v, None), lambda v: gs_lesion_maps(v, None),
+                      lambda v: cs_lesion_maps(v, None)):
+            with pytest.raises(ValueError, match=f"got kind '{kind}'"):
+                build(volume)
 
     def test_cluster_leaving_the_grid_rejected(self):
         a = from_voxels(((0, 0, 0), (2, 0, 0)), Grade.GS6, 6.0, 0.5)

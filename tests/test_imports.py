@@ -1,6 +1,7 @@
-"""What importing lesionkit loads: scipy.ndimage is imported on the first
-clustering call and scipy.stats on the first Wilcoxon test, so a command
-that does neither (phantom, kappa, --help) never pays for either.
+"""What importing lesionkit loads: no scipy module until the first Wilcoxon
+test, which imports scipy.stats.  Clustering labels components with the
+package's own numpy labeller, so phantom, cluster and evaluate load no
+scipy module at all.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported scipy."""
@@ -19,7 +20,7 @@ from lesionkit import cluster
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
-import json, sys
+import contextlib, io, json, sys
 
 import lesionkit, lesionkit.cli
 from lesionkit import lesion_maps, read_volume, wilcoxon_one_sided
@@ -35,9 +36,13 @@ write_cohort(PhantomConfig(n_patients=2, dims=(48, 48, 12), fp_per_patient=1, n_
 after_phantom = scipy_modules()
 gs_map, _ = lesion_maps(read_volume(out + "/gt/p000_labels"), None)
 after_cluster = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = lesionkit.cli.main(["evaluate", "--cohort", out, "--out", out + "-report",
+                               "--bootstrap", "5"])
+after_evaluate = scipy_modules()
 p = wilcoxon_one_sided([float(i) for i in range(24)], [i - 0.5 for i in range(24)])
-print(json.dumps({"phantom": after_phantom, "cluster": after_cluster,
-                  "wilcoxon": scipy_modules(), "n_gs": len(gs_map), "p": p}))
+print(json.dumps({"phantom": after_phantom, "cluster": after_cluster, "evaluate": after_evaluate,
+                  "wilcoxon": scipy_modules(), "n_gs": len(gs_map), "code": code, "p": p}))
 """
 
 
@@ -48,9 +53,9 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen["phantom"] == []
-    assert "scipy.ndimage" in seen["cluster"] and "scipy.stats" not in seen["cluster"]
+    assert seen["phantom"] == seen["cluster"] == seen["evaluate"] == []
     assert seen["n_gs"] == 4  # one lesion per grade: the call really clustered
+    assert seen["code"] == 0 and (tmp_path / "cohort-report" / "report.json").is_file()
     assert "scipy.stats" in seen["wilcoxon"]
     assert 0.0 < seen["p"] < 1e-5
 

@@ -251,3 +251,34 @@ def test_label_from_probs_wraps_the_stack_labels():
     reads = attribute_reads((PACKAGE / "netmath.py").read_text(encoding="utf-8"),
                             "label_from_probs")
     assert "labels" in reads and "data" not in reads
+
+
+def keyword_callers(source: str, keyword: str) -> list[str]:
+    """The functions holding a call that passes keyword, one entry per call
+    ('<module>' for a call outside any function)."""
+    tree = ast.parse(source)
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and any(k.arg == keyword for k in node.keywords):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_checker_finds_keyword_callers():
+    source = "x = f(a=1)\ndef g():\n    return h(f(a=2), b=3)\n"
+    assert keyword_callers(source, "a") == ["<module>", "g"]
+
+
+def test_only_select_skips_the_disjointness_check():
+    # LesionMap(..., _subset=True) skips _check_disjoint; a subset of a checked
+    # map is the one construction that may, so every other one stays checked
+    found = {(path.name, owner) for path in sorted(PACKAGE.glob("*.py"))
+             for owner in keyword_callers(path.read_text(encoding="utf-8"), "_subset")}
+    assert found == {("cluster.py", "select")}

@@ -212,6 +212,13 @@ class TestZoneMask:
         with pytest.raises(ValueError):
             ZoneMask(pz=m, tz=m)
 
+    def test_masks_must_be_label_volumes(self):
+        label = Volume(np.zeros((1, 2, 2), dtype=np.uint8), (1, 1, 3), KIND_LABEL)
+        other = Volume(np.zeros((1, 2, 2), dtype=np.float32), (1, 1, 3), KIND_INTENSITY)
+        for pz, tz, name in ((other, label, "pz"), (label, other, "tz")):
+            with pytest.raises(ValueError, match=f"the {name} zone mask .* got kind 'intensity'"):
+                ZoneMask(pz=pz, tz=tz)
+
     def test_disjoint_ok(self):
         a = np.zeros((1, 2, 2), dtype=np.uint8)
         b = np.zeros((1, 2, 2), dtype=np.uint8)
