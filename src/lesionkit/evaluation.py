@@ -652,7 +652,12 @@ def load_patient_eval(cfg: EvaluationConfig, patient_id: str, fold: int) -> Pati
         # zone masks come in pairs: with one file present, reading the other
         # names it as missing
         if pz_path.exists() or tz_path.exists():
-            zones = ZoneMask(pz=read_volume(pz_path), tz=read_volume(tz_path))
+            pz, tz = read_volume(pz_path), read_volume(tz_path)
+            try:
+                zones = ZoneMask(pz=pz, tz=tz)
+            except ValueError as e:
+                raise ValueError(f"zone masks of patient {patient_id} ({pz_path}, {tz_path}): "
+                                 f"{e}") from e
     return PatientEval(patient_id=patient_id, fold=fold, labels=labels, probs=probs, zones=zones)
 
 

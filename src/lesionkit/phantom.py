@@ -13,6 +13,10 @@ the pipeline's cluster scores equal the ledger's scores bit for bit; all
 ledger-derived counts (sensitivity, FP rate, per-grade FROC, confusion
 matrices) are therefore exact oracles for the evaluation pipeline.
 
+The script is the only per-patient state a cohort keeps: each patient's
+label volume is rendered from its ledger entry when the patient is
+accessed, so memory holds one patient's volumes, not the cohort's.
+
 The RNG is Philox (64-bit counter-based) with per-patient spawned
 substreams, so cohorts are reproducible across platforms and safe to
 generate in parallel.
@@ -21,7 +25,9 @@ generate in parallel.
 from __future__ import annotations
 
 import math
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,9 +190,9 @@ class PhantomPatient:
 
 
 def _anatomy(cfg: PhantomConfig):
-    """(prostate mask, {zone: mask}, {zone: [x, y, z] lists of its voxels in
-    scan order}, ZoneMask): the gland and its zones are the same for every
-    patient of a cohort, so they are built once."""
+    """(prostate mask, {zone: mask}, {zone: (N, 3) int array of its (x, y, z)
+    voxels in scan order}, ZoneMask): the gland and its zones are the same
+    for every patient of a cohort, so they are built once."""
     nx, ny, nz = cfg.dims
     center = ((nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0)
     axes = tuple(f * n for f, n in zip(PROSTATE_AXIS_FRACTIONS, cfg.dims))
@@ -200,7 +206,7 @@ def _anatomy(cfg: PhantomConfig):
         pz=Volume(masks[ZONE_PZ].astype(np.uint8), cfg.spacing_mm, KIND_LABEL),
         tz=Volume(tz.astype(np.uint8), cfg.spacing_mm, KIND_LABEL),
     )
-    centres = {name: np.argwhere(m)[:, ::-1].tolist() for name, m in masks.items()}
+    centres = {name: np.argwhere(m)[:, ::-1] for name, m in masks.items()}
     return prostate, masks, centres, zones
 
 
@@ -254,10 +260,11 @@ def _place_blob(cfg: PhantomConfig, rng, zone_voxels, free, kind: str):
     for _ in range(cfg.max_place_retries):
         zone = ZONE_PZ if rng.random() < cfg.pz_fraction else ZONE_TZ
         zvox = zone_voxels[zone]
-        if not zvox:
+        if len(zvox) == 0:
             empty.add(zone)
             continue
-        center = zvox[int(rng.integers(0, len(zvox)))]
+        # a tuple of Python ints, as the box bounds and float64 terms expect
+        center = tuple(zvox[int(rng.integers(0, len(zvox)))].tolist())
         rx, ry, rz = rng.uniform(lo, hi, 3).tolist()  # the values of three scalar draws
         semi = (rx / sx, ry / sy, rz / sz)
         grid = free[zone]
@@ -287,9 +294,9 @@ def _realized_score(rng, lo: float, hi: float) -> float:
 
 
 def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int, anatomy):
-    prostate, zone_masks, zone_voxels, zones = anatomy
+    """The patient's script: blobs placed and predictions drawn, no volume."""
+    _, zone_masks, zone_voxels, _ = anatomy
     free = {name: m.copy() for name, m in zone_masks.items()}
-    lab = prostate.astype(np.uint8)
 
     slo, shi = cfg.score_range
     order = [int(g) - 2 for g in GRADE_ORDER]
@@ -298,7 +305,6 @@ def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int, anato
         grade = GRADE_ORDER[gi]
         for _ in range(cfg.lesions_per_grade[gi]):
             zone, box, blob = _place_blob(cfg, rng, zone_voxels, free, "a lesion")
-            lab[box][blob] = int(grade)
             pred_grade = score = None
             detected = bool(rng.random() >= cfg.miss_fraction)
             if detected:
@@ -315,30 +321,50 @@ def _generate_patient(cfg: PhantomConfig, rng, patient_id: str, fold: int, anato
         fps.append(FpEntry(grade=grade, zone=zone, box=box, mask=blob,
                            score=float(np.float32(cfg.fp_score))))
 
-    labels = Volume(lab, cfg.spacing_mm, KIND_LABEL)
-    patient = PhantomPatient(patient_id=patient_id, labels=labels, zones=zones)
-    script = PatientScript(patient_id, fold, tuple(lesions), tuple(fps))
-    return patient, script
+    return PatientScript(patient_id, fold, tuple(lesions), tuple(fps))
+
+
+class _RenderedPatients(Sequence):
+    """A cohort's PhantomPatients, each rendered from its ledger script on
+    every access: the gland as label 1, then each lesion painted with its
+    grade in script order.  Every patient shares the cohort's one ZoneMask."""
+
+    def __init__(self, ledger: PhantomLedger, prostate: np.ndarray, zones: ZoneMask):
+        self._ledger = ledger
+        self._prostate = prostate
+        self._zones = zones
+
+    def __len__(self) -> int:
+        return self._ledger.n_patients
+
+    def __getitem__(self, i) -> PhantomPatient:
+        script = self._ledger.patients[operator.index(i)]  # an int, negative included
+        lab = self._prostate.astype(np.uint8)
+        for e in script.lesions:
+            lab[e.box][e.mask] = int(e.grade)
+        labels = Volume(lab, self._ledger.spacing_mm, KIND_LABEL)
+        return PhantomPatient(patient_id=script.patient_id, labels=labels, zones=self._zones)
 
 
 def generate_cohort(cfg: PhantomConfig):
-    """Build ground-truth volumes and the prediction script for a cohort.
+    """Place every patient's blobs and draw the prediction script.
 
-    Returns (list of PhantomPatient, PhantomLedger).  Deterministic under
-    cfg.seed; per-patient substreams keep patients independent.
+    Returns (patients, PhantomLedger).  patients is a read-only sequence of
+    PhantomPatient (len, int index, iteration) that renders a patient's
+    label volume from the ledger each time the patient is accessed, so the
+    cohort holds no volume but the shared gland and zone masks.
+    Deterministic under cfg.seed; per-patient substreams keep patients
+    independent.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_patients)
     anatomy = _anatomy(cfg)
-    patients = []
     scripts = []
     for i in range(cfg.n_patients):
         rng = np.random.Generator(np.random.Philox(streams[i]))
-        pid = f"p{i:03d}"
-        patient, script = _generate_patient(cfg, rng, pid, i % cfg.n_folds, anatomy)
-        patients.append(patient)
-        scripts.append(script)
+        scripts.append(_generate_patient(cfg, rng, f"p{i:03d}", i % cfg.n_folds, anatomy))
     ledger = PhantomLedger(tuple(scripts), cfg.dims, cfg.spacing_mm)
-    return patients, ledger
+    prostate, _, _, zones = anatomy
+    return _RenderedPatients(ledger, prostate, zones), ledger
 
 
 def degrade_prediction(patients, ledger: PhantomLedger):
@@ -373,6 +399,7 @@ def phantom_patient_evals(patients, ledger: PhantomLedger, stacks=None):
     ledger; predictions rendered on demand when stacks is None)."""
     from .evaluation import PatientEval
 
+    patients = list(patients)  # each patient rendered once, for the stacks and the labels
     if stacks is None:
         stacks = degrade_prediction(patients, ledger)
     folds = {s.patient_id: s.fold for s in ledger.patients}
@@ -607,8 +634,9 @@ def write_cohort(cfg: PhantomConfig, out_dir) -> PhantomLedger:
     """Generate a cohort and write it as an on-disk directory:
     gt/<pid>_labels, zones/<pid>_{pz,tz}, pred/<pid>_prob_c{0..5} volume
     pairs, plus ledger.json and cohort.json (fold manifest).  Each patient's
-    prediction stack is rendered just before it is written and released
-    before the next one, so one stack is held at a time."""
+    labels and prediction stack are rendered from the ledger just before
+    they are written and released before the next patient, so one
+    patient's volumes are held at a time."""
     gt, zones, pred = (os.path.join(out_dir, d) for d in ("gt", "zones", "pred"))
     patients, ledger = generate_cohort(cfg)
     for patient, script in zip(patients, ledger.patients):

@@ -524,6 +524,11 @@ MALFORMED_INPUTS = [
       **filled_volume("z/p000_tz", KIND_INTENSITY, 0.0, COHORT_DIMS)},
      "evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred --zones-dir {tmp}/z "
      "--manifest {cohort}/cohort.json --out {tmp}/o --bootstrap 5", EXIT_DATA, "'intensity'"),
+    ("evaluate-overlapping-zones",
+     {"z": DIR, **filled_volume("z/p000_pz", KIND_LABEL, 1, COHORT_DIMS),
+      **filled_volume("z/p000_tz", KIND_LABEL, 1, COHORT_DIMS), **manifest_ids("p000")},
+     "evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred --zones-dir {tmp}/z "
+     "--manifest {tmp}/m.json --out {tmp}/o --bootstrap 5", EXIT_DATA, "patient p000"),
     ("evaluate-intensity-labels",
      {"g": DIR, **filled_volume("g/p000_labels", KIND_INTENSITY, 1.0, COHORT_DIMS),
       **manifest_ids("p000")},

@@ -161,6 +161,31 @@ class TestLedgerAgreement:
             assert fk["std"] == float(np.std(list(want.values())))
             assert fk["std"] > 0.0  # the folds differ, so the std convention is exercised
 
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_fold_band_equals_ledger(self, seed, tmp_path):
+        """Each row of froc_cs_aggregate.csv is the mean and mean +- 2 np.std
+        (ddof=0) over folds of the sensitivity that each fold's ledger FROC
+        reaches at that FP rate, read out by the step rule: the best
+        sensitivity among points at or below the rate, 0 if none."""
+        ledger, evals = _drift_cohort(seed)
+        cfg = EvaluationConfig(**FAST)
+        write_report_bundle(evaluate_cohort(evals, cfg), tmp_path)
+        folds = sorted({p.fold for p in ledger.patients})
+        curves = [ledger_froc_cs(dataclasses.replace(
+                      ledger, patients=tuple(p for p in ledger.patients if p.fold == f)))
+                  for f in folds]
+        lines = (tmp_path / "froc_cs_aggregate.csv").read_text().splitlines()[1:]
+        rows = [tuple(map(float, line.split(","))) for line in lines]
+        assert [r[0] for r in rows] == list(cfg.fp_grid)
+        for fp_rate, mean, lo, hi in rows:
+            sens = [max((s for _, fp, s in curve if fp <= fp_rate), default=0.0)
+                    for curve in curves]
+            want_mean, two_std = np.mean(sens), 2.0 * np.std(sens)
+            assert mean == pytest.approx(want_mean, abs=1e-12)
+            assert lo == pytest.approx(want_mean - two_std, abs=1e-12)
+            assert hi == pytest.approx(want_mean + two_std, abs=1e-12)
+        assert any(lo < hi for _, _, lo, hi in rows)  # the folds differ, so the band has width
+
     def test_confusion_exact(self):
         ledger, report = _evaluate(SCRIPTED)
         assert report.confusion_tp_only.counts == ledger_confusion(ledger, False)

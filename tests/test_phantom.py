@@ -1,7 +1,9 @@
 """Synthetic-cohort generator: determinism, geometry guarantees, and exact
 agreement between the ledger oracle and the clustering/matching pipeline."""
 
+import dataclasses
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -86,6 +88,38 @@ class TestGeneration:
         s2 = degrade_prediction(pats2, led2)
         for a, b in zip(s1, s2):
             assert a.data.tobytes() == b.data.tobytes()
+
+    def test_patients_are_a_sequence_rendered_from_the_ledger(self):
+        pats, ledger = generate_cohort(SMALL)
+        assert len(pats) == SMALL.n_patients
+        assert pats[-1].patient_id == ledger.patients[-1].patient_id
+        with pytest.raises(IndexError):
+            pats[SMALL.n_patients]
+        indexed = [pats[i] for i in range(len(pats))]
+        iterated = list(pats)
+        assert [p.patient_id for p in iterated] == [p.patient_id for p in indexed]
+        assert [p.patient_id for p in iterated] == [s.patient_id for s in ledger.patients]
+        for a, b in zip(iterated, indexed):
+            assert np.array_equal(a.labels.values, b.labels.values)
+            assert a.zones is b.zones is pats[0].zones  # one ZoneMask per cohort
+        assert np.array_equal(pats[-1].labels.values, indexed[-1].labels.values)
+
+    def test_cohort_memory_is_one_patients_not_the_cohorts(self):
+        # 35 more patients of 96x96x24 add their scripts to the peak, but
+        # no label volume: a cohort holding every volume grows it by 7.2 MB
+        cfg = PhantomConfig(seed=7, n_patients=5, dims=(96, 96, 24))
+        generate_cohort(cfg)  # lazy imports and caches, outside the trace
+
+        def peak(n_patients):
+            tracemalloc.start()
+            try:
+                # the cohort stays alive while the peak is read
+                cohort = generate_cohort(dataclasses.replace(cfg, n_patients=n_patients))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40) - peak(5) < 96 * 96 * 24
 
     def test_lesion_counts_and_sizes(self):
         pats, ledger = generate_cohort(SMALL)
@@ -538,6 +572,7 @@ class TestCohortFiles:
 
     def test_one_stack_held_at_a_time(self, tmp_path, monkeypatch):
         rendered, alive, writes = [], [], []
+        labels, labels_alive = [], []
         render, write = phantom.degrade_prediction, phantom.write_volume
 
         def counting_render(patients, ledger):
@@ -548,12 +583,17 @@ class TestCohortFiles:
 
         def counting_write(v, path):
             writes.append(path)
+            if path.endswith("_labels"):
+                labels.append(weakref.ref(v))
+                labels_alive.append(sum(r() is not None for r in labels))
             write(v, path)
 
         monkeypatch.setattr(phantom, "degrade_prediction", counting_render)
         monkeypatch.setattr(phantom, "write_volume", counting_write)
         write_cohort(SMALL, tmp_path / "c")
         assert len(rendered) == SMALL.n_patients and max(alive) == 1
+        # the labels are rendered from the ledger per patient, not held for the cohort
+        assert len(labels) == SMALL.n_patients and max(labels_alive) == 1
         # every volume still goes through the module's write_volume
         assert len(writes) == 9 * SMALL.n_patients
 
