@@ -5,15 +5,12 @@ and lesion probability scoring.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import KW_ONLY, InitVar, dataclass, field, replace
 
 import numpy as np
 
 from .grades import CS_BINARY, CS_GRADES, GRADE_ORDER, Grade
-from .volume import KIND_LABEL, ProbStack, Volume, mask_voxels
-
-MAP_GS = "gs"
-MAP_CS = "cs"
+from .volume import KIND_LABEL, ProbStack, Volume, frozen_mask, mask_voxels
 
 MIN_LESION_VOLUME_MM3 = 45.0
 DEFAULT_CONNECTIVITY = 26
@@ -47,10 +44,7 @@ class LesionCluster:
     first_voxel: tuple[int, int, int] = field(init=False, repr=False)  # (x, y, z), in scan order
 
     def __post_init__(self):
-        mask = np.array(self.mask, dtype=bool)  # a copy: the caller's array may change
-        if len(self.box) != 3 or mask.shape != tuple(s.stop - s.start for s in self.box):
-            raise ValueError(f"mask of shape {mask.shape} does not fill the box {self.box}")
-        mask.flags.writeable = False
+        mask = frozen_mask(self.mask, self.box)
         n = int(np.count_nonzero(mask))
         if n == 0:
             raise ValueError("cluster must contain at least one voxel")
@@ -129,17 +123,16 @@ def _check_disjoint(clusters, dims) -> None:
 
 @dataclass(frozen=True)
 class LesionMap:
-    """Disjoint lesion clusters extracted from one volume."""
+    """Disjoint lesion clusters extracted from one volume.  The clusters'
+    grades tell the map's kind: each a Grade in a GS map, CS_BINARY in a CS map."""
 
     clusters: tuple[LesionCluster, ...]
     dims: tuple[int, int, int]
     spacing_mm: tuple[float, float, float]
-    map_kind: str
+    _: KW_ONLY
     _subset: InitVar[bool] = False  # passed by select alone: its clusters are already disjoint
 
     def __post_init__(self, _subset):
-        if self.map_kind not in (MAP_GS, MAP_CS):
-            raise ValueError(f"map_kind must be {MAP_GS!r} or {MAP_CS!r}")
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if not _subset:
@@ -264,7 +257,7 @@ def _codes(labels: Volume) -> np.ndarray:
     return np.asarray(labels.values)
 
 
-def _lesion_map(labels: Volume, probs: ProbStack | None, kind: str, parts) -> LesionMap:
+def _lesion_map(labels: Volume, probs: ProbStack | None, parts) -> LesionMap:
     """The map of (grade, box, mask) parts, scored and in scan order."""
     if probs is not None and (probs.dims, probs.spacing_mm) != (labels.dims, labels.spacing_mm):
         raise ValueError(f"probability grid {probs.dims} at {probs.spacing_mm} mm does not match "
@@ -273,7 +266,7 @@ def _lesion_map(labels: Volume, probs: ProbStack | None, kind: str, parts) -> Le
                            1.0 if probs is None else _score(probs, grade, box, mask))
              for grade, box, mask in parts]
     found.sort(key=lambda c: c.first_voxel[::-1])
-    return LesionMap(tuple(found), labels.dims, labels.spacing_mm, kind)
+    return LesionMap(tuple(found), labels.dims, labels.spacing_mm)
 
 
 def lesion_maps(
@@ -297,7 +290,7 @@ def lesion_maps(
                        for b, m in _components(comp & (codes >= _LOWEST_CS), structure)]
         if present[0] >= _LOWEST_CS:  # no GS6 voxel: the component is one CS cluster
             cs.append((CS_BINARY, box, comp))
-    return _lesion_map(labels, probs, MAP_GS, gs), _lesion_map(labels, probs, MAP_CS, cs)
+    return _lesion_map(labels, probs, gs), _lesion_map(labels, probs, cs)
 
 
 def gs_lesion_maps(
@@ -307,7 +300,7 @@ def gs_lesion_maps(
     GS map of lesion_maps, built without a CS map, one labelling per grade."""
     lab, structure = _codes(labels), _structure(connectivity)
     parts = ((g, b, m) for g in GRADE_ORDER for b, m in _components(lab == int(g), structure))
-    return _lesion_map(labels, probs, MAP_GS, parts)
+    return _lesion_map(labels, probs, parts)
 
 
 def cs_lesion_maps(
@@ -317,7 +310,7 @@ def cs_lesion_maps(
     the CS map of lesion_maps, built without a GS map, in one labelling."""
     lab, structure = _codes(labels), _structure(connectivity)
     parts = ((CS_BINARY, b, m) for b, m in _components(lab >= _LOWEST_CS, structure))
-    return _lesion_map(labels, probs, MAP_CS, parts)
+    return _lesion_map(labels, probs, parts)
 
 
 def filter_by_volume(m: LesionMap, min_mm3: float = MIN_LESION_VOLUME_MM3) -> LesionMap:

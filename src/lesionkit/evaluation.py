@@ -138,15 +138,6 @@ class EvaluationConfig:
         # it; ROADMAP item 2's benchmark change deletes it
         return 1
 
-    @classmethod
-    def for_cohort_dir(cls, root, output_dir=None, **overrides) -> "EvaluationConfig":
-        """Fill directory fields from the standard cohort layout
-        (gt/, pred/, zones/, cohort.json under one root)."""
-        fields = cohort_dirs(root)
-        fields["output_dir"] = None if output_dir is None else str(output_dir)
-        fields.update(overrides)
-        return cls(**fields)
-
     def to_dict(self) -> dict:
         """Every protocol field, sequences as lists; the directory paths stay out."""
         values = {f.name: getattr(self, f.name) for f in fields(self)

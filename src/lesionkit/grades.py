@@ -57,8 +57,6 @@ MISSED = "MISSED"
 #: Sentinel grade for merged clinically-significant (binary) clusters.
 CS_BINARY = "CS"
 
-LABEL_BACKGROUND = 0
-LABEL_PROSTATE = 1
 N_LABELS = 6
 
 

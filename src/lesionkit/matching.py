@@ -51,25 +51,13 @@ class MatchResult:
     duplicates: tuple[LesionCluster, ...] = ()
 
     @property
-    def tp_count(self) -> int:
-        return len(self.tp)
-
-    @property
-    def fp_count(self) -> int:
-        return len(self.fp)
-
-    @property
-    def fn_count(self) -> int:
-        return len(self.fn)
-
-    @property
     def n_gt(self) -> int:
         return len(self.tp) + len(self.fn)
 
     @property
     def sensitivity(self) -> float:
         n = self.n_gt
-        return self.tp_count / n if n else 0.0
+        return len(self.tp) / n if n else 0.0
 
 
 @dataclass(frozen=True)

@@ -85,12 +85,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return sum(v for r in self.counts for v in r)
 
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r) for r in self.counts)
-
-    def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r[j] for r in self.counts) for j in range(N_GRADES))
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=np.int64)
 

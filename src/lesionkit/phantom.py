@@ -39,6 +39,7 @@ from .volume import (
     ProbStack,
     Volume,
     ZoneMask,
+    frozen_mask,
     is_real,
     mask_voxels,
     setting,
@@ -112,20 +113,12 @@ class _Blob:
     Entries compare by value, through their ledger.json form."""
 
     def __post_init__(self):
-        mask = np.array(self.mask, dtype=bool)  # a copy: the caller's array may change
-        if mask.shape != tuple(s.stop - s.start for s in self.box):
-            raise ValueError(f"mask of shape {mask.shape} does not fill the box {self.box}")
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", frozen_mask(self.mask, self.box))
 
     @property
     def voxels(self) -> tuple[tuple[int, int, int], ...]:
         """(x, y, z) tuples of the blob's voxels, in scan order."""
         return mask_voxels(self.mask, self.box)
-
-    @property
-    def n_voxels(self) -> int:
-        return int(np.count_nonzero(self.mask))
 
     def __eq__(self, other):
         if type(other) is not type(self):

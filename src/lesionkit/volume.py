@@ -183,13 +183,6 @@ class Volume:
         sx, sy, sz = self.spacing_mm
         return sx * sy * sz
 
-    @property
-    def n_voxels(self) -> int:
-        return int(self.values.size)
-
-    def value_at(self, x: int, y: int, z: int):
-        return self.values[z, y, x]
-
     def same_grid(self, other: "Volume") -> bool:
         return self.dims == other.dims and self.spacing_mm == other.spacing_mm
 
@@ -325,6 +318,16 @@ def mask_voxels(mask: np.ndarray, box) -> tuple:
     zs, ys, xs = np.nonzero(mask)
     z0, y0, x0 = (s.start for s in box)
     return tuple(zip((xs + x0).tolist(), (ys + y0).tolist(), (zs + z0).tolist()))
+
+
+def frozen_mask(mask, box) -> np.ndarray:
+    """A read-only bool copy of a mask cut from the (z, y, x) slice box, so
+    the caller's array may change; ValueError unless it fills the box."""
+    mask = np.array(mask, dtype=bool)
+    if len(box) != 3 or mask.shape != tuple(s.stop - s.start for s in box):
+        raise ValueError(f"mask of shape {mask.shape} does not fill the box {box}")
+    mask.flags.writeable = False
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +546,9 @@ def _payload_error(data_path, expected: int) -> VolumeFormatError:
 def _read_header(path):
     """Parse and check a volume header: (header path, payload path, dims,
     spacing, kind).  dims must be a list of three positive ints and
-    spacing_mm a list of three numbers.  The payload must exist and have
-    the length the header implies, which is checked before any buffer is
-    allocated for it."""
+    spacing_mm a list of three numbers.  The payload, which data names,
+    must lie beside the header, exist and have the length the header
+    implies, which is checked before any buffer is allocated for it."""
     header_path, _ = _paths(path)
     try:
         with open(header_path, "rb") as f:
@@ -582,6 +585,9 @@ def _read_header(path):
         raise VolumeFormatError(f"{header_path}: unknown kind {kind!r}")
     if _DTYPE_FROM_NAME[dtype_name] != _DTYPES[kind]:
         raise VolumeFormatError(f"{header_path}: dtype {dtype_name} does not match kind {kind}")
+    # the payload lies beside its header: a path could read a file from anywhere
+    if data_name in ("", ".", "..") or os.path.basename(data_name) != data_name:
+        raise VolumeFormatError(f"{header_path}: data must be a bare file name, got {data_name!r}")
     data_path = os.path.join(os.path.dirname(header_path), data_name)
     try:
         size = os.stat(data_path).st_size

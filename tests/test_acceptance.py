@@ -92,7 +92,7 @@ def test_c1_constants_fidelity():
         assert MIN_LESION_VOLUME_MM3 / (sx * sy * sz) == 15.0
         keep = from_voxels(box(0, 5, 0, 3, 0, 1), Grade.GS34, 15 * 3.0, 0.9)
         drop = from_voxels(box(0, 7, 6, 8, 0, 1), Grade.GS34, 14 * 3.0, 0.9)
-        m = LesionMap((keep, drop), (16, 16, 4), (sx, sy, sz), "gs")
+        m = LesionMap((keep, drop), (16, 16, 4), (sx, sy, sz))
         assert filter_by_volume(m).clusters == (keep,)
 
         assert DEFAULT_OVERLAP_FRAC == 0.10
@@ -443,7 +443,7 @@ def test_c7_protocol_variants():
             EvaluationConfig(bootstrap_iterations=1),
         )
         census = tuple(ledger_grade_gt_count(ledger, g) for g in GRADE_ORDER)
-        assert report.confusion_with_fn.row_sums() == census
+        assert tuple(map(sum, report.confusion_with_fn.counts)) == census
         detected = tuple(
             sum(
                 1
@@ -453,7 +453,7 @@ def test_c7_protocol_variants():
             )
             for g in GRADE_ORDER
         )
-        assert report.confusion_tp_only.row_sums() == detected
+        assert tuple(map(sum, report.confusion_tp_only.counts)) == detected
         assert sum(census) > sum(detected)  # misses actually occurred
 
         # (b) a detected but misgraded lesion is charged twice across the
@@ -470,7 +470,7 @@ def test_c7_protocol_variants():
         )
         gt = LesionMap(
             (cl(l1, Grade.GS34, 1.0), cl(l2, Grade.GS34, 1.0), cl(l3, Grade.GS43, 1.0)),
-            dims, spacing, "gs",
+            dims, spacing,
         )
         pred = LesionMap(
             (
@@ -478,7 +478,7 @@ def test_c7_protocol_variants():
                 cl(l2, Grade.GS43, 0.7),  # misgraded GS3+4 lesion
                 cl(l3, Grade.GS43, 0.6),  # correct grade
             ),
-            dims, spacing, "gs",
+            dims, spacing,
         )
         c34 = froc_by_grade([(pred, gt)], Grade.GS34)
         assert curve_tuples(c34) == [
@@ -501,7 +501,7 @@ def test_c7_protocol_variants():
         for x, y, z in vox:
             labels[z, y, x] = 4  # GS4+3 label code
         gs_vol = Volume(labels, ps, KIND_LABEL)
-        cs_map = LesionMap((from_voxels(vox, CS_BINARY, len(vox) * 3.0, 0.9),), pd, ps, "cs")
+        cs_map = LesionMap((from_voxels(vox, CS_BINARY, len(vox) * 3.0, 0.9),), pd, ps)
         assert point_in_cluster_grade((8, 8, 0), cs_map, gs_vol) == Grade.GS6
         assert point_in_cluster_grade((3, 3, 1), cs_map, gs_vol) == Grade.GS43
 

@@ -342,6 +342,14 @@ def label_volume(dims, spacing_mm=(1.0, 1.0, 3.0), n_bytes=24):
             "v.vol.raw": bytes(n_bytes)}
 
 
+def payload_elsewhere(header, data):
+    """A label volume whose header, at the path header, names its payload as
+    data, and the payload w.vol.raw, which lies in the test directory."""
+    return {header: json.dumps({"dims": [2, 3, 4], "spacing_mm": [1.0, 1.0, 3.0], "dtype": "u8",
+                                "kind": "label", "data": data}),
+            "w.vol.raw": bytes(24)}
+
+
 def filled_volume(base, kind, value, dims=(8, 8, 4)):
     """A volume <base> of the given kind on a (1, 1, 3) mm grid, every voxel
     holding value."""
@@ -506,6 +514,11 @@ MALFORMED_INPUTS = [
     ("volume-dims-bool", label_volume([True, 3, 8]), "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
     ("volume-spacing-text", label_volume([2, 3, 4], spacing_mm="113"),
      "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
+    # a header names its payload by a bare file name, beside it: a path could read any file
+    ("volume-data-parent-dir", {"h": DIR, **payload_elsewhere("h/v.vol.json", "../w.vol.raw")},
+     "dice --a {tmp}/h/v --b {tmp}/h/v", EXIT_DATA, "v.vol.json: data must be a bare file name"),
+    ("volume-data-absolute", payload_elsewhere("v.vol.json", "{tmp}/w.vol.raw"),
+     "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA, "v.vol.json: data must be a bare file name"),
     ("manifest-fold-float", fold_manifest(1.7), EVALUATE_MANIFEST, EXIT_DATA),
     ("manifest-fold-text", fold_manifest("2"), EVALUATE_MANIFEST, EXIT_DATA),
     ("manifest-fold-bool", fold_manifest(True), EVALUATE_MANIFEST, EXIT_DATA),
@@ -551,8 +564,8 @@ def test_malformed_input_exit_code(cohort, tmp_path, capsys, files, argv, expect
             path.mkdir()
         elif isinstance(content, bytes):
             path.write_bytes(content)
-        else:
-            path.write_text(content)
+        else:  # a text file may name the test directory, as argv does
+            path.write_text(content.replace("{tmp}", str(tmp_path)))
     code = main(argv.format(tmp=tmp_path, cohort=cohort).split())
     err = capsys.readouterr().err
     assert code == expected

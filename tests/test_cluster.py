@@ -320,7 +320,9 @@ class TestReferenceMaps:
             raw[:3, rng.random(shape) < 0.3] = 0.0  # all mass on CS channels: sums reach 1
             probs = ProbStack((raw / raw.sum(axis=0)).astype(np.float32), labels.spacing_mm)
         gs_map, cs_map = lesion_maps(labels, probs, conn)
-        assert (gs_map.map_kind, cs_map.map_kind) == ("gs", "cs")
+        # the grades tell the maps apart: a Grade per GS cluster, CS_BINARY per CS cluster
+        assert all(isinstance(c.grade, Grade) for c in gs_map.clusters)
+        assert all(c.grade == CS_BINARY for c in cs_map.clusters)
         # each map, from the pair and built alone
         for build, m, cs in ((gs_lesion_maps, gs_map, False), (cs_lesion_maps, cs_map, True)):
             want = reference_map(labels, probs, conn, cs)
@@ -473,7 +475,7 @@ class TestFilters:
                 from_voxels(vox, Grade.GS34, n * spacing[0] * spacing[1] * spacing[2], 0.9)
             )
             z += 1
-        return LesionMap(tuple(clusters), (max(sizes), 1, len(sizes)), spacing, "gs")
+        return LesionMap(tuple(clusters), (max(sizes), 1, len(sizes)), spacing)
 
     def test_45mm3_threshold_semantics(self):
         m = self._map_with_sizes([15, 14, 16])
@@ -497,7 +499,7 @@ class TestFilters:
         vox_out = tuple((x, 3, 0) for x in range(6))
         half = tuple((x, 1, 0) for x in range(4))  # 2 of 4 inside
         mk = lambda v: from_voxels(v, Grade.GS6, float(len(v)), 0.5)
-        m = LesionMap((mk(vox_in), mk(vox_out), mk(half)), (8, 4, 1), (1, 1, 1), "gs")
+        m = LesionMap((mk(vox_in), mk(vox_out), mk(half)), (8, 4, 1), (1, 1, 1))
         zone = np.zeros((1, 4, 8), dtype=np.uint8)
         zone[0, 0, :] = 1
         zone[0, 1, :2] = 1
@@ -610,7 +612,7 @@ class TestModelValidation:
         a = from_voxels(((0, 0, 0),), Grade.GS6, 3.0, 0.5)
         b = from_voxels(((0, 0, 0), (1, 0, 0)), Grade.GS34, 6.0, 0.5)
         with pytest.raises(ValueError):
-            LesionMap((a, b), (2, 1, 1), (1, 1, 3), "gs")
+            LesionMap((a, b), (2, 1, 1), (1, 1, 3))
 
     def test_interleaved_clusters_pass_and_one_shared_voxel_fails(self):
         def mk(vox):
@@ -627,10 +629,10 @@ class TestModelValidation:
         dims, spacing = (8, 4, 3), (1.0, 1.0, 3.0)
         assert even.box == odd.box
         for order in itertools.permutations((even, odd, tall, mid)):
-            assert len(LesionMap(order, dims, spacing, "gs")) == 4
+            assert len(LesionMap(order, dims, spacing)) == 4
         for order in itertools.permutations((even, odd, tall, mid, late)):
             with pytest.raises(ValueError, match="overlap"):
-                LesionMap(order, dims, spacing, "gs")
+                LesionMap(order, dims, spacing)
 
     def test_interlocking_boxes_with_disjoint_masks_pass(self):
         # two L shapes in one 3x3 slice: the boxes share four voxels, the masks none
@@ -638,7 +640,7 @@ class TestModelValidation:
                             Grade.GS6, 5.0, 0.5)
         second = from_voxels(((1, 0, 0), (2, 0, 0), (2, 1, 0)), Grade.GS34, 3.0, 0.5)
         for pair in ((first, second), (second, first)):
-            m = LesionMap(pair, (3, 3, 1), (1.0, 1.0, 1.0), "gs")
+            m = LesionMap(pair, (3, 3, 1), (1.0, 1.0, 1.0))
             assert m.clusters == pair and len(m.select(lambda c: True)) == 2
 
     def test_overlap_message_names_the_first_overlap_in_order(self):
@@ -647,10 +649,10 @@ class TestModelValidation:
 
         left, right, middle = mk((0, 1)), mk((3, 4)), mk((1, 2, 3))  # middle overlaps both
         with pytest.raises(ValueError) as err:
-            LesionMap((left, right, middle), (5, 1, 1), (1.0, 1.0, 1.0), "gs")
+            LesionMap((left, right, middle), (5, 1, 1), (1.0, 1.0, 1.0))
         assert str(err.value) == "clusters at voxels (0, 0, 0) and (1, 0, 0) overlap"
         with pytest.raises(ValueError) as err:
-            LesionMap((middle, right, left), (5, 1, 1), (1.0, 1.0, 1.0), "gs")
+            LesionMap((middle, right, left), (5, 1, 1), (1.0, 1.0, 1.0))
         assert str(err.value) == "clusters at voxels (1, 0, 0) and (3, 0, 0) overlap"
 
     def test_select_trusts_the_checked_map(self):
@@ -658,11 +660,14 @@ class TestModelValidation:
         # only a map whose clusters were swapped past the constructor shows it
         a = from_voxels(((0, 0, 0), (1, 0, 0)), Grade.GS6, 6.0, 0.5)
         b = from_voxels(((1, 0, 0),), Grade.GS34, 3.0, 0.5)
-        m = LesionMap((a,), (2, 1, 1), (1, 1, 3), "gs")
+        m = LesionMap((a,), (2, 1, 1), (1, 1, 3))
         object.__setattr__(m, "clusters", (a, b))  # bypasses the constructor's check
         assert m.select(lambda c: True).clusters == (a, b)
         assert m.select(lambda c: c is b).clusters == (b,)
         with pytest.raises(ValueError, match="overlap"):
+            LesionMap((a, b), (2, 1, 1), (1, 1, 3))
+        # the flag is keyword-only: a fourth positional argument cannot skip the check
+        with pytest.raises(TypeError):
             LesionMap((a, b), (2, 1, 1), (1, 1, 3), "gs")
 
     @pytest.mark.parametrize("kind", [KIND_INTENSITY, KIND_PROBABILITY])
@@ -677,10 +682,10 @@ class TestModelValidation:
 
     def test_cluster_leaving_the_grid_rejected(self):
         a = from_voxels(((0, 0, 0), (2, 0, 0)), Grade.GS6, 6.0, 0.5)
-        assert len(LesionMap((a,), (3, 1, 1), (1, 1, 3), "gs")) == 1
+        assert len(LesionMap((a,), (3, 1, 1), (1, 1, 3))) == 1
         for dims in ((2, 1, 1), (3, 1, 0)):
             with pytest.raises(ValueError, match="leaves the grid"):
-                LesionMap((a,), dims, (1, 1, 3), "gs")
+                LesionMap((a,), dims, (1, 1, 3))
 
     def test_mask_must_fill_the_box_and_is_read_only(self):
         mask = np.ones((1, 2, 2), dtype=bool)

@@ -16,6 +16,7 @@ from lesionkit.evaluation import (
     PatientEval,
     PointAnnotation,
     aggregate_stages,
+    cohort_dirs,
     evaluate_cohort,
     evaluate_points,
     load_cohort,
@@ -192,7 +193,7 @@ class TestLedgerAgreement:
         assert report.confusion_with_fn.counts == ledger_confusion(ledger, True)
         # FN-variant row sums are the full per-grade GT census
         for g in GRADE_ORDER:
-            assert report.confusion_with_fn.row_sums()[g.ordinal] == ledger_grade_gt_count(
+            assert sum(report.confusion_with_fn.counts[g.ordinal]) == ledger_grade_gt_count(
                 ledger, g
             )
 
@@ -264,6 +265,64 @@ class TestInvariance:
         back = {new: old for old, new in renamed.items()}
         assert Counter(dataclasses.replace(r, patient_id=back[r.patient_id])
                        for r in b.records) == Counter(a.records)
+
+
+#: flips along x, y and z and the x<->y transpose, of a [z, y, x] volume and of
+#: a (6, z, y, x) stack alike
+TRANSFORMS = {
+    "flip-x": lambda a: a[..., ::-1],
+    "flip-y": lambda a: a[..., ::-1, :],
+    "flip-z": lambda a: a[..., ::-1, :, :],
+    "transpose-xy": lambda a: np.swapaxes(a, -1, -2),
+}
+
+
+def _transformed(e: PatientEval, transform) -> PatientEval:
+    """The patient with every volume moved by transform: labels, all six
+    channels and both zones.  The spacing stays, so a transpose needs equal
+    in-plane spacing."""
+    def move(v):
+        return Volume(transform(v.values), v.spacing_mm, v.kind)
+
+    zones = None if e.zones is None else ZoneMask(move(e.zones.pz), move(e.zones.tz))
+    return PatientEval(e.patient_id, e.fold, move(e.labels),
+                       ProbStack(transform(e.probs.data), e.probs.spacing_mm), zones)
+
+
+@functools.lru_cache(maxsize=None)
+def _drift_report(seed, zone, resample, transform=None) -> dict:
+    """report_to_dict of the seed's DRIFT cohort, moved by the named transform."""
+    _, evals = _drift_cohort(seed)
+    if transform is not None:
+        evals = [_transformed(e, TRANSFORMS[transform]) for e in evals]
+    cfg = EvaluationConfig(zone=zone, bootstrap_resample=resample, **FAST)
+    return report_to_dict(evaluate_cohort(evals, cfg))
+
+
+class TestOrientationInvariance:
+    """The protocol has no preferred direction: flipping or transposing every
+    volume of a cohort changes no reported number.  Phantom blobs never tie
+    on an intersection, so the scan-order tie rule never decides a match."""
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("zone", [None, "pz", "tz"])
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_patient_resampling_report_is_unchanged(self, seed, zone, transform):
+        assert SCRIPTED.spacing_mm[0] == SCRIPTED.spacing_mm[1]  # the transpose keeps the grid
+        assert _drift_report(seed, zone, "patient", transform) == _drift_report(seed, zone, "patient")
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("zone", [None, "pz", "tz"])
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_lesion_resampling_changes_only_the_bootstrap_band(self, seed, zone, transform):
+        # the lesion bootstrap draws records in scan order, which a transform reorders
+        def point_estimates(d):
+            band = ("bootstrap_mean", "bootstrap_std")
+            return {**d, "confusion": {variant: {k: v for k, v in c.items() if k not in band}
+                                       for variant, c in d["confusion"].items()}}
+
+        moved, base = (_drift_report(seed, zone, "lesion", t) for t in (transform, None))
+        assert point_estimates(moved) == point_estimates(base)
 
 
 class TestReportShape:
@@ -373,11 +432,9 @@ class TestZoneRule:
 class TestDiskRoundTrip:
     def test_full_run_and_byte_determinism(self, tmp_path):
         write_cohort(SCRIPTED, tmp_path / "cohort")
-        base = dict(
-            EvaluationConfig.for_cohort_dir(tmp_path / "cohort").__dict__, **FAST
-        )
-        cfg1 = EvaluationConfig(**{**base, "output_dir": str(tmp_path / "out1")})
-        cfg2 = EvaluationConfig(**{**base, "output_dir": str(tmp_path / "out2")})
+        base = dict(cohort_dirs(tmp_path / "cohort"), **FAST)
+        cfg1 = EvaluationConfig(**base, output_dir=str(tmp_path / "out1"))
+        cfg2 = EvaluationConfig(**base, output_dir=str(tmp_path / "out2"))
         report1, stages = run_full_evaluation(cfg1)
         report2, _ = run_full_evaluation(cfg2)
         names1 = sorted(p.name for p in (tmp_path / "out1").iterdir())
@@ -412,7 +469,7 @@ class TestDiskRoundTrip:
 class TestStreaming:
     def test_one_patient_alive_at_a_time(self, tmp_path, monkeypatch):
         write_cohort(SCRIPTED, tmp_path / "cohort")
-        cfg = EvaluationConfig.for_cohort_dir(tmp_path / "cohort", **FAST)
+        cfg = EvaluationConfig(**cohort_dirs(tmp_path / "cohort"), **FAST)
         loaded, alive = [], []
         load = evaluation.load_patient_eval
 

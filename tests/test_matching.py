@@ -31,8 +31,8 @@ def mk(voxels, grade=Grade.GS34, score=0.9):
     return from_voxels(voxels, grade, len(voxels) * 3.0, score)
 
 
-def mk_map(clusters, kind="gs"):
-    return LesionMap(tuple(clusters), DIMS, SPACING, kind)
+def mk_map(clusters):
+    return LesionMap(tuple(clusters), DIMS, SPACING)
 
 
 class TestMatchDetections:
@@ -41,7 +41,7 @@ class TestMatchDetections:
         pred_vox = box(1, 2, 1, 2, 0, 1) + box(4, 7, 4, 7, 0, 1)  # 1 of 10 inside
         pred = mk_map([mk(pred_vox)])
         res = match_detections(pred, gt, overlap_frac=0.10)
-        assert res.tp_count == 1 and res.fp_count == 0
+        assert len(res.tp) == 1 and len(res.fp) == 0
         assert res.tp[0].overlap == pytest.approx(0.1)
 
     def test_nine_percent_is_fp(self):
@@ -52,14 +52,14 @@ class TestMatchDetections:
         pred_vox = inside + tuple(outside[: 100 - 9])
         pred = mk_map([mk(pred_vox)])
         res = match_detections(pred, gt, overlap_frac=0.10)
-        assert res.tp_count == 0 and res.fp_count == 1
-        assert res.fn_count == 1
+        assert len(res.tp) == 0 and len(res.fp) == 1
+        assert len(res.fn) == 1
 
     def test_zero_predictions_all_fn(self):
         gt = mk_map([mk(box(0, 2, 0, 2, 0, 1)), mk(box(5, 7, 5, 7, 0, 1), grade=Grade.GS8)])
         res = match_detections(mk_map([]), gt)
-        assert res.tp_count == 0
-        assert res.fn_count == 2
+        assert len(res.tp) == 0
+        assert len(res.fn) == 2
         assert res.sensitivity == 0.0
 
     def test_credit_goes_to_largest_intersection(self):
@@ -67,22 +67,22 @@ class TestMatchDetections:
         g2 = mk(box(0, 4, 2, 4, 0, 1), grade=Grade.GS43)  # pred intersects 8
         pred = mk(box(0, 2, 0, 4, 0, 1) + box(2, 4, 2, 4, 0, 1))
         res = match_detections(mk_map([pred]), mk_map([g1, g2]), overlap_frac=0.10)
-        assert res.tp_count == 1
+        assert len(res.tp) == 1
         inter1 = len(frozenset(pred.voxels) & frozenset(g1.voxels))
         inter2 = len(frozenset(pred.voxels) & frozenset(g2.voxels))
         assert inter1 != inter2
         larger = g1 if inter1 > inter2 else g2
         assert res.tp[0].gt.voxels == larger.voxels
-        assert res.fn_count == 1  # the other lesion stays unmatched
+        assert len(res.fn) == 1  # the other lesion stays unmatched
 
     def test_duplicates_neither_tp_nor_fp_by_default(self):
         gt = mk_map([mk(box(0, 4, 0, 4, 0, 1))])
         p_hi = mk(box(0, 2, 0, 2, 0, 1), score=0.9)
         p_lo = mk(box(2, 4, 2, 4, 0, 1), score=0.6)
         res = match_detections(mk_map([p_hi, p_lo]), gt)
-        assert res.tp_count == 1
+        assert len(res.tp) == 1
         assert res.tp[0].pred.score == 0.9  # lesion keeps its best prediction
-        assert res.fp_count == 0
+        assert len(res.fp) == 0
         assert len(res.duplicates) == 1
 
     def test_strict_mode_counts_duplicates_as_fp(self):
@@ -90,25 +90,25 @@ class TestMatchDetections:
         p_hi = mk(box(0, 2, 0, 2, 0, 1), score=0.9)
         p_lo = mk(box(2, 4, 2, 4, 0, 1), score=0.6)
         res = match_detections(mk_map([p_hi, p_lo]), gt, strict_duplicates=True)
-        assert res.tp_count == 1
-        assert res.fp_count == 1
+        assert len(res.tp) == 1
+        assert len(res.fp) == 1
         assert not res.duplicates
 
     def test_score_threshold_excludes_predictions(self):
         gt = mk_map([mk(box(0, 4, 0, 4, 0, 1))])
         pred = mk_map([mk(box(0, 2, 0, 2, 0, 1), score=0.4)])
         res = match_detections(pred, gt, score_threshold=0.5)
-        assert res.tp_count == 0
-        assert res.fp_count == 0
-        assert res.fn_count == 1
+        assert len(res.tp) == 0
+        assert len(res.fp) == 0
+        assert len(res.fn) == 1
 
     def test_partition_accounting(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             gt_cl, pred_cl = random_maps(rng)
             res = match_detections(mk_map(pred_cl), mk_map(gt_cl))
-            assert res.tp_count + res.fp_count + len(res.duplicates) == len(pred_cl)
-            assert res.tp_count + res.fn_count == len(gt_cl)
+            assert len(res.tp) + len(res.fp) + len(res.duplicates) == len(pred_cl)
+            assert len(res.tp) + len(res.fn) == len(gt_cl)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(9)
@@ -119,33 +119,33 @@ class TestMatchDetections:
             for thr in (0.0, 0.3, 0.6, 0.9, 1.01):
                 res = match_detections(pred, gt, score_threshold=thr)
                 if prev_tp is not None:
-                    assert res.tp_count <= prev_tp
-                    assert res.fp_count <= prev_fp
-                prev_tp, prev_fp = res.tp_count, res.fp_count
+                    assert len(res.tp) <= prev_tp
+                    assert len(res.fp) <= prev_fp
+                prev_tp, prev_fp = len(res.tp), len(res.fp)
 
     def test_overlap_frac_extremes(self):
         gt = mk_map([mk(box(0, 4, 0, 4, 0, 1))])
         barely = mk(box(3, 8, 3, 8, 0, 1))  # 1 of 25 voxels inside
         res_low = match_detections(mk_map([barely]), gt, overlap_frac=1e-9)
-        assert res_low.tp_count == 1
+        assert len(res_low.tp) == 1
         res_full = match_detections(mk_map([barely]), gt, overlap_frac=1.0)
-        assert res_full.tp_count == 0
+        assert len(res_full.tp) == 0
         contained = mk(box(1, 3, 1, 3, 0, 1))
-        assert match_detections(mk_map([contained]), gt, overlap_frac=1.0).tp_count == 1
+        assert len(match_detections(mk_map([contained]), gt, overlap_frac=1.0).tp) == 1
 
     def test_denominator_variants(self):
         gt = mk_map([mk(box(0, 10, 0, 10, 0, 1))])  # 100 voxels
         pred = mk(box(0, 2, 0, 2, 0, 1))  # 4 voxels, fully inside
         # pred-denominator: 4/4 = 1.0 qualifies; gt-denominator: 4/100 < 0.10
-        assert match_detections(mk_map([pred]), gt, denom="pred").tp_count == 1
-        assert match_detections(mk_map([pred]), gt, denom="gt").tp_count == 0
+        assert len(match_detections(mk_map([pred]), gt, denom="pred").tp) == 1
+        assert len(match_detections(mk_map([pred]), gt, denom="gt").tp) == 0
         # union: 4 / 100 = 0.04 < 0.10
-        assert match_detections(mk_map([pred]), gt, denom="union").tp_count == 0
+        assert len(match_detections(mk_map([pred]), gt, denom="union").tp) == 0
         with pytest.raises(ValueError):
             match_detections(mk_map([pred]), gt, denom="both")
 
     def test_grid_mismatch_rejected(self):
-        gt = LesionMap((mk(box(0, 2, 0, 2, 0, 1)),), (8, 8, 4), SPACING, "gs")
+        gt = LesionMap((mk(box(0, 2, 0, 2, 0, 1)),), (8, 8, 4), SPACING)
         pred = mk_map([mk(box(0, 2, 0, 2, 0, 1))])
         with pytest.raises(ValueError):
             match_detections(pred, gt)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lesionkit.cluster import MAP_GS, LesionMap
+from lesionkit.cluster import LesionMap
 from lesionkit.evaluation import EvaluationConfig, PatientEval, aggregate_stages, stage_cohort
 from lesionkit.grades import GRADE_ORDER, MISSED
 from lesionkit.matching import OVERLAP_DENOMS, match_detections
@@ -155,7 +155,7 @@ def lesion_map(ids, scores, grades):
                       volume_mm3=float(len(vs)), score=SCORES[scores[k - 1]])
         for k, vs in sorted(groups.items())
     )
-    return LesionMap(clusters, DIMS, (1.0, 1.0, 1.0), MAP_GS)
+    return LesionMap(clusters, DIMS, (1.0, 1.0, 1.0))
 
 
 ids = st.lists(st.integers(0, 4), min_size=N_VOX, max_size=N_VOX)

@@ -500,15 +500,15 @@ class TestLabelFromProbs:
         data[5, 0, 0, 1] = 0.6
         data[2, 0, 0, 1] = 0.4
         v = label_from_probs(self._stack(data))
-        assert v.value_at(0, 0, 0) == 0
-        assert v.value_at(1, 0, 0) == 5
+        assert v.values[0, 0, 0] == 0
+        assert v.values[0, 0, 1] == 5  # (x, y, z) = (1, 0, 0)
 
     def test_tie_breaks_to_lowest_index(self):
         data = np.zeros((6, 1, 1, 1), dtype=np.float32)
         data[2] = 0.5
         data[3] = 0.5
         v = label_from_probs(self._stack(data))
-        assert v.value_at(0, 0, 0) == 2
+        assert v.values[0, 0, 0] == 2
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(19)
@@ -520,7 +520,7 @@ class TestLabelFromProbs:
             for y in range(3):
                 for x in range(4):
                     best = max(range(6), key=lambda c: (data[c, z, y, x], -c))
-                    assert got.value_at(x, y, z) == best
+                    assert got.values[z, y, x] == best
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(23)

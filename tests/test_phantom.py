@@ -127,12 +127,12 @@ class TestGeneration:
             per_grade = {g: 0 for g in GRADE_ORDER}
             for e in script.lesions:
                 per_grade[e.grade] += 1
-                assert e.n_voxels >= SMALL.min_lesion_voxels
+                assert len(e.voxels) >= SMALL.min_lesion_voxels
             assert [per_grade[g] for g in GRADE_ORDER] == list(SMALL.lesions_per_grade)
             assert len(script.fps) == SMALL.fp_per_patient
             for f in script.fps:
                 assert f.grade in CS_GRADES
-                assert f.n_voxels >= SMALL.min_lesion_voxels
+                assert len(f.voxels) >= SMALL.min_lesion_voxels
 
     def test_blob_separation_at_least_two_voxels(self):
         pats, ledger = generate_cohort(SMALL)
@@ -359,8 +359,8 @@ class TestLedgerOracles:
         ledger = ledger_from_dict(d)
         assert "".join(json_chunks(ledger_to_dict(ledger))) == "".join(json_chunks(d))
         (script,) = ledger.patients
-        assert script.lesions[0].n_voxels == len(lesion)
-        assert script.fps[0].n_voxels == len(fp)
+        assert len(script.lesions[0].voxels) == len(lesion)
+        assert len(script.fps[0].voxels) == len(fp)
 
     @pytest.mark.parametrize("key, index, voxels, message", [
         ("lesions", 1, [], "voxels is empty"),
@@ -449,7 +449,16 @@ class TestLedgerOracles:
             assert edited != ledger and not (edited == ledger), edit.__name__
             if edit is move_voxel:
                 a, b = same.patients[0].lesions[0], edited.patients[0].lesions[0]
-                assert (a.box, a.n_voxels) == (b.box, b.n_voxels)
+                assert (a.box, len(a.voxels)) == (b.box, len(b.voxels))
+
+    def test_entry_mask_must_fill_the_box_and_is_read_only(self):
+        # the rule and the message of LesionCluster's mask
+        box, mask = (slice(0, 1), slice(0, 2), slice(1, 3)), np.ones((1, 2, 2), dtype=bool)
+        with pytest.raises(ValueError, match=r"^mask of shape \(1, 2, 2\) does not fill the box"):
+            FpEntry(Grade.GS8, ZONE_PZ, box[:2] + (slice(0, 3),), mask, 0.9)
+        e = FpEntry(Grade.GS8, ZONE_PZ, box, mask, 0.9)
+        mask[0, 0, 0] = False  # the caller's array stays writable, and e holds a copy
+        assert e.mask.all() and not e.mask.flags.writeable
 
 
 class TestPipelineAgreement:

@@ -44,7 +44,6 @@ class TestVolumeModel:
     def test_dims_are_x_fastest(self):
         v = Volume(np.zeros((4, 3, 2), dtype=np.uint8), (1, 1, 3), KIND_LABEL)
         assert v.dims == (2, 3, 4)
-        assert v.n_voxels == 24
 
     def test_voxel_volume_exact(self):
         v = Volume(np.zeros((1, 1, 1), dtype=np.uint8), (1.0, 1.0, 3.0), KIND_LABEL)
@@ -67,10 +66,11 @@ class TestVolumeModel:
         with pytest.raises(ValueError):
             v.values[0, 0, 0] = 1.0
 
-    def test_value_at_uses_xyz_order(self):
-        arr = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
-        v = make_intensity(arr)
-        assert v.value_at(x=3, y=2, z=1) == arr[1, 2, 3]
+    def test_values_are_indexed_z_y_x(self):
+        v = make_intensity(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+        x, y, z = 3, 2, 1
+        assert v.dims == (4, 3, 2)
+        assert v.values[z, y, x] == x + 4 * (y + 3 * z)  # x fastest, as in the payload
 
 
 _RANGE_MSG = r"probabilities must be finite and in \[0, 1\]"
@@ -243,10 +243,10 @@ class TestFileIO:
         (tmp_path / "t.vol.json").write_text(json.dumps(header))
         (tmp_path / "t.vol.raw").write_bytes(bytes([0, 1, 2, 3]))
         v = read_volume(tmp_path / "t.vol.json")
-        assert v.value_at(0, 0, 0) == 0
-        assert v.value_at(1, 0, 0) == 1
-        assert v.value_at(0, 1, 0) == 2
-        assert v.value_at(1, 1, 0) == 3
+        assert v.values[0, 0, 0] == 0
+        assert v.values[0, 0, 1] == 1  # (x, y, z) = (1, 0, 0)
+        assert v.values[0, 1, 0] == 2
+        assert v.values[0, 1, 1] == 3
 
     def test_f32_half_is_canonical_le_bytes(self, tmp_path):
         v = Volume(np.full((1, 1, 1), 0.5, dtype=np.float32), (1, 1, 3), KIND_PROBABILITY)
