@@ -41,6 +41,7 @@ from .metrics import (
     ConfusionMatrix,
     FrocCurve,
     FrocPoint,
+    KappaBootstrap,
     KappaResult,
     aggregate_folds,
     bootstrap_kappa,

@@ -274,10 +274,11 @@ def cmd_kappa(args, file_cfg) -> int:
     if cm.total == 0:
         raise ValueError(f"{args.detections}: no gradable records "
                          "(all lesions missed in TP-only mode)")
-    result = bootstrap_kappa(
+    both = bootstrap_kappa(
         records, n_iter=cfg.bootstrap_iterations, seed=cfg.bootstrap_seed,
-        include_fn_as_gs6=args.include_fn, resample=cfg.bootstrap_resample,
+        resample=cfg.bootstrap_resample,
     )
+    result = both.with_fn if args.include_fn else both.tp_only
     _emit(_confusion_dict(cm, result))
     if result.degenerate and args.strict:
         print("warning: kappa is degenerate (expected disagreement is zero)",

@@ -384,17 +384,11 @@ def aggregate_stages(stages, cfg: EvaluationConfig) -> EvaluationReport:
     cm_fn = confusion_matrix(records, include_fn_as_gs6=True)
     if cm_tp.total == 0:
         degenerate.append("no detected lesions; TP-only matrix is empty")
-        kappa_tp = KappaResult(kappa=0.0, degenerate=True)
-    else:
-        kappa_tp = bootstrap_kappa(
-            records, n_iter=cfg.bootstrap_iterations, seed=cfg.bootstrap_seed,
-            include_fn_as_gs6=False, resample=cfg.bootstrap_resample,
-        )
-    kappa_fn = bootstrap_kappa(
+    kappa = bootstrap_kappa(
         records, n_iter=cfg.bootstrap_iterations, seed=cfg.bootstrap_seed,
-        include_fn_as_gs6=True, resample=cfg.bootstrap_resample,
+        resample=cfg.bootstrap_resample,
     )
-    for name, k in (("tp_only", kappa_tp), ("with_fn", kappa_fn)):
+    for name, k in (("tp_only", kappa.tp_only), ("with_fn", kappa.with_fn)):
         if k.degenerate:
             degenerate.append(f"kappa ({name}) is degenerate")
 
@@ -433,8 +427,8 @@ def aggregate_stages(stages, cfg: EvaluationConfig) -> EvaluationReport:
         records=records,
         confusion_tp_only=cm_tp,
         confusion_with_fn=cm_fn,
-        kappa_tp_only=kappa_tp,
-        kappa_with_fn=kappa_fn,
+        kappa_tp_only=kappa.tp_only,
+        kappa_with_fn=kappa.with_fn,
         fold_kappa=fold_kappa,
         degenerate_stats=degenerate,
         config=cfg,
@@ -753,6 +747,6 @@ def evaluate_points(points, stacks_by_id, cfg: EvaluationConfig | None = None):
             )
     kappa = bootstrap_kappa(
         records, n_iter=cfg.bootstrap_iterations, seed=cfg.bootstrap_seed,
-        include_fn_as_gs6=False, resample=cfg.bootstrap_resample,
+        resample=cfg.bootstrap_resample,
     )
-    return records, kappa
+    return records, kappa.tp_only

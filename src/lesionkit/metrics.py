@@ -103,6 +103,20 @@ class KappaResult:
 
 
 @dataclass(frozen=True)
+class KappaBootstrap:
+    """Both grading variants of one bootstrap, from the same draws: TP-only
+    and with missed lesions booked as GS6 predictions."""
+
+    tp_only: KappaResult
+    with_fn: KappaResult
+
+    @property
+    def n_iterations(self) -> int:
+        # the with-FN matrix holds every record, so it is never left empty
+        return self.with_fn.n_iterations
+
+
+@dataclass(frozen=True)
 class AggregatePoint:
     fp_rate: float
     sens_mean: float
@@ -263,16 +277,21 @@ def quadratic_weighted_kappa(cm: ConfusionMatrix) -> KappaResult:
     """
     if cm.total <= 0:
         raise ValueError("kappa needs a populated matrix")
-    kappa, degenerate = _kappa_from_sums(*(int(s) for s in _kappa_sums(cm.as_array())))
-    return KappaResult(kappa=kappa, degenerate=degenerate)
+    n, obs, exp = _kappa_sums(cm.as_array())
+    return KappaResult(kappa=float(_kappa_values(n, obs, exp)), degenerate=bool(exp == 0))
 
 
-def _kappa_from_sums(n: int, obs: int, exp: int) -> tuple[float, bool]:
-    """Kappa and the degenerate flag from the integer sums n, sum W*O and
-    sum W*row*col: one correctly-rounded division of Python ints."""
-    if exp == 0:
-        return (1.0 if obs == 0 else 0.0), True
-    return 1.0 - (n * obs) / exp, False
+def _kappa_values(n, obs, exp) -> np.ndarray:
+    """Kappa of each table from its integer sums n, sum W*O and sum W*row*col,
+    as one float64 division 1 - (n*obs)/exp.  Both operands are at most
+    9 n^2, which the assert keeps below 2**53: they convert to float64
+    exactly, so each quotient rounds as a division of Python ints does.  A
+    table with zero expected disagreement reads 1 when observed
+    disagreement is zero too, else 0; an empty table reads 0."""
+    assert 9 * int(n.max()) ** 2 < 2**53
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = 1.0 - (n * obs) / exp
+    return np.select([n == 0, (exp == 0) & (obs == 0), exp == 0], [0.0, 1.0, 0.0], kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +383,21 @@ def bootstrap_kappa(
     records,
     n_iter: int = 1000,
     seed: int = 0,
-    include_fn_as_gs6: bool = False,
     resample: str = "lesion",
-) -> KappaResult:
-    """Resample detection records with replacement and report the mean and
-    std of kappa over iterations.
+) -> KappaBootstrap:
+    """Resample detection records with replacement and report, for both
+    confusion variants, the mean and std of kappa over iterations.
 
     Lesion-level resampling draws records directly; patient-level draws
     whole patients, in sorted patient-id order.  Iteration i draws from
     child i of SeedSequence(seed), through Philox, so results do not depend
     on execution order; the children's keys are computed in bulk (see
-    _bootstrap_draws).  Every unit's confusion counts are tabulated once; an
-    iteration's table is the count-weighted sum of the drawn units' tables,
-    so no record is revisited per draw."""
+    _bootstrap_draws).  Every unit's confusion counts in both variants are
+    tabulated once; an iteration's two tables are the count-weighted sum of
+    the drawn units' tables, so one draw and one count feed both variants
+    and no record is revisited per draw.  When every record is a missed
+    lesion, the TP-only variant is KappaResult(0.0, degenerate=True), with
+    no bootstrap."""
     recs = list(records)
     if not recs:
         raise ValueError("bootstrap needs at least one record")
@@ -384,7 +405,6 @@ def bootstrap_kappa(
         raise ValueError(f"resample must be 'lesion' or 'patient', got {resample!r}")
     if n_iter < 1:
         raise ValueError("bootstrap needs at least one iteration")
-    point = quadratic_weighted_kappa(confusion_matrix(recs, include_fn_as_gs6))
     if resample == "patient":
         unit_of = {pid: u for u, pid in enumerate(sorted({r.patient_id for r in recs}))}
         unit = np.array([unit_of[r.patient_id] for r in recs], dtype=np.intp)
@@ -392,35 +412,42 @@ def bootstrap_kappa(
     else:
         unit = np.arange(len(recs))
         n_units = len(recs)
-    cells = _unit_tables(recs, include_fn_as_gs6, unit, n_units).reshape(n_units, _N_CELLS)
+    # (n_units, 32): a unit's 16 TP-only cells, then its 16 with-FN cells
+    cells = np.concatenate(
+        [_unit_tables(recs, fn, unit, n_units).reshape(n_units, _N_CELLS) for fn in (False, True)],
+        axis=1,
+    )
+    point_tables = cells.sum(axis=0).reshape(2, N_GRADES, N_GRADES)
     # the product runs in float64, which has a BLAS path where int64 has
     # none; every sum is an integer of at most n_units * cells.max(), exact
     # in float64 below 2**53, and storing into tables casts it back to int64
     assert n_units * int(cells.max()) < 2**53
     cells = cells.astype(np.float64)
-    tables = np.empty((n_iter, _N_CELLS), dtype=np.int64)
+    tables = np.empty((n_iter, 2 * _N_CELLS), dtype=np.int64)
     for start, idx in _bootstrap_draws(seed, n_iter, n_units):
         rows = len(idx)
-        flat = idx + n_units * np.arange(rows)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=rows * n_units)
+        # in place: each block's idx is a new array that nothing else reads
+        idx += n_units * np.arange(rows)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=rows * n_units)
         tables[start:start + rows] = counts.reshape(rows, n_units) @ cells
-    n, obs, exp = _kappa_sums(tables.reshape(n_iter, N_GRADES, N_GRADES))
-    values = np.array(
-        [
-            # an empty table: every drawn record was a MISSED lesion in the
-            # TP-only variant
-            _kappa_from_sums(ni, oi, ei)[0] if ni else 0.0
-            for ni, oi, ei in zip(n.tolist(), obs.tolist(), exp.tolist())
-        ],
-        dtype=np.float64,
-    )
-    return KappaResult(
-        kappa=point.kappa,
-        degenerate=point.degenerate,
-        bootstrap_mean=float(values.mean()),
-        bootstrap_std=float(values.std()),
-        n_iterations=n_iter,
-    )
+    # (2, n_iter): one row of kappas per variant
+    values = _kappa_values(*_kappa_sums(
+        tables.reshape(n_iter, 2, N_GRADES, N_GRADES).transpose(1, 0, 2, 3)))
+    results = []
+    for fn, table, kappas in zip((False, True), point_tables, values):
+        if not table.any():
+            # only the TP-only table can be empty: every record was missed
+            results.append(KappaResult(kappa=0.0, degenerate=True))
+            continue
+        point = quadratic_weighted_kappa(ConfusionMatrix(table, fn))
+        results.append(KappaResult(
+            kappa=point.kappa,
+            degenerate=point.degenerate,
+            bootstrap_mean=float(kappas.mean()),
+            bootstrap_std=float(kappas.std()),
+            n_iterations=n_iter,
+        ))
+    return KappaBootstrap(*results)
 
 
 # ---------------------------------------------------------------------------

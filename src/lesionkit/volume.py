@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
@@ -548,7 +549,8 @@ def _read_header(path):
     spacing, kind).  dims must be a list of three positive ints and
     spacing_mm a list of three numbers.  The payload, which data names,
     must lie beside the header, exist and have the length the header
-    implies, which is checked before any buffer is allocated for it."""
+    implies, which is checked before any buffer is allocated for it, and
+    be a regular file."""
     header_path, _ = _paths(path)
     try:
         with open(header_path, "rb") as f:
@@ -590,11 +592,14 @@ def _read_header(path):
         raise VolumeFormatError(f"{header_path}: data must be a bare file name, got {data_name!r}")
     data_path = os.path.join(os.path.dirname(header_path), data_name)
     try:
-        size = os.stat(data_path).st_size
+        st = os.stat(data_path)
     except FileNotFoundError:
         raise FileNotFoundError(f"missing volume payload {data_path}") from None
+    # a directory's or a device's st_size says nothing of what a read returns
+    if not stat.S_ISREG(st.st_mode):
+        raise VolumeFormatError(f"{data_path}: payload is not a regular file")
     expected = dims[0] * dims[1] * dims[2] * _DTYPES[kind].itemsize
-    if size != expected:
+    if st.st_size != expected:
         raise _payload_error(data_path, expected)
     return header_path, data_path, dims, spacing, kind
 

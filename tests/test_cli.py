@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import shutil
+from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
@@ -310,6 +311,7 @@ POINTS_HEADER = "patient_id,x_vox,y_vox,z_vox,zone,gs_label\n"
 NOT_UTF8 = b"\xff\xfe\xfa\n"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 DIR = None  # a file entry that is created as a directory
+ZERO_DEVICE = PurePosixPath("/dev/zero")  # a file entry that is created as a link to it
 INTENSITY_HEADER = json.dumps({"dims": [2, 2, 2], "spacing_mm": [1.0, 1.0, 3.0], "dtype": "f32",
                                "kind": "intensity", "data": "i.vol.raw"})
 EVALUATE_MISSING = "evaluate --cohort {tmp}/missing --out {tmp}/o"
@@ -460,6 +462,10 @@ MALFORMED_INPUTS = [
      "evaluate --gt-dir {cohort}/gt --pred-dir {cohort}/pred --manifest {tmp}/m.json "
      "--out {tmp}/o", EXIT_DATA),
     ("volume-header-directory", {"v.vol.json": DIR}, "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA),
+    ("volume-payload-directory", {**label_volume([2, 3, 4]), "v.vol.raw": DIR},
+     "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA, "v.vol.raw: payload is not a regular file"),
+    ("volume-payload-device", {**label_volume([2, 3, 4]), "v.vol.raw": ZERO_DEVICE},
+     "dice --a {tmp}/v --b {tmp}/v", EXIT_DATA, "v.vol.raw: payload is not a regular file"),
     ("volume-dims-beyond-memory",
      {"v.vol.json": INTENSITY_HEADER.replace("[2, 2, 2]", "[100000, 100000, 100000]")
       .replace("i.vol.raw", "v.vol.raw"), "v.vol.raw": bytes(32)},
@@ -562,6 +568,8 @@ def test_malformed_input_exit_code(cohort, tmp_path, capsys, files, argv, expect
         path = tmp_path / name
         if content is DIR:
             path.mkdir()
+        elif content is ZERO_DEVICE:
+            path.symlink_to(content)
         elif isinstance(content, bytes):
             path.write_bytes(content)
         else:  # a text file may name the test directory, as argv does

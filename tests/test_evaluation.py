@@ -28,6 +28,7 @@ from lesionkit.evaluation import (
 )
 from lesionkit.grades import GRADE_ORDER, Grade
 from lesionkit.metrics import (
+    RESAMPLE_UNITS,
     ConfusionMatrix,
     confusion_matrix,
     quadratic_weighted_kappa,
@@ -50,6 +51,7 @@ from lesionkit.phantom import (
 )
 from lesionkit.volume import KIND_LABEL, KIND_PROBABILITY, ProbStack, Volume, ZoneMask
 from test_acceptance import DRIFT
+from test_metrics import _outcome, _ref_bootstrap_kappa
 
 
 PERFECT = PhantomConfig(
@@ -323,6 +325,41 @@ class TestOrientationInvariance:
 
         moved, base = (_drift_report(seed, zone, "lesion", t) for t in (transform, None))
         assert point_estimates(moved) == point_estimates(base)
+
+
+class TestAllMissed:
+    """A prediction that misses every lesion: the TP-only matrix is empty,
+    so only the with-FN variant has a bootstrap."""
+
+    @pytest.mark.parametrize("resample", RESAMPLE_UNITS)
+    def test_tp_only_degenerate_and_with_fn_equals_reference(self, resample):
+        cfg = dataclasses.replace(PERFECT, n_patients=2, lesions_per_grade=(1, 1, 0, 0),
+                                  miss_fraction=1.0)
+        pats, ledger = generate_cohort(cfg)
+        report = evaluate_cohort(phantom_patient_evals(pats, ledger),
+                                 EvaluationConfig(bootstrap_iterations=200,
+                                                  bootstrap_resample=resample))
+        assert report_to_dict(report)["confusion"]["tp_only"] == {
+            "grades": [g.display for g in GRADE_ORDER],
+            "counts": [[0] * 4] * 4,
+            "include_fn_as_gs6": False,
+            "kappa": 0.0,
+            "degenerate": True,
+            "bootstrap_mean": None,
+            "bootstrap_std": None,
+            "n_iterations": 0,
+        }
+        assert report.degenerate_stats == [
+            "no GS4+3 ground-truth lesions; curve omitted",
+            "no GS>=8 ground-truth lesions; curve omitted",
+            "no detected lesions; TP-only matrix is empty",
+            "kappa (tp_only) is degenerate",
+            "fold 0 kappa (tp_only) undefined (no records)",
+            "fold 1 kappa (tp_only) undefined (no records)",
+        ]
+        assert _outcome(lambda: report.kappa_with_fn) == _outcome(
+            _ref_bootstrap_kappa, report.records, n_iter=200, seed=0,
+            include_fn_as_gs6=True, resample=resample)
 
 
 class TestReportShape:

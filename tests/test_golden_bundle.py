@@ -248,6 +248,33 @@ def test_kappa_patient_resample_digests(detections, capsys, variant):
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_KAPPA_PATIENT[variant]
 
 
+#: sha256 of the kappa files and report.json that `evaluate` writes with
+#: bootstrap_resample "patient" (set in the config file: evaluate has no
+#: --resample flag).  Each confusion file holds the same bytes as the
+#: `kappa --resample patient` stdout of that variant above.
+GOLDEN_EVALUATE_PATIENT = {
+    "confusion_tp_only.json":
+        "2d700bb7d177d0d73e35a63453fb1d4c789bd1f26f817a49e7db9fb9704d2ecc",
+    "confusion_with_fn.json":
+        "702a5f7d957286439e8e739aef7bea7b879fab8c32f143f61eab5654f9c6a3f6",
+    "report.json":
+        "0917ed7a28d5b5938c448571037aa192137bfe4bd3cab6236ccf4cd6bbfdf733",
+}
+
+
+def test_evaluate_patient_resample_digests(cohort, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"evaluation": {"bootstrap_resample": "patient"}}))
+    out = tmp_path / "bundle"
+    argv = ["--config", str(cfg), "evaluate", "--cohort", str(cohort), "--out", str(out),
+            "--bootstrap", "200"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    got = {name: digest for name, digest in _digests(out).items()
+           if name in GOLDEN_EVALUATE_PATIENT}
+    assert got == GOLDEN_EVALUATE_PATIENT
+
+
 #: sha256 of `lesionkit --seed 18446744073709551619 kappa` stdout on the
 #: same detections, resampling lesions: a seed of three 32-bit words
 #: (2**64 + 3), which the bundle's seed 0 never exercises.

@@ -457,9 +457,11 @@ class TestBootstrapKappa:
     def test_identical_records_zero_std(self):
         records = [rec(Grade.GS34, Grade.GS34), rec(Grade.GS43, Grade.GS43)] * 5
         res = bootstrap_kappa(records, n_iter=50, seed=3)
-        assert res.bootstrap_std == 0.0
-        assert res.bootstrap_mean == 1.0
-        assert res.kappa == 1.0
+        # no record was missed, so both variants count the same tables
+        assert res.tp_only == res.with_fn
+        assert res.tp_only.bootstrap_std == 0.0
+        assert res.tp_only.bootstrap_mean == 1.0
+        assert res.tp_only.kappa == 1.0
 
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(4)
@@ -467,10 +469,10 @@ class TestBootstrapKappa:
             rec(Grade(int(rng.integers(2, 6))), Grade(int(rng.integers(2, 6))))
             for _ in range(25)
         ]
-        a = bootstrap_kappa(records, n_iter=200, seed=42)
-        b = bootstrap_kappa(records, n_iter=200, seed=42)
+        a = bootstrap_kappa(records, n_iter=200, seed=42).tp_only
+        b = bootstrap_kappa(records, n_iter=200, seed=42).tp_only
         assert (a.bootstrap_mean, a.bootstrap_std) == (b.bootstrap_mean, b.bootstrap_std)
-        c = bootstrap_kappa(records, n_iter=200, seed=43)
+        c = bootstrap_kappa(records, n_iter=200, seed=43).tp_only
         assert (a.bootstrap_mean, a.bootstrap_std) != (c.bootstrap_mean, c.bootstrap_std)
 
     def test_two_record_enumeration(self):
@@ -481,7 +483,7 @@ class TestBootstrapKappa:
             quadratic_weighted_kappa(confusion_matrix(pair)).kappa
             for pair in [(r1, r1), (r1, r2), (r2, r1), (r2, r2)]
         ]
-        res = bootstrap_kappa([r1, r2], n_iter=4000, seed=9)
+        res = bootstrap_kappa([r1, r2], n_iter=4000, seed=9).tp_only
         # every iteration's kappa must be one of the enumerated values and
         # the empirical mean must approach the enumeration mean
         expect_mean = float(np.mean(enum))
@@ -581,13 +583,33 @@ def _ref_bootstrap_kappa(records, n_iter=1000, seed=0, include_fn_as_gs6=False,
 
 def _outcome(fn, *args, **kwargs):
     """A KappaResult as a tuple with its floats as hex strings (bitwise
-    comparison), or the error it raised."""
+    comparison; a bootstrap that did not run reads None), or the error it
+    raised."""
     try:
         res = fn(*args, **kwargs)
     except ValueError as e:
         return ("error", str(e))
     floats = (res.kappa, res.bootstrap_mean, res.bootstrap_std)
-    return (*(float(v).hex() for v in floats), res.degenerate, res.n_iterations)
+    return (*(None if v is None else float(v).hex() for v in floats), res.degenerate,
+            res.n_iterations)
+
+
+def _variant_outcomes(records, **kwargs):
+    """The TP-only and with-FN results of one bootstrap_kappa call, each as
+    _outcome gives it."""
+    res = bootstrap_kappa(records, **kwargs)
+    return tuple(_outcome(lambda k=k: k) for k in (res.tp_only, res.with_fn))
+
+
+def _ref_variant_outcomes(records, **kwargs):
+    """The reference, run once per variant.  A TP-only matrix that holds
+    only missed lesions has no kappa; the package books it as
+    KappaResult(0.0, degenerate=True), with no bootstrap."""
+    empty = _outcome(lambda: KappaResult(kappa=0.0, degenerate=True))
+    outs = (_outcome(_ref_bootstrap_kappa, records, include_fn_as_gs6=fn, **kwargs)
+            for fn in (False, True))
+    return tuple(empty if out == ("error", "kappa needs a populated matrix") else out
+                 for out in outs)
 
 
 #: Patient ids whose first-appearance order is not their sorted order.
@@ -607,40 +629,38 @@ def _recs(*rows):
 
 class TestBootstrapMatchesReference:
     """The table-based bootstrap against the per-iteration reference: every
-    field equal, the floats bitwise."""
+    field of both variants equal, the floats bitwise."""
 
     @settings(max_examples=250, deadline=None)
     @given(
         records=_records,
         n_iter=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
-        include_fn=st.booleans(),
         resample=st.sampled_from(("lesion", "patient")),
     )
     @example(records=_recs(("p1", Grade.GS34, Grade.GS43)), n_iter=1, seed=0,
-             include_fn=False, resample="lesion")
+             resample="lesion")
+    # every record missed: the TP-only matrix is empty
     @example(records=_recs(("p1", Grade.GS8, MISSED)), n_iter=5, seed=1,
-             include_fn=True, resample="patient")
+             resample="patient")
     # TP-only: most draws of these records hold only missed lesions
     @example(records=_recs(("p2", Grade.GS6, MISSED), ("p10", Grade.GS8, MISSED),
                            ("a", Grade.GS43, MISSED), ("p1", Grade.GS34, Grade.GS8)),
-             n_iter=40, seed=3, include_fn=False, resample="patient")
-    # exp == 0 in every draw that holds a detected lesion: they all sit in
-    # one diagonal cell
+             n_iter=40, seed=3, resample="patient")
+    # exp == 0 in every TP-only draw that holds a detected lesion: they all
+    # sit in one diagonal cell
     @example(records=_recs(("p2", Grade.GS43, Grade.GS43), ("a", Grade.GS43, Grade.GS43),
                            ("p1", Grade.GS6, MISSED)),
-             n_iter=30, seed=5, include_fn=False, resample="lesion")
+             n_iter=30, seed=5, resample="lesion")
     # uneven patients given out of sorted order
     @example(records=_recs(("p2", Grade.GS6, Grade.GS6), ("p10", Grade.GS8, Grade.GS6),
                            ("p10", Grade.GS8, MISSED), ("p10", Grade.GS34, Grade.GS43),
                            ("a", Grade.GS43, Grade.GS43), ("p2", Grade.GS6, MISSED),
                            ("p1", Grade.GS8, Grade.GS8)),
-             n_iter=40, seed=7, include_fn=True, resample="patient")
-    def test_equals_reference(self, records, n_iter, seed, include_fn, resample):
-        kwargs = dict(n_iter=n_iter, seed=seed, include_fn_as_gs6=include_fn,
-                      resample=resample)
-        assert _outcome(bootstrap_kappa, records, **kwargs) == \
-            _outcome(_ref_bootstrap_kappa, records, **kwargs)
+             n_iter=40, seed=7, resample="patient")
+    def test_equals_reference(self, records, n_iter, seed, resample):
+        kwargs = dict(n_iter=n_iter, seed=seed, resample=resample)
+        assert _variant_outcomes(records, **kwargs) == _ref_variant_outcomes(records, **kwargs)
 
 
 def _numpy_draws(seed, n_iter, n_units):
@@ -711,9 +731,50 @@ class TestBulkDraws:
             rec(grades[i % 4], preds[(i * 7 // 3) % 5], pid=pids[(i // 5) % 4])
             for i in range(4016)
         ]
-        kwargs = dict(n_iter=400, seed=0, include_fn_as_gs6=True, resample="lesion")
-        assert _outcome(bootstrap_kappa, records, **kwargs) == \
-            _outcome(_ref_bootstrap_kappa, records, **kwargs)
+        kwargs = dict(n_iter=400, seed=0, resample="lesion")
+        assert _variant_outcomes(records, **kwargs) == _ref_variant_outcomes(records, **kwargs)
+
+
+#: The digests in tests/test_golden_bundle.py that read the bootstrap's streams.
+_BOOTSTRAP_DIGESTS = ("GOLDEN's confusion_*.json and report.json, GOLDEN_EVALUATE_PATIENT, "
+                      "GOLDEN_KAPPA_PATIENT, GOLDEN_KAPPA_WIDE_SEED and GOLDEN_PX2")
+
+
+class TestStreamCanaries:
+    """Literal values of the numpy streams the bootstrap's bytes read.  The
+    reference tests above compare the package with numpy as installed, so
+    a numpy release that changed a stream would move the golden digests
+    while they still passed; these name the cause."""
+
+    SPAWN_KEYS_0_3 = (
+        (0x784DFB2CDFF7B411, 0xCA65717F56CF8F57),
+        (0x43BFFF7A2820A7AF, 0xC28CBA32643645E9),
+        (0xE453B002C1348609, 0x8B9AA1B410FD54DA),
+    )
+    FIRST_DRAWS = (22, 115, 0, 4, 8, 64, 83, 131)
+
+    def test_spawn_keys(self):
+        got = tuple(tuple(int(w) for w in row) for row in metrics._spawn_keys(0, 3))
+        assert got == self.SPAWN_KEYS_0_3, (
+            "metrics._spawn_keys(0, 3), the re-derived keys of "
+            "numpy.random.SeedSequence(0).spawn(3), changed; these digests move: "
+            + _BOOTSTRAP_DIGESTS)
+
+    def test_numpy_children_keys(self):
+        got = tuple(tuple(int(w) for w in child.generate_state(2, np.uint64))
+                    for child in np.random.SeedSequence(0).spawn(3))
+        assert got == self.SPAWN_KEYS_0_3, (
+            "numpy.random.SeedSequence(0).spawn(3)[i].generate_state(2, np.uint64) "
+            "changed, so metrics._spawn_keys no longer re-derives it; these digests "
+            "move once it follows: " + _BOOTSTRAP_DIGESTS)
+
+    def test_first_bootstrap_row(self):
+        child = np.random.SeedSequence(0).spawn(1000)[0]
+        row = np.random.Generator(np.random.Philox(child)).integers(0, 160, size=160)
+        assert tuple(row[:8].tolist()) == self.FIRST_DRAWS, (
+            "numpy Generator(Philox(SeedSequence(0).spawn(1000)[0]))"
+            ".integers(0, 160, size=160) changed, and with it every bootstrap row; "
+            "these digests move: " + _BOOTSTRAP_DIGESTS)
 
 
 class TestDice:
